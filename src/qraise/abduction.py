@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 
 from .errors import ContractError, ParseError, ResourceLimitError, UnsupportedShapeError
 from .formulas import (
-    ENTAILMENT_VAR_CAP,
     Formula,
     Implies,
     Not,
@@ -30,10 +29,14 @@ from .formulas import (
     entails,
     substitute,
     truth_table,
+    universe,
     variables,
 )
 from .parsing import parse_formula, serialize_formula
 from .qbf import Qbf, Quantifier
+
+# Target interface (see harness.TARGETS): name, fixture suffix, prefix shape.
+NAME, SUFFIX, SHAPE = "abduction", "abd", "ea"
 
 # Every base reduction manifests this single reserved variable.
 GOAL_VAR = "a"
@@ -76,41 +79,26 @@ def is_explanation(instance: AbductionInstance, subset: Iterable[str]) -> bool:
     return consistent(picked + theory) and entails(picked + theory, goal)
 
 
-def _masks(instance: AbductionInstance) -> tuple[list[tuple[str, int]], int, int, int]:
-    """Shared truth tables over the whole instance universe.
-
-    Consistency and entailment are universe-independent as long as the
-    universe covers every variable involved, so one table set serves all
-    2^|H| candidate subsets.
-    """
-    names = sorted(instance.all_variables())
-    if len(names) > ENTAILMENT_VAR_CAP:
-        raise ResourceLimitError(
-            f"instance spans {len(names)} variables, exceeding the cap of {ENTAILMENT_VAR_CAP}"
-        )
-    order = {name: i for i, name in enumerate(names)}
-    width = len(names)
-    full = (1 << (1 << width)) - 1
-    theory_mask = full
-    for f in instance.theory:
-        theory_mask &= truth_table(f, order, width)
-    goal_mask = full
-    for name in sorted(instance.manifestations):
-        goal_mask &= truth_table(Var(name), order, width)
-    hyp_masks = [
-        (name, truth_table(Var(name), order, width)) for name in sorted(instance.hypotheses)
-    ]
-    return hyp_masks, theory_mask, goal_mask, full
-
-
 def _explanations(instance: AbductionInstance, first_only: bool) -> list[Explanation]:
     if len(instance.hypotheses) > HYPOTHESIS_CAP:
         raise ResourceLimitError(
             f"{len(instance.hypotheses)} hypotheses exceed the enumeration cap of"
             f" {HYPOTHESIS_CAP}"
         )
-    hyp_masks, theory_mask, goal_mask, full = _masks(instance)
-    not_goal = full ^ goal_mask
+    # Consistency and entailment are universe-independent as long as the
+    # universe covers every variable involved, so one table set over the
+    # whole instance serves all 2^|H| candidate subsets.
+    u = universe(sorted(instance.all_variables()))
+    theory_mask = u.full
+    for f in instance.theory:
+        theory_mask &= truth_table(f, u.order, u.width)
+    goal_mask = u.full
+    for name in sorted(instance.manifestations):
+        goal_mask &= truth_table(Var(name), u.order, u.width)
+    hyp_masks = [
+        (name, truth_table(Var(name), u.order, u.width)) for name in sorted(instance.hypotheses)
+    ]
+    not_goal = u.full ^ goal_mask
     found: list[Explanation] = []
     for bits in range(1 << len(hyp_masks)):
         mask = theory_mask
@@ -134,6 +122,14 @@ def has_explanation(instance: AbductionInstance) -> bool:
     return bool(_explanations(instance, first_only=True))
 
 
+def solve(instance: AbductionInstance) -> tuple[bool, str]:
+    """Decide ``instance``; the detail names its lexicographically least explanation."""
+    explanations = enumerate_explanations(instance)
+    if not explanations:
+        return False, ""
+    return True, f"explanation={{{', '.join(min(sorted(s) for s in explanations))}}}"
+
+
 def substitute_theory(instance: AbductionInstance, name: str, value: bool) -> AbductionInstance:
     """Fix a theory variable, leaving hypotheses and manifestations alone."""
     if name in instance.hypotheses or name in instance.manifestations:
@@ -145,7 +141,8 @@ def substitute_theory(instance: AbductionInstance, name: str, value: bool) -> Ab
     )
 
 
-def _base_instance(matrix: Formula) -> AbductionInstance:
+def base_instance(matrix: Formula) -> AbductionInstance:
+    """``<{}, {a}, {!matrix | a}>``, the instance every raise starts from."""
     if GOAL_VAR in variables(matrix):
         raise ContractError(f"matrix uses the reserved manifestation name {GOAL_VAR!r}")
     return AbductionInstance(
@@ -164,7 +161,7 @@ def base_reduction(matrix: Formula, universal_vars: Sequence[str]) -> AbductionI
         )
     if GOAL_VAR in universal_vars:
         raise ContractError(f"universal block uses the reserved name {GOAL_VAR!r}")
-    return _base_instance(matrix)
+    return base_instance(matrix)
 
 
 def raise_existential(instance: AbductionInstance, name: str, index: int) -> AbductionInstance:
@@ -215,7 +212,7 @@ def reduce_qbf(q: Qbf) -> AbductionInstance:
     existential, _ = split_prefix_ea(q)
     if GOAL_VAR in (name for _, name in q.prefix):
         raise ContractError(f"prefix uses the reserved manifestation name {GOAL_VAR!r}")
-    instance = _base_instance(q.matrix)
+    instance = base_instance(q.matrix)
     for index, name in enumerate(reversed(existential), start=1):
         instance = raise_existential(instance, name, index)
     return instance
@@ -256,3 +253,7 @@ def parse_instance(text: str) -> AbductionInstance:
     if not (seen_h and seen_m):
         raise ParseError("instance needs both an 'H:' and an 'M:' line", 1, 1)
     return AbductionInstance(frozenset(hypotheses), frozenset(manifestations), frozenset(theory))
+
+
+serialize = serialize_instance
+parse = parse_instance

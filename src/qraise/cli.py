@@ -17,18 +17,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import abduction, defaults, planning
 from .errors import ContractError, ParseError, QraiseError, ResourceLimitError
-from .formulas import Var
-from .harness import PrefixPattern, QbfGenSpec, check_equivalence, measure_growth
+from .harness import SHAPE_PATTERNS, TARGETS, PrefixPattern, QbfGenSpec
+from .harness import check_equivalence, measure_growth
 from .parsing import parse_qbf
 from .qbf import qbf_valid
-
-_PATTERNS = {
-    "ea": PrefixPattern.EXISTS_FORALL,
-    "ae": PrefixPattern.FORALL_EXISTS,
-    "any": PrefixPattern.ARBITRARY,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,31 +31,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def with_target(name: str, help: str) -> argparse.ArgumentParser:
+        command = sub.add_parser(name, help=help)
+        command.add_argument("--target", choices=tuple(TARGETS), required=True)
+        return command
+
     validate = sub.add_parser("validate", help="decide a QBF file; exit 0 valid, 1 invalid")
     validate.add_argument("qbf_file", type=Path)
 
-    reduce_cmd = sub.add_parser("reduce", help="translate a QBF file into a target instance")
-    reduce_cmd.add_argument("--target", choices=("abduction", "default", "planning"), required=True)
+    reduce_cmd = with_target("reduce", "translate a QBF file into a target instance")
     reduce_cmd.add_argument("qbf_file", type=Path)
     reduce_cmd.add_argument("-o", "--output", type=Path, default=None)
 
-    solve = sub.add_parser("solve", help="decide an instance file; exit 0 yes, 1 no")
-    solve.add_argument("--target", choices=("abduction", "default", "planning"), required=True)
+    solve = with_target("solve", "decide an instance file; exit 0 yes, 1 no")
     solve.add_argument("instance_file", type=Path)
 
-    check = sub.add_parser("check", help="compare a target against QBF validity in bulk")
-    check.add_argument("--target", choices=("abduction", "default", "planning"), required=True)
+    check = with_target("check", "compare a target against QBF validity in bulk")
     check.add_argument("--exhaustive", action="store_true")
     check.add_argument("--vars", type=int, default=3)
     check.add_argument("--depth", type=int, default=3)
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--pattern", choices=tuple(_PATTERNS), default=None)
+    check.add_argument("--pattern", choices=tuple(SHAPE_PATTERNS), default=None)
     check.add_argument("--count", type=int, default=500)
     check.add_argument("--per-case", action="store_true", help="print one line per case")
     check.add_argument("--fixture-dir", type=Path, default=None)
 
-    growth = sub.add_parser("growth", help="tabulate instance growth per raise")
-    growth.add_argument("--target", choices=("abduction", "default", "planning"), required=True)
+    growth = with_target("growth", "tabulate instance growth per raise")
     growth.add_argument("--raises", type=int, default=5)
 
     return parser
@@ -78,14 +72,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
+    target = TARGETS[args.target]
     q = parse_qbf(args.qbf_file.read_text(encoding="utf-8"))
-    if args.target == "abduction":
-        text = abduction.serialize_instance(abduction.reduce_qbf(q))
-    elif args.target == "default":
-        theory, query = defaults.reduce_qbf(q)
-        text = defaults.serialize_theory(theory, query)
-    else:
-        text = planning.serialize_instance(planning.reduce_qbf(q))
+    text = target.serialize(target.reduce_qbf(q))
     if args.output is None:
         sys.stdout.write(text)
     else:
@@ -94,34 +83,10 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    text = args.instance_file.read_text(encoding="utf-8")
-    if args.target == "abduction":
-        instance = abduction.parse_instance(text)
-        explanations = abduction.enumerate_explanations(instance)
-        if explanations:
-            witness = min(sorted(s) for s in explanations)
-            print(f"yes explanation={{{', '.join(witness)}}}")
-            return 0
-        print("no")
-        return 1
-    if args.target == "default":
-        theory, query = defaults.parse_theory(text)
-        if query is None:
-            raise ContractError("theory file has no 'query:' line")
-        result = defaults.skeptically_entails(theory, Var(query))
-        detail = f"extensions={result.extension_count}" + (" vacuous" if result.vacuous else "")
-        if result.holds:
-            print(f"yes {detail}")
-            return 0
-        print(f"no {detail}")
-        return 1
-    instance = planning.parse_instance(text)
-    found, plan = planning.plan_exists(instance)
-    if found:
-        print(f"yes plan={' '.join(plan or ())}".rstrip())
-        return 0
-    print("no")
-    return 1
+    target = TARGETS[args.target]
+    answer, detail = target.solve(target.parse(args.instance_file.read_text(encoding="utf-8")))
+    print(f"{'yes' if answer else 'no'} {detail}".rstrip())
+    return 0 if answer else 1
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -130,7 +95,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             raise ContractError("--exhaustive and --pattern are mutually exclusive")
         pattern = PrefixPattern.EXHAUSTIVE
     elif args.pattern is not None:
-        pattern = _PATTERNS[args.pattern]
+        pattern = SHAPE_PATTERNS[args.pattern]
     else:
         raise ContractError("check needs either --exhaustive or --pattern")
     spec = QbfGenSpec(
@@ -182,6 +147,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError as exc:
+        # Deeply nested input overflows the recursive parser and AST walks;
+        # a traceback's exit status 1 would read as a "no".
+        print(f"error[internal]: input nested too deeply: {exc}", file=sys.stderr)
         return 2
 
 

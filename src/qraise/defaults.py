@@ -19,11 +19,10 @@ skeptical entailment becomes the conjunction of the branch answers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ContractError, ParseError, ResourceLimitError, UnsupportedShapeError
 from .formulas import (
-    ENTAILMENT_VAR_CAP,
     And,
     Formula,
     Not,
@@ -31,10 +30,14 @@ from .formulas import (
     Var,
     substitute,
     truth_table,
+    universe,
     variables,
 )
 from .parsing import parse_formula, serialize_formula
 from .qbf import Qbf, Quantifier
+
+# Target interface (see harness.TARGETS): name, fixture suffix, prefix shape.
+NAME, SUFFIX, SHAPE = "default", "dlt", "ae"
 
 QUERY_VAR = "a"
 
@@ -94,14 +97,8 @@ class _TheoryTables:
         names = set(theory.all_variables())
         for f in extra:
             names |= variables(f)
-        if len(names) > ENTAILMENT_VAR_CAP:
-            raise ResourceLimitError(
-                f"theory spans {len(names)} variables, exceeding the cap of"
-                f" {ENTAILMENT_VAR_CAP}"
-            )
-        self.order = {name: i for i, name in enumerate(sorted(names))}
-        self.width = len(self.order)
-        self.full = (1 << (1 << self.width)) - 1
+        self.universe = universe(sorted(names))
+        self.full = self.universe.full
         self.background = self.full
         for f in theory.background:
             self.background &= self.table(f)
@@ -110,15 +107,16 @@ class _TheoryTables:
         self.cons = [self.table(d.consequence) for d in theory.defaults]
 
     def table(self, f: Formula) -> int:
-        return truth_table(f, self.order, self.width)
+        return truth_table(f, self.universe.order, self.universe.width)
 
 
-def _fixpoint(tables: _TheoryTables, candidate_mask: int, count: int) -> tuple[int, int]:
+def _fixpoint(tables: _TheoryTables, candidate_mask: int) -> tuple[int, int]:
     """Run the staged construction against a candidate generating set.
 
     Returns the generating set the construction actually reaches (as an
     index bitmask) together with the candidate's consequence-set table.
     """
+    count = len(tables.cons)
     consequence = tables.background
     for i in range(count):
         if candidate_mask >> i & 1:
@@ -146,19 +144,19 @@ def _consequence_set(theory: DefaultTheory, generating: Iterable[int]) -> frozen
     return theory.background | {theory.defaults[i].consequence for i in generating}
 
 
-def _accepts(theory: DefaultTheory, tables: _TheoryTables, candidate_mask: int) -> bool:
-    count = len(theory.defaults)
-    reached, consequence_table = _fixpoint(tables, candidate_mask, count)
+def _accepts(tables: _TheoryTables, candidate_mask: int) -> int | None:
+    """The candidate's consequence table if it generates an extension, else None."""
+    reached, consequence_table = _fixpoint(tables, candidate_mask)
     # The construction must apply exactly the candidate defaults. Comparing
     # generating sets (not consequence formulas) keeps descriptors canonical
     # when distinct defaults share a consequence.
     if reached != candidate_mask:
-        return False
-    if consequence_table:
-        return True
+        return None
     # An inconsistent belief set is an extension only when the background
     # itself is inconsistent and no default was selected.
-    return tables.background == 0 and candidate_mask == 0
+    if consequence_table or (tables.background == 0 and candidate_mask == 0):
+        return consequence_table
+    return None
 
 
 def verify_extension(theory: DefaultTheory, generating: Iterable[int]) -> bool:
@@ -167,51 +165,56 @@ def verify_extension(theory: DefaultTheory, generating: Iterable[int]) -> bool:
     for i in chosen:
         if not 0 <= i < len(theory.defaults):
             raise ContractError(f"default index out of range: {i}")
-    tables = _TheoryTables(theory)
-    mask = 0
-    for i in chosen:
-        mask |= 1 << i
-    return _accepts(theory, tables, mask)
+    return _accepts(_TheoryTables(theory), sum(1 << i for i in chosen)) is not None
 
 
-def extensions(theory: DefaultTheory) -> tuple[ExtensionDescriptor, ...]:
-    """All extensions, by enumeration of generating subsets."""
+def _enumeration_tables(theory: DefaultTheory, extra: Iterable[Formula] = ()) -> _TheoryTables:
+    """Tables for enumerating every generating set of ``theory``; the count
+    cap is checked before any table is built."""
     count = len(theory.defaults)
     if count > DEFAULT_COUNT_CAP:
         raise ResourceLimitError(
             f"{count} defaults exceed the enumeration cap of {DEFAULT_COUNT_CAP}"
         )
-    tables = _TheoryTables(theory)
+    return _TheoryTables(theory, extra)
+
+
+def _extensions(tables: _TheoryTables) -> Iterator[tuple[int, int]]:
+    """Every extension as (generating-set bitmask, consequence table)."""
+    for mask in range(1 << len(tables.cons)):
+        consequence = _accepts(tables, mask)
+        if consequence is not None:
+            yield mask, consequence
+
+
+def extensions(theory: DefaultTheory) -> tuple[ExtensionDescriptor, ...]:
+    """All extensions, by enumeration of generating subsets."""
     found = []
-    for mask in range(1 << count):
-        if _accepts(theory, tables, mask):
-            generating = frozenset(i for i in range(count) if mask >> i & 1)
-            found.append(ExtensionDescriptor(generating, _consequence_set(theory, generating)))
+    for mask, _ in _extensions(_enumeration_tables(theory)):
+        generating = frozenset(i for i in range(len(theory.defaults)) if mask >> i & 1)
+        found.append(ExtensionDescriptor(generating, _consequence_set(theory, generating)))
     return tuple(found)
 
 
 def skeptically_entails(theory: DefaultTheory, goal: Formula) -> SkepticalResult:
     """Does every extension entail ``goal``? Vacuously true without extensions."""
-    tables = _TheoryTables(theory, extra=[goal])
-    count = len(theory.defaults)
-    if count > DEFAULT_COUNT_CAP:
-        raise ResourceLimitError(
-            f"{count} defaults exceed the enumeration cap of {DEFAULT_COUNT_CAP}"
-        )
+    tables = _enumeration_tables(theory, extra=[goal])
     goal_gap = tables.full ^ tables.table(goal)
     holds = True
     seen = 0
-    for mask in range(1 << count):
-        if not _accepts(theory, tables, mask):
-            continue
+    for _, consequence in _extensions(tables):
         seen += 1
-        consequence = tables.background
-        for i in range(count):
-            if mask >> i & 1:
-                consequence &= tables.cons[i]
         if consequence & goal_gap:
             holds = False
     return SkepticalResult(holds=holds, vacuous=seen == 0, extension_count=seen)
+
+
+def solve(instance: tuple[DefaultTheory, str]) -> tuple[bool, str]:
+    """Decide a (theory, query) instance; the detail counts the extensions."""
+    theory, query = instance
+    result = skeptically_entails(theory, Var(query))
+    vacuous = " vacuous" if result.vacuous else ""
+    return result.holds, f"extensions={result.extension_count}{vacuous}"
 
 
 def substitute_theory(theory: DefaultTheory, name: str, value: bool) -> DefaultTheory:
@@ -336,3 +339,15 @@ def parse_theory(text: str) -> tuple[DefaultTheory, str | None]:
             Default(prerequisite, parse_formula(justification_text), parse_formula(consequence_text))
         )
     return DefaultTheory(tuple(defaults), frozenset(background)), query
+
+
+def serialize(instance: tuple[DefaultTheory, str]) -> str:
+    return serialize_theory(*instance)
+
+
+def parse(text: str) -> tuple[DefaultTheory, str]:
+    """``parse_theory`` for a file that must name its query."""
+    theory, query = parse_theory(text)
+    if query is None:
+        raise ContractError("theory file has no 'query:' line")
+    return theory, query

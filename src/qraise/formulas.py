@@ -215,25 +215,35 @@ def truth_table(f: Formula, order: Mapping[str, int], width: int) -> int:
     return full ^ (left ^ right)  # Iff
 
 
-def _universe(formulas: Iterable[Formula], cap: int) -> tuple[dict[str, int], int]:
-    names: set[str] = set()
-    for f in formulas:
-        names |= variables(f)
-    if len(names) > cap:
-        raise ResourceLimitError(
-            f"exact check over {len(names)} variables exceeds the cap of {cap}"
-        )
-    order = {name: i for i, name in enumerate(sorted(names))}
-    return order, len(order)
+@dataclass(frozen=True, slots=True)
+class Universe:
+    """Truth-table bit layout: each variable's bit position in the assignment
+    index, the variable count, and the all-true table."""
+
+    order: Mapping[str, int]
+    width: int
+    full: int
+
+
+def universe(
+    names: Iterable[str], cap: int = ENTAILMENT_VAR_CAP, what: str = "variables"
+) -> Universe:
+    """Lay ``names`` out in the order given, since the order decides which
+    names take the low bits; callers sort for a canonical layout. More than
+    ``cap`` names raise ResourceLimitError."""
+    order = {name: i for i, name in enumerate(dict.fromkeys(names))}
+    if len(order) > cap:
+        raise ResourceLimitError(f"{len(order)} {what} exceed the cap of {cap}")
+    return Universe(order, len(order), (1 << (1 << len(order))) - 1)
 
 
 def consistent(formulas: Iterable[Formula]) -> bool:
     """True iff some assignment over the formulas' variables satisfies all of them."""
     fs = list(formulas)
-    order, width = _universe(fs, ENTAILMENT_VAR_CAP)
-    table = (1 << (1 << width)) - 1
+    u = universe(sorted(set().union(*map(variables, fs))))
+    table = u.full
     for f in fs:
-        table &= truth_table(f, order, width)
+        table &= truth_table(f, u.order, u.width)
         if not table:
             return False
     return True
@@ -242,11 +252,10 @@ def consistent(formulas: Iterable[Formula]) -> bool:
 def entails(formulas: Iterable[Formula], goal: Formula) -> bool:
     """True iff every assignment satisfying all ``formulas`` satisfies ``goal``."""
     fs = list(formulas)
-    order, width = _universe(fs + [goal], ENTAILMENT_VAR_CAP)
-    full = (1 << (1 << width)) - 1
-    premises = full
+    u = universe(sorted(set().union(*map(variables, fs + [goal]))))
+    premises = u.full
     for f in fs:
-        premises &= truth_table(f, order, width)
+        premises &= truth_table(f, u.order, u.width)
         if not premises:
             return True
-    return premises & (full ^ truth_table(goal, order, width)) == 0
+    return premises & (u.full ^ truth_table(goal, u.order, u.width)) == 0

@@ -29,10 +29,13 @@ from typing import Callable, Iterator, Sequence
 from . import abduction, defaults, planning
 from .errors import ResourceLimitError, UnsupportedShapeError
 from .formulas import And, Const, Formula, Iff, Implies, Not, Or, Var, size, truth_table
+from .formulas import Universe, universe
 from .parsing import serialize_formula, serialize_qbf, serialize_qbf_compact
 from .qbf import Qbf, Quantifier, qbf_valid, qbf_valid_by_table
 
-TARGETS = ("abduction", "default", "planning")
+# Target modules export NAME, SUFFIX, SHAPE, reduce_qbf, solve, serialize and parse.
+# Call them as module attributes, so a function rebound on the module is the one run.
+TARGETS = {m.NAME: m for m in (abduction, defaults, planning)}
 
 
 class PrefixPattern(Enum):
@@ -40,6 +43,14 @@ class PrefixPattern(Enum):
     FORALL_EXISTS = "forall-exists"
     ARBITRARY = "arbitrary"
     EXHAUSTIVE = "exhaustive"
+
+
+# The random prefix pattern of each target shape.
+SHAPE_PATTERNS = {
+    "ea": PrefixPattern.EXISTS_FORALL,
+    "ae": PrefixPattern.FORALL_EXISTS,
+    "any": PrefixPattern.ARBITRARY,
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,7 +91,6 @@ class CheckReport:
     agreements: int
     counterexamples: tuple[Counterexample, ...]
     resource_errors: tuple[str, ...] = ()
-    growth_stats: "GrowthTable | None" = None
     case_lines: tuple[str, ...] = ()  # populated only when the run collects per-case detail
 
     @property
@@ -256,41 +266,14 @@ def generate_qbfs(spec: QbfGenSpec) -> Iterator[Qbf]:
 
 # --- equivalence checking -----------------------------------------------------
 
-_TARGET_SHAPES = {"abduction": "ea", "default": "ae", "planning": "any"}
-_TARGET_PATTERNS = {
-    "abduction": {PrefixPattern.EXISTS_FORALL, PrefixPattern.EXHAUSTIVE},
-    "default": {PrefixPattern.FORALL_EXISTS, PrefixPattern.EXHAUSTIVE},
-    "planning": set(PrefixPattern),
-}
-
-
-def _decide(target: str, q: Qbf) -> tuple[bool, str]:
-    """Run the target construction; returns (answer, replayable instance text)."""
-    if target == "abduction":
-        instance = abduction.reduce_qbf(q)
-        return abduction.has_explanation(instance), abduction.serialize_instance(instance)
-    if target == "default":
-        theory, query = defaults.reduce_qbf(q)
-        return (
-            bool(defaults.skeptically_entails(theory, Var(query))),
-            defaults.serialize_theory(theory, query),
-        )
-    if target == "planning":
-        instance = planning.reduce_qbf(q)
-        found, plan = planning.plan_exists(instance)
-        if found and not planning.validate_plan(instance, plan or ()):
-            raise AssertionError(f"plan failed replay for {serialize_qbf_compact(q)}")
-        return found, planning.serialize_instance(instance)
-    raise ValueError(f"unknown target {target!r}")
-
-
 def _cases_for(target: str, spec: QbfGenSpec) -> Iterator[Qbf]:
-    if spec.prefix_pattern not in _TARGET_PATTERNS[target]:
+    shape = TARGETS[target].SHAPE
+    if spec.prefix_pattern is PrefixPattern.EXHAUSTIVE:
+        return exhaustive_qbfs(spec.num_vars, spec.matrix_depth, shape)
+    if shape != "any" and spec.prefix_pattern is not SHAPE_PATTERNS[shape]:
         raise UnsupportedShapeError(
             f"target {target!r} does not support prefix pattern {spec.prefix_pattern.value!r}"
         )
-    if spec.prefix_pattern is PrefixPattern.EXHAUSTIVE:
-        return exhaustive_qbfs(spec.num_vars, spec.matrix_depth, _TARGET_SHAPES[target])
     return generate_qbfs(spec)
 
 
@@ -301,6 +284,7 @@ def check_equivalence(
     collect_cases: bool = False,
 ) -> CheckReport:
     """Compare the target's answer with QBF validity on every generated case."""
+    module = TARGETS[target]
     mode = (
         f"pattern={spec.prefix_pattern.value} vars={spec.num_vars} depth={spec.matrix_depth}"
         + ("" if spec.prefix_pattern is PrefixPattern.EXHAUSTIVE else f" seed={spec.seed} count={spec.count}")
@@ -319,7 +303,8 @@ def check_equivalence(
                 f" recursive={recursive} table={tabled}"
             )
         try:
-            answer, instance_text = _decide(target, q)
+            instance = module.reduce_qbf(q)
+            answer, _ = module.solve(instance)
         except ResourceLimitError as exc:
             resource_errors.append(f"index={index} qbf={serialize_qbf_compact(q)} {exc}")
             total -= 1
@@ -341,7 +326,7 @@ def check_equivalence(
             )
             counterexamples.append(ce)
             if fixture_dir is not None:
-                _write_fixture(Path(fixture_dir), target, ce, instance_text)
+                _write_fixture(Path(fixture_dir), target, ce, module.serialize(instance))
     return CheckReport(
         target=target,
         mode=mode,
@@ -353,15 +338,12 @@ def check_equivalence(
     )
 
 
-_FIXTURE_SUFFIX = {"abduction": "abd", "default": "dlt", "planning": "plan"}
-
-
 def _write_fixture(directory: Path, target: str, ce: Counterexample, instance_text: str) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     stem = f"counterexample-{target}-{ce.index:06d}"
     if ce.qbf is not None:
         (directory / f"{stem}.qbf").write_text(serialize_qbf(ce.qbf) + "\n", encoding="utf-8")
-    (directory / f"{stem}.{_FIXTURE_SUFFIX[target]}").write_text(instance_text, encoding="utf-8")
+    (directory / f"{stem}.{TARGETS[target].SUFFIX}").write_text(instance_text, encoding="utf-8")
 
 
 # --- lemma-level checks --------------------------------------------------------
@@ -418,10 +400,10 @@ def _random_default_theory(
     return defaults.DefaultTheory(tuple(made), frozenset()), pivot, query
 
 
-def _signature(formulas: Sequence[Formula], order: dict[str, int], width: int) -> int:
-    table = (1 << (1 << width)) - 1
+def _signature(formulas: Sequence[Formula], u: Universe) -> int:
+    table = u.full
     for f in formulas:
-        table &= truth_table(f, order, width)
+        table &= truth_table(f, u.order, u.width)
     return table
 
 
@@ -430,12 +412,10 @@ def _check_default_lemma(
 ) -> tuple[bool, str]:
     raised = defaults.raise_universal(theory, pivot, 1)
     guard = "_p1"
-    names = sorted(raised.all_variables() | {pivot, guard, query})
-    order = {n: i for i, n in enumerate(names)}
-    width = len(names)
+    u = universe(sorted(raised.all_variables() | {pivot, guard, query}))
 
     raised_sigs = sorted(
-        _signature(sorted(e.consequences, key=serialize_formula), order, width)
+        _signature(sorted(e.consequences, key=serialize_formula), u)
         for e in defaults.extensions(raised)
     )
     expected_sigs: list[int] = []
@@ -443,11 +423,7 @@ def _check_default_lemma(
         branch = defaults.substitute_theory(theory, pivot, value)
         for e in defaults.extensions(branch):
             expected_sigs.append(
-                _signature(
-                    sorted(e.consequences, key=serialize_formula) + [tag, Var(guard)],
-                    order,
-                    width,
-                )
+                _signature(sorted(e.consequences, key=serialize_formula) + [tag, Var(guard)], u)
             )
     expected_sigs.sort()
     if raised_sigs != expected_sigs:
@@ -474,28 +450,20 @@ def _check_planning_merge(rng: random.Random, spec: SampleSpec) -> tuple[bool, s
     matrix = _random_matrix(rng, names, spec.matrix_depth)
     q = Qbf(prefix, matrix)
     # raise everything except the outermost variable, then test its merge
-    instance = planning._base_instance(matrix, list(names) + [planning.GOAL_VAR])
-    inner = list(reversed(prefix[1:]))
-    for index, (quant, name) in enumerate(inner, start=1):
-        if quant is Quantifier.EXISTS:
-            instance = planning.raise_existential(instance, name, index)
-        else:
-            instance = planning.raise_universal(instance, name, index)
+    instance = planning.raise_prefix(
+        planning.base_instance(matrix, list(names) + [planning.GOAL_VAR]), prefix[1:]
+    )
     quant, name = prefix[0]
     on_true = planning.plan_exists(planning.substitute_fluent(instance, name, True))[0]
     on_false = planning.plan_exists(planning.substitute_fluent(instance, name, False))[0]
-    if quant is Quantifier.EXISTS:
-        raised = planning.raise_existential(instance, name, len(inner) + 1)
-        expected = on_true or on_false
-        kind = "OR"
-    else:
-        raised = planning.raise_universal(instance, name, len(inner) + 1)
-        expected = on_true and on_false
-        kind = "AND"
-    actual = planning.plan_exists(raised)[0]
+    exists = quant is Quantifier.EXISTS
+    expected = (on_true or on_false) if exists else (on_true and on_false)
+    raise_outer = planning.raise_existential if exists else planning.raise_universal
+    actual = planning.plan_exists(raise_outer(instance, name, len(prefix)))[0]
     return (
         actual == expected,
-        f"{kind}-merge on {name}: branches=({on_true},{on_false}) merged={actual}",
+        f"{'OR' if exists else 'AND'}-merge on {name}: branches=({on_true},{on_false})"
+        f" merged={actual}",
         q,
     )
 
@@ -506,19 +474,19 @@ def check_lemma(target: str, spec: SampleSpec) -> CheckReport:
     total = agreements = 0
     counterexamples: list[Counterexample] = []
     for index in range(spec.count):
-        if target == "abduction":
+        if target == abduction.NAME:
             instance, pivot = _random_abduction_instance(rng, spec)
             ok, note = _check_abduction_lemma(instance, pivot)
             q = None
             if not ok:
                 note = f"{note} instance={abduction.serialize_instance(instance)!r}"
-        elif target == "default":
+        elif target == defaults.NAME:
             theory, pivot, query = _random_default_theory(rng, spec)
             ok, note = _check_default_lemma(theory, pivot, query)
             q = None
             if not ok:
                 note = f"{note} theory={defaults.serialize_theory(theory, query)!r}"
-        elif target == "planning":
+        elif target == planning.NAME:
             ok, note, q = _check_planning_merge(rng, spec)
         else:
             raise ValueError(f"unknown target {target!r}")
@@ -573,17 +541,13 @@ class GrowthTable:
         return "\n".join(lines)
 
 
-def _formula_nodes(f: Formula) -> int:
-    return size(f)
-
-
 def measure_growth(target: str, n_raises: int) -> GrowthTable:
     """Raise ``n_raises`` times over a tiny base and tabulate sizes per step."""
-    if target == "abduction":
+    if target == abduction.NAME:
         return _growth_abduction(n_raises)
-    if target == "default":
+    if target == defaults.NAME:
         return _growth_default(n_raises)
-    if target == "planning":
+    if target == planning.NAME:
         return _growth_planning(n_raises)
     raise ValueError(f"unknown target {target!r}")
 
@@ -595,7 +559,7 @@ def _growth_abduction(n_raises: int) -> GrowthTable:
     matrix: Formula = Or(Var("u"), Not(Var("u")))
     for name in names:
         matrix = And(matrix, Or(Var(name), Not(Var(name))))
-    instance = abduction._base_instance(matrix)
+    instance = abduction.base_instance(matrix)
     rows = [_abduction_row(0, instance)]
     for k, name in enumerate(names, start=1):
         instance = abduction.raise_existential(instance, name, k)
@@ -611,8 +575,8 @@ def _growth_abduction(n_raises: int) -> GrowthTable:
     constant = len(set(deltas)) <= 1
     per_raise_shape = deltas[0] == (3, 5, 18) if deltas else True
     return GrowthTable(
-        target="abduction",
-        matrix_size=_formula_nodes(matrix),
+        target=abduction.NAME,
+        matrix_size=size(matrix),
         rows=tuple(rows),
         verdicts=(
             ("per-raise deltas identical", constant),
@@ -626,7 +590,7 @@ def _abduction_row(k: int, instance: abduction.AbductionInstance) -> GrowthRow:
         raises=k,
         variables=len(instance.all_variables()),
         items=len(instance.theory),
-        total_size=sum(_formula_nodes(f) for f in instance.theory),
+        total_size=sum(size(f) for f in instance.theory),
     )
 
 
@@ -645,8 +609,8 @@ def _growth_default(n_raises: int) -> GrowthTable:
         rows[i].items - rows[i - 1].items == 2 for i in range(1, len(rows))
     )
     return GrowthTable(
-        target="default",
-        matrix_size=_formula_nodes(matrix),
+        target=defaults.NAME,
+        matrix_size=size(matrix),
         rows=tuple(rows),
         verdicts=(
             ("each raise adds exactly 2 defaults", two_defaults),
@@ -657,8 +621,7 @@ def _growth_default(n_raises: int) -> GrowthTable:
 
 def _default_row(k: int, theory: defaults.DefaultTheory) -> GrowthRow:
     total = sum(
-        _formula_nodes(d.prerequisite) + _formula_nodes(d.justification)
-        + _formula_nodes(d.consequence)
+        size(d.prerequisite) + size(d.justification) + size(d.consequence)
         for d in theory.defaults
     )
     return GrowthRow(
@@ -672,7 +635,7 @@ def _default_row(k: int, theory: defaults.DefaultTheory) -> GrowthRow:
 def _growth_planning(n_raises: int) -> GrowthTable:
     matrix = Or(Var("x1"), Not(Var("x1")))
     names = [f"x{i + 1}" for i in range(max(1, n_raises))]
-    instance = planning._base_instance(matrix, names + [planning.GOAL_VAR])
+    instance = planning.base_instance(matrix, names + [planning.GOAL_VAR])
     chain = [instance]
     for k in range(1, n_raises + 1):
         name = names[k - 1]
@@ -682,17 +645,17 @@ def _growth_planning(n_raises: int) -> GrowthTable:
             instance = planning.raise_existential(instance, name, k)
         chain.append(instance)
     rows = tuple(_planning_row(k, inst) for k, inst in enumerate(chain))
-    m = _formula_nodes(matrix)
+    m = size(matrix)
     action_bound = all(row.items <= 3 * row.raises + 1 for row in rows)
     # Each raise conjoins one guard (2 nodes) onto every earlier precondition,
     # so after k raises no precondition should exceed matrix + 2k + constant.
     precondition_bound = all(
-        _formula_nodes(act.precondition) <= m + 2 * k + 3
+        size(act.precondition) <= m + 2 * k + 3
         for k, inst in enumerate(chain)
         for act in inst.actions
     )
     return GrowthTable(
-        target="planning",
+        target=planning.NAME,
         matrix_size=m,
         rows=rows,
         verdicts=(
@@ -704,7 +667,7 @@ def _growth_planning(n_raises: int) -> GrowthTable:
 
 def _planning_row(k: int, instance: planning.PlanningInstance) -> GrowthRow:
     sizes = [
-        _formula_nodes(act.precondition) + len(act.effects) for act in instance.actions
+        size(act.precondition) + len(act.effects) for act in instance.actions
     ]
     return GrowthRow(
         raises=k,

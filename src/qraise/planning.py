@@ -22,10 +22,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import ContractError, ParseError, ResourceLimitError
-from .formulas import And, Formula, Not, Var, evaluate, substitute, truth_table, variables
+from .errors import ContractError, ParseError, QraiseError
+from .formulas import And, Formula, Not, Var, evaluate, substitute, truth_table, universe, variables
 from .parsing import parse_formula, serialize_formula
 from .qbf import Qbf, Quantifier
+
+# Target interface (see harness.TARGETS): name, fixture suffix, prefix shape.
+NAME, SUFFIX, SHAPE = "planning", "plan", "any"
 
 GOAL_VAR = "a"
 
@@ -107,14 +110,15 @@ def control_fluents(instance: PlanningInstance) -> frozenset[str]:
 
 def plan_exists(instance: PlanningInstance) -> tuple[bool, tuple[str, ...] | None]:
     """Breadth-first search over the whole state graph; plans are shortest."""
-    count = len(instance.fluents)
-    if count > FLUENT_CAP:
-        raise ResourceLimitError(f"{count} fluents exceed the search cap of {FLUENT_CAP}")
-    order = {name: i for i, name in enumerate(instance.fluents)}
+    # Declaration order, not sorted: the constructions declare control
+    # fluents last, so they take the high bits, reachable states are large
+    # numbers and ``table >> state`` stays short.
+    u = universe(instance.fluents, FLUENT_CAP, "fluents")
+    order = u.order
     goal_bit = 1 << order[instance.goal]
     compiled = []
     for idx, act in enumerate(instance.actions):
-        table = truth_table(act.precondition, order, count)
+        table = truth_table(act.precondition, order, u.width)
         set_mask = 0
         clear_mask = 0
         for name, value in act.effects:
@@ -152,6 +156,17 @@ def plan_exists(instance: PlanningInstance) -> tuple[bool, tuple[str, ...] | Non
         cursor, idx = parents[cursor]
         steps.append(instance.actions[idx].name)
     return True, tuple(reversed(steps))
+
+
+def solve(instance: PlanningInstance) -> tuple[bool, str]:
+    """Decide ``instance``; a found plan is replayed by ``validate_plan``
+    before it is reported, and the detail lists its steps."""
+    found, plan = plan_exists(instance)
+    if not found:
+        return False, ""
+    if not validate_plan(instance, plan or ()):
+        raise QraiseError(f"plan failed replay: {' '.join(plan or ())}")
+    return True, f"plan={' '.join(plan or ())}"
 
 
 def validate_plan(instance: PlanningInstance, plan: Sequence[str]) -> bool:
@@ -192,7 +207,8 @@ def substitute_fluent(instance: PlanningInstance, name: str, value: bool) -> Pla
 MATRIX_ACTION = "apply-matrix"
 
 
-def _base_instance(matrix: Formula, fluents: Sequence[str]) -> PlanningInstance:
+def base_instance(matrix: Formula, fluents: Sequence[str]) -> PlanningInstance:
+    """One action ``<matrix, {a}>`` over ``fluents``; every raise starts from it."""
     return PlanningInstance(
         fluents=tuple(fluents),
         initial=frozenset(),
@@ -210,7 +226,7 @@ def base_reduction(matrix: Formula) -> PlanningInstance:
     reserved = [n for n in names if n.startswith("_")]
     if reserved:
         raise ContractError(f"matrix uses reserved names: {', '.join(sorted(reserved))}")
-    return _base_instance(matrix, sorted(names) + [GOAL_VAR])
+    return base_instance(matrix, sorted(names) + [GOAL_VAR])
 
 
 def _guard_all(actions: Sequence[Action], guard: str) -> tuple[Action, ...]:
@@ -290,8 +306,15 @@ def reduce_qbf(q: Qbf) -> PlanningInstance:
     reserved = [n for n in prefix_names if n.startswith("_")]
     if reserved:
         raise ContractError(f"prefix uses reserved names: {', '.join(sorted(reserved))}")
-    instance = _base_instance(q.matrix, prefix_names + [GOAL_VAR])
-    for index, (quant, name) in enumerate(reversed(q.prefix), start=1):
+    return raise_prefix(base_instance(q.matrix, prefix_names + [GOAL_VAR]), q.prefix)
+
+
+def raise_prefix(
+    instance: PlanningInstance, prefix: Sequence[tuple[Quantifier, str]]
+) -> PlanningInstance:
+    """Raise ``instance`` over ``prefix``, innermost variable first; the
+    ``k``-th raise gets index ``k``."""
+    for index, (quant, name) in enumerate(reversed(prefix), start=1):
         if quant is Quantifier.EXISTS:
             instance = raise_existential(instance, name, index)
         else:
@@ -362,3 +385,7 @@ def parse_instance(text: str) -> PlanningInstance:
         actions=tuple(actions),
         matrix_action=actions[0].name,
     )
+
+
+serialize = serialize_instance
+parse = parse_instance

@@ -96,6 +96,25 @@ class TestReduceSolve:
         assert err.startswith("error[io]:")
 
 
+class TestInternalErrors:
+    def test_deep_nesting_is_one_error_line(self, capsys, qbf_file):
+        deep = qbf_file("exists x; : " + "!" * 5000 + "x")
+        code, out, err = run_cli(capsys, "validate", str(deep))
+        assert code == 2 and out == ""
+        assert err.startswith("error[internal]:") and err.count("\n") == 1
+
+    def test_plan_replay_failure_is_one_error_line(self, capsys, tmp_path, qbf_file, monkeypatch):
+        from qraise import planning
+
+        instance = tmp_path / "instance.plan"
+        source = qbf_file("exists x; : x")
+        run_cli(capsys, "reduce", "--target", "planning", str(source), "-o", str(instance))
+        monkeypatch.setattr(planning, "validate_plan", lambda instance, plan: False)
+        code, out, err = run_cli(capsys, "solve", "--target", "planning", str(instance))
+        assert code == 2 and out == ""
+        assert err.startswith("error[internal]: plan failed replay") and err.count("\n") == 1
+
+
 class TestCheckAndGrowth:
     def test_exhaustive_check_passes(self, capsys):
         code, out, _ = run_cli(

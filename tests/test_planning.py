@@ -179,7 +179,7 @@ class TestNestedRegressions:
 
 def test_merge_properties_on_random_prefixes():
     """OR-merge for existential raises, AND-merge for universal raises."""
-    from qraise.planning import GOAL_VAR, _base_instance
+    from qraise.planning import GOAL_VAR, base_instance
     from qraise.qbf import Quantifier
 
     rng = random.Random(91)
@@ -188,7 +188,7 @@ def test_merge_properties_on_random_prefixes():
         names = [f"x{i+1}" for i in range(n)]
         matrix = _random_matrix(rng, names, 2)
         quants = [rng.choice("EA") for _ in names]
-        inst = _base_instance(matrix, names + [GOAL_VAR])
+        inst = base_instance(matrix, names + [GOAL_VAR])
         for k, (q, name) in enumerate(zip(reversed(quants[1:]), reversed(names[1:])), start=1):
             if q == "E":
                 inst = raise_existential(inst, name, k)
