@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ContractError, ParseError, ResourceLimitError, UnsupportedShapeError
+from .errors import ContractError, ParseError, ResourceLimitError
 from .formulas import (
     Formula,
     Implies,
@@ -33,7 +33,7 @@ from .formulas import (
     variables,
 )
 from .parsing import parse_formula, serialize_formula
-from .qbf import Qbf, Quantifier
+from .qbf import Qbf, Quantifier, raise_prefix, split_prefix
 
 # Target interface (see harness.TARGETS): name, fixture suffix, prefix shape.
 NAME, SUFFIX, SHAPE = "abduction", "abd", "ea"
@@ -191,31 +191,13 @@ def raise_existential(instance: AbductionInstance, name: str, index: int) -> Abd
     )
 
 
-def split_prefix_ea(q: Qbf) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Split an exists*-forall* prefix; reject any other interleaving."""
-    existential: list[str] = []
-    universal: list[str] = []
-    for quant, name in q.prefix:
-        if quant is Quantifier.EXISTS:
-            if universal:
-                raise UnsupportedShapeError(
-                    "prefix is not exists*-forall*: existential after universal"
-                )
-            existential.append(name)
-        else:
-            universal.append(name)
-    return tuple(existential), tuple(universal)
-
-
 def reduce_qbf(q: Qbf) -> AbductionInstance:
     """Equivalid abduction instance for an exists*-forall* QBF."""
-    existential, _ = split_prefix_ea(q)
+    existential, _ = split_prefix(q, SHAPE)
     if GOAL_VAR in (name for _, name in q.prefix):
         raise ContractError(f"prefix uses the reserved manifestation name {GOAL_VAR!r}")
     instance = base_instance(q.matrix)
-    for index, name in enumerate(reversed(existential), start=1):
-        instance = raise_existential(instance, name, index)
-    return instance
+    return raise_prefix(instance, existential, {Quantifier.EXISTS: raise_existential})
 
 
 # --- instance text format ----------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ContractError, ParseError, ResourceLimitError, UnsupportedShapeError
+from .errors import ContractError, ParseError, ResourceLimitError
 from .formulas import (
     And,
     Formula,
@@ -34,7 +34,7 @@ from .formulas import (
     variables,
 )
 from .parsing import parse_formula, serialize_formula
-from .qbf import Qbf, Quantifier
+from .qbf import Qbf, Quantifier, raise_prefix, split_prefix
 
 # Target interface (see harness.TARGETS): name, fixture suffix, prefix shape.
 NAME, SUFFIX, SHAPE = "default", "dlt", "ae"
@@ -274,31 +274,13 @@ def raise_universal(theory: DefaultTheory, name: str, index: int) -> DefaultTheo
     )
 
 
-def split_prefix_ae(q: Qbf) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Split a forall*-exists* prefix; reject any other interleaving."""
-    universal: list[str] = []
-    existential: list[str] = []
-    for quant, name in q.prefix:
-        if quant is Quantifier.FORALL:
-            if existential:
-                raise UnsupportedShapeError(
-                    "prefix is not forall*-exists*: universal after existential"
-                )
-            universal.append(name)
-        else:
-            existential.append(name)
-    return tuple(universal), tuple(existential)
-
-
 def reduce_qbf(q: Qbf) -> tuple[DefaultTheory, str]:
     """Equivalid skeptical-entailment instance for a forall*-exists* QBF."""
-    universal, _ = split_prefix_ae(q)
+    universal, _ = split_prefix(q, SHAPE)
     if QUERY_VAR in (name for _, name in q.prefix):
         raise ContractError(f"prefix uses the reserved query name {QUERY_VAR!r}")
     theory, query = _base_theory(q.matrix)
-    for index, name in enumerate(reversed(universal), start=1):
-        theory = raise_universal(theory, name, index)
-    return theory, query
+    return raise_prefix(theory, universal, {Quantifier.FORALL: raise_universal}), query
 
 
 # --- theory text format ------------------------------------------------------

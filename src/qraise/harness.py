@@ -31,7 +31,7 @@ from .errors import ResourceLimitError, UnsupportedShapeError
 from .formulas import And, Const, Formula, Iff, Implies, Not, Or, Var, size, truth_table
 from .formulas import Universe, universe
 from .parsing import serialize_formula, serialize_qbf, serialize_qbf_compact
-from .qbf import Qbf, Quantifier, qbf_valid, qbf_valid_by_table
+from .qbf import SHAPE_BLOCKS, Prefix, Qbf, Quantifier, qbf_valid, qbf_valid_by_table, raise_prefix
 
 # Target modules export NAME, SUFFIX, SHAPE, reduce_qbf, solve, serialize and parse.
 # Call them as module attributes, so a function rebound on the module is the one run.
@@ -160,26 +160,23 @@ def template_matrices(names: Sequence[str], depth: int) -> list[Formula]:
     return list(unique)
 
 
-def _prefixes(names: Sequence[str], shapes: str) -> Iterator[tuple[tuple[Quantifier, str], ...]]:
+def _two_blocks(names: Sequence[str], split: int, shape: str) -> Prefix:
+    """The first ``split`` names in the outer block of ``shape``, the rest in the inner."""
+    outer, inner = SHAPE_BLOCKS[shape]
+    return tuple((outer if i < split else inner, name) for i, name in enumerate(names))
+
+
+def _prefixes(names: Sequence[str], shapes: str) -> Iterator[Prefix]:
     n = len(names)
-    if shapes == "ea":
-        for split in range(n, -1, -1):
-            yield tuple(
-                (Quantifier.EXISTS if i < split else Quantifier.FORALL, names[i])
-                for i in range(n)
-            )
-    elif shapes == "ae":
-        for split in range(n, -1, -1):
-            yield tuple(
-                (Quantifier.FORALL if i < split else Quantifier.EXISTS, names[i])
-                for i in range(n)
-            )
-    elif shapes == "any":
+    if shapes == "any":
         for bits in range(1 << n):
             yield tuple(
                 (Quantifier.EXISTS if bits >> i & 1 else Quantifier.FORALL, names[i])
                 for i in range(n)
             )
+    elif shapes in SHAPE_BLOCKS:
+        for split in range(n, -1, -1):
+            yield _two_blocks(names, split, shapes)
     else:
         raise ValueError(f"unknown shape class {shapes!r}")
 
@@ -189,11 +186,7 @@ def exhaustive_qbfs(num_vars: int, depth: int, shapes: str) -> Iterator[Qbf]:
     for n in range(num_vars + 1):
         names = tuple(f"x{i + 1}" for i in range(n))
         matrices = template_matrices(names, depth)
-        seen: set[tuple[tuple[Quantifier, str], ...]] = set()
         for prefix in _prefixes(names, shapes):
-            if prefix in seen:
-                continue
-            seen.add(prefix)
             for matrix in matrices:
                 yield Qbf(prefix, matrix)
 
@@ -219,23 +212,12 @@ def _random_matrix(rng: random.Random, names: Sequence[str], depth: int) -> Form
     )
 
 
-def _random_prefix(
-    rng: random.Random, names: Sequence[str], pattern: PrefixPattern
-) -> tuple[tuple[Quantifier, str], ...]:
-    n = len(names)
-    if pattern is PrefixPattern.EXISTS_FORALL:
-        split = rng.randint(0, n)
-        return tuple(
-            (Quantifier.EXISTS if i < split else Quantifier.FORALL, names[i]) for i in range(n)
-        )
-    if pattern is PrefixPattern.FORALL_EXISTS:
-        split = rng.randint(0, n)
-        return tuple(
-            (Quantifier.FORALL if i < split else Quantifier.EXISTS, names[i]) for i in range(n)
-        )
+def _random_prefix(rng: random.Random, names: Sequence[str], shape: str) -> Prefix:
+    if shape in SHAPE_BLOCKS:
+        return _two_blocks(names, rng.randint(0, len(names)), shape)
     return tuple(
-        ((Quantifier.EXISTS if rng.random() < 0.5 else Quantifier.FORALL), names[i])
-        for i in range(n)
+        ((Quantifier.EXISTS if rng.random() < 0.5 else Quantifier.FORALL), name)
+        for name in names
     )
 
 
@@ -244,22 +226,22 @@ def generate_qbfs(spec: QbfGenSpec) -> Iterator[Qbf]:
     if spec.prefix_pattern is PrefixPattern.EXHAUSTIVE:
         yield from exhaustive_qbfs(spec.num_vars, spec.matrix_depth, "any")
         return
+    shape = next(k for k, p in SHAPE_PATTERNS.items() if p is spec.prefix_pattern)
     rng = random.Random(spec.seed)
     valid_seen = 0
     for produced in range(spec.count):
         want_valid = valid_seen * 2 <= produced
-        candidate: Qbf | None = None
         for _ in range(12):
             n = rng.randint(1, max(1, spec.num_vars))
             names = tuple(f"x{i + 1}" for i in range(n))
             candidate = Qbf(
-                _random_prefix(rng, names, spec.prefix_pattern),
+                _random_prefix(rng, names, shape),
                 _random_matrix(rng, names, spec.matrix_depth),
             )
-            if qbf_valid_by_table(candidate) == want_valid:
+            valid = qbf_valid_by_table(candidate)
+            if valid == want_valid:
                 break
-        assert candidate is not None
-        if qbf_valid_by_table(candidate):
+        if valid:
             valid_seen += 1
         yield candidate
 
@@ -446,20 +428,21 @@ def _check_default_lemma(
 def _check_planning_merge(rng: random.Random, spec: SampleSpec) -> tuple[bool, str, Qbf]:
     n = rng.randint(1, spec.num_vars)
     names = tuple(f"x{i + 1}" for i in range(n))
-    prefix = _random_prefix(rng, names, PrefixPattern.ARBITRARY)
+    prefix = _random_prefix(rng, names, "any")
     matrix = _random_matrix(rng, names, spec.matrix_depth)
     q = Qbf(prefix, matrix)
     # raise everything except the outermost variable, then test its merge
-    instance = planning.raise_prefix(
-        planning.base_instance(matrix, list(names) + [planning.GOAL_VAR]), prefix[1:]
+    instance = raise_prefix(
+        planning.base_instance(matrix, list(names) + [planning.GOAL_VAR]),
+        prefix[1:],
+        planning.RAISES,
     )
     quant, name = prefix[0]
     on_true = planning.plan_exists(planning.substitute_fluent(instance, name, True))[0]
     on_false = planning.plan_exists(planning.substitute_fluent(instance, name, False))[0]
     exists = quant is Quantifier.EXISTS
     expected = (on_true or on_false) if exists else (on_true and on_false)
-    raise_outer = planning.raise_existential if exists else planning.raise_universal
-    actual = planning.plan_exists(raise_outer(instance, name, len(prefix)))[0]
+    actual = planning.plan_exists(planning.RAISES[quant](instance, name, len(prefix)))[0]
     return (
         actual == expected,
         f"{'OR' if exists else 'AND'}-merge on {name}: branches=({on_true},{on_false})"

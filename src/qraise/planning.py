@@ -13,7 +13,12 @@ the current goal is reached, and finish once it is reached again. The flip
 action also clears every control fluent introduced so far; without that,
 stale goal flags from the first branch let later gadgets fire without
 re-verification, and inner choosers stay latched, so nested quantifiers
-would decide the wrong QBF.
+would decide the wrong QBF. ``reduce_qbf`` folds ``RAISES`` over the whole
+prefix with ``qbf.raise_prefix``.
+
+Building an instance checks nothing. ``check_instance`` rejects one whose
+names do not fit together, and ``plan_exists`` and ``validate_plan`` call it
+first, so a chain of raises is checked once per decision, not once per raise.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Mapping, Sequence
 from .errors import ContractError, ParseError, QraiseError
 from .formulas import And, Formula, Not, Var, evaluate, substitute, truth_table, universe, variables
 from .parsing import parse_formula, serialize_formula
-from .qbf import Qbf, Quantifier
+from .qbf import Qbf, Quantifier, raise_prefix, split_prefix
 
 # Target interface (see harness.TARGETS): name, fixture suffix, prefix shape.
 NAME, SUFFIX, SHAPE = "planning", "plan", "any"
@@ -58,25 +63,27 @@ class PlanningInstance:
     actions: tuple[Action, ...]
     matrix_action: str
 
-    def __post_init__(self):
-        fluent_set = set(self.fluents)
-        if len(fluent_set) != len(self.fluents):
-            raise ContractError("duplicate fluent names")
-        if self.goal not in fluent_set:
-            raise ContractError(f"goal {self.goal!r} is not a fluent")
-        if not self.initial <= fluent_set:
-            raise ContractError("initial state mentions unknown fluents")
-        names = [act.name for act in self.actions]
-        if len(set(names)) != len(names):
-            raise ContractError("duplicate action names")
-        if self.matrix_action not in names:
-            raise ContractError(f"unknown matrix action {self.matrix_action!r}")
-        for act in self.actions:
-            loose = (variables(act.precondition) | {n for n, _ in act.effects}) - fluent_set
-            if loose:
-                raise ContractError(
-                    f"action {act.name!r} mentions unknown fluents: {', '.join(sorted(loose))}"
-                )
+
+def check_instance(instance: PlanningInstance) -> None:
+    """Reject an instance whose fluent and action names do not fit together."""
+    fluent_set = set(instance.fluents)
+    if len(fluent_set) != len(instance.fluents):
+        raise ContractError("duplicate fluent names")
+    if instance.goal not in fluent_set:
+        raise ContractError(f"goal {instance.goal!r} is not a fluent")
+    if not instance.initial <= fluent_set:
+        raise ContractError("initial state mentions unknown fluents")
+    names = [act.name for act in instance.actions]
+    if len(set(names)) != len(names):
+        raise ContractError("duplicate action names")
+    if instance.matrix_action not in names:
+        raise ContractError(f"unknown matrix action {instance.matrix_action!r}")
+    for act in instance.actions:
+        loose = (variables(act.precondition) | {n for n, _ in act.effects}) - fluent_set
+        if loose:
+            raise ContractError(
+                f"action {act.name!r} mentions unknown fluents: {', '.join(sorted(loose))}"
+            )
 
 
 def executable(action: Action, state: State) -> bool:
@@ -110,6 +117,7 @@ def control_fluents(instance: PlanningInstance) -> frozenset[str]:
 
 def plan_exists(instance: PlanningInstance) -> tuple[bool, tuple[str, ...] | None]:
     """Breadth-first search over the whole state graph; plans are shortest."""
+    check_instance(instance)
     # Declaration order, not sorted: the constructions declare control
     # fluents last, so they take the high bits, reachable states are large
     # numbers and ``table >> state`` stays short.
@@ -171,6 +179,7 @@ def solve(instance: PlanningInstance) -> tuple[bool, str]:
 
 def validate_plan(instance: PlanningInstance, plan: Sequence[str]) -> bool:
     """Independent replay: execute each step on dict states and check the goal."""
+    check_instance(instance)
     by_name = {act.name: act for act in instance.actions}
     state = initial_state(instance)
     for step in plan:
@@ -230,9 +239,8 @@ def base_reduction(matrix: Formula) -> PlanningInstance:
 
 
 def _guard_all(actions: Sequence[Action], guard: str) -> tuple[Action, ...]:
-    return tuple(
-        Action(act.name, And(Var(guard), act.precondition), act.effects) for act in actions
-    )
+    var = Var(guard)
+    return tuple(Action(act.name, And(var, act.precondition), act.effects) for act in actions)
 
 
 def _check_fresh(instance: PlanningInstance, names: Sequence[str]) -> None:
@@ -298,28 +306,20 @@ def raise_universal(instance: PlanningInstance, name: str, index: int) -> Planni
     )
 
 
+# The raise for each quantifier; every prefix shape is supported.
+RAISES = {Quantifier.EXISTS: raise_existential, Quantifier.FORALL: raise_universal}
+
+
 def reduce_qbf(q: Qbf) -> PlanningInstance:
     """Equivalid plan-existence instance for any closed QBF."""
-    prefix_names = [name for _, name in q.prefix]
+    prefix, _ = split_prefix(q, SHAPE)
+    prefix_names = [name for _, name in prefix]
     if GOAL_VAR in prefix_names:
         raise ContractError(f"prefix uses the reserved goal name {GOAL_VAR!r}")
     reserved = [n for n in prefix_names if n.startswith("_")]
     if reserved:
         raise ContractError(f"prefix uses reserved names: {', '.join(sorted(reserved))}")
-    return raise_prefix(base_instance(q.matrix, prefix_names + [GOAL_VAR]), q.prefix)
-
-
-def raise_prefix(
-    instance: PlanningInstance, prefix: Sequence[tuple[Quantifier, str]]
-) -> PlanningInstance:
-    """Raise ``instance`` over ``prefix``, innermost variable first; the
-    ``k``-th raise gets index ``k``."""
-    for index, (quant, name) in enumerate(reversed(prefix), start=1):
-        if quant is Quantifier.EXISTS:
-            instance = raise_existential(instance, name, index)
-        else:
-            instance = raise_universal(instance, name, index)
-    return instance
+    return raise_prefix(base_instance(q.matrix, prefix_names + [GOAL_VAR]), prefix, RAISES)
 
 
 # --- instance text format ----------------------------------------------------

@@ -1,18 +1,24 @@
-"""Closed quantified boolean formulas and two independent validity deciders.
+"""Closed quantified boolean formulas, two independent validity deciders,
+and the prefix handling every reduction shares.
 
 ``qbf_valid`` recurses on the prefix, splitting the matrix by substitution:
 an existential variable is an OR over its two substituted matrices, a
 universal one an AND. ``qbf_valid_by_table`` never substitutes anything: it
 tabulates the matrix over all prefix assignments and folds the table one
 quantifier level at a time. The two must always agree; each guards the other.
+
+A reduction is a base instance followed by one raise per quantifier.
+``split_prefix`` cuts a prefix into the outer and inner block of a target's
+shape, and ``raise_prefix`` applies the raises, innermost variable first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Mapping, Sequence, TypeVar
 
-from .errors import ContractError, ResourceLimitError
+from .errors import ContractError, ResourceLimitError, UnsupportedShapeError
 from .formulas import Formula, evaluate, substitute, truth_table, variables
 
 # Hard cap on the prefix length for both deciders.
@@ -24,11 +30,23 @@ class Quantifier(Enum):
     FORALL = "forall"
 
 
+Prefix = tuple[tuple[Quantifier, str], ...]
+
+# The outer and inner block quantifiers of each two-block shape: "ea" is
+# exists*-forall*, "ae" forall*-exists*. Shape "any" takes every prefix.
+SHAPE_BLOCKS = {
+    "ea": (Quantifier.EXISTS, Quantifier.FORALL),
+    "ae": (Quantifier.FORALL, Quantifier.EXISTS),
+}
+
+_ADJECTIVE = {Quantifier.EXISTS: "existential", Quantifier.FORALL: "universal"}
+
+
 @dataclass(frozen=True, slots=True)
 class Qbf:
     """A closed QBF: ordered prefix (outermost first) plus a matrix."""
 
-    prefix: tuple[tuple[Quantifier, str], ...]
+    prefix: Prefix
     matrix: Formula
 
     def __post_init__(self):
@@ -54,7 +72,7 @@ def qbf_valid(q: Qbf) -> bool:
     return _valid_rec(q.prefix, q.matrix)
 
 
-def _valid_rec(prefix: tuple[tuple[Quantifier, str], ...], matrix: Formula) -> bool:
+def _valid_rec(prefix: Prefix, matrix: Formula) -> bool:
     if not prefix:
         return evaluate(matrix, {})
     (quant, name), rest = prefix[0], prefix[1:]
@@ -67,18 +85,45 @@ def _valid_rec(prefix: tuple[tuple[Quantifier, str], ...], matrix: Formula) -> b
 def qbf_valid_by_table(q: Qbf) -> bool:
     """Decide validity by tabulating the matrix and folding the table.
 
-    Row ``j`` of the table assigns prefix variable ``i`` (outermost first)
-    the bit ``(j >> (n-1-i)) & 1``, so the innermost variable varies fastest
-    and each fold halves the table by combining adjacent rows.
+    Prefix variable ``i`` (outermost first) takes bit ``i`` of the row
+    index, so each quantifier, innermost first, combines the table's low
+    and high halves: ``|`` for exists, ``&`` for forall.
     """
     _check_cap(q)
     n = len(q.prefix)
-    order = {name: n - 1 - i for i, (_, name) in enumerate(q.prefix)}
-    table = truth_table(q.matrix, order, n)
-    values = [bool((table >> j) & 1) for j in range(1 << n)]
-    for quant, _ in reversed(q.prefix):
-        if quant is Quantifier.EXISTS:
-            values = [values[2 * k] or values[2 * k + 1] for k in range(len(values) // 2)]
-        else:
-            values = [values[2 * k] and values[2 * k + 1] for k in range(len(values) // 2)]
-    return values[0]
+    table = truth_table(q.matrix, {name: i for i, (_, name) in enumerate(q.prefix)}, n)
+    for i in range(n - 1, -1, -1):
+        half = 1 << i
+        low, high = table & ((1 << half) - 1), table >> half
+        table = low | high if q.prefix[i][0] is Quantifier.EXISTS else low & high
+    return bool(table)
+
+
+def split_prefix(q: Qbf, shape: str) -> tuple[Prefix, Prefix]:
+    """The outer and inner block of ``q``'s prefix under ``shape``; shape
+    ``"any"`` takes the whole prefix as the outer block."""
+    if shape == "any":
+        return q.prefix, ()
+    outer, inner = SHAPE_BLOCKS[shape]
+    cut = next((i for i, (quant, _) in enumerate(q.prefix) if quant is inner), len(q.prefix))
+    if any(quant is outer for quant, _ in q.prefix[cut:]):
+        raise UnsupportedShapeError(
+            f"prefix is not {outer.value}*-{inner.value}*:"
+            f" {_ADJECTIVE[outer]} after {_ADJECTIVE[inner]}"
+        )
+    return q.prefix[:cut], q.prefix[cut:]
+
+
+Instance = TypeVar("Instance")
+
+
+def raise_prefix(
+    instance: Instance,
+    prefix: Sequence[tuple[Quantifier, str]],
+    raises: Mapping[Quantifier, Callable[[Instance, str, int], Instance]],
+) -> Instance:
+    """Raise ``instance`` over ``prefix``, innermost variable first, with
+    ``raises[quantifier]``; the ``k``-th raise gets index ``k``."""
+    for index, (quant, name) in enumerate(reversed(prefix), start=1):
+        instance = raises[quant](instance, name, index)
+    return instance

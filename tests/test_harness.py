@@ -56,6 +56,71 @@ class TestGeneration:
         valid = sum(qbf_valid(q) for q in qbfs)
         assert 60 <= valid <= 140
 
+    # Captured before the prefix generators shared one shape table; a change
+    # to the RNG draws or the prefix order shows here.
+    @pytest.mark.parametrize(
+        "spec,first",
+        [
+            (
+                QbfGenSpec(seed=11, prefix_pattern=PrefixPattern.EXISTS_FORALL, matrix_depth=2),
+                [
+                    "exists x1 x2; : x1 | x1",
+                    "forall x1 x2 x3; : !x1 & (x1 & !x1 & x1)",
+                    "exists x1; : !x1 | (x1 & !x1 <-> true)",
+                    "forall x1 x2 x3; : x2",
+                ],
+            ),
+            (
+                QbfGenSpec(seed=11, prefix_pattern=PrefixPattern.FORALL_EXISTS, matrix_depth=2),
+                [
+                    "exists x1 x2 x3; : !false | (x3 | x1)",
+                    "exists x1 x2 x3; : !x1 & (x1 & !x1 & x1)",
+                    "forall x1; exists x2 x3; : false | x3 | !x3",
+                    "forall x1; : x1",
+                ],
+            ),
+            (
+                QbfGenSpec(seed=11, prefix_pattern=PrefixPattern.ARBITRARY, matrix_depth=2),
+                [
+                    "forall x1 x2; exists x3; : !false | (x3 | x1)",
+                    "exists x1 x2; : x1 & x2 & !x1",
+                    "forall x1; exists x2; : x1 & (x1 | !x1) -> x2",
+                    "forall x1 x2 x3; : !x2 -> x1",
+                ],
+            ),
+            (
+                QbfGenSpec(num_vars=1, prefix_pattern=PrefixPattern.EXHAUSTIVE, matrix_depth=1),
+                [
+                    ": true", ": false",
+                    "forall x1; : true", "forall x1; : false", "forall x1; : x1", "forall x1; : !x1",
+                    "exists x1; : true", "exists x1; : false", "exists x1; : x1", "exists x1; : !x1",
+                ],
+            ),
+        ],
+        ids=[pattern.value for pattern in PrefixPattern],
+    )
+    def test_first_qbfs_are_pinned(self, spec, first):
+        stream = generate_qbfs(spec)
+        assert [serialize_qbf_compact(next(stream)) for _ in first] == first
+
+    @pytest.mark.parametrize(
+        "shape,prefixes",
+        [
+            ("ea", ["exists x1", "forall x1", "exists x1 x2", "exists x1; forall x2", "forall x1 x2"]),
+            ("ae", ["forall x1", "exists x1", "forall x1 x2", "forall x1; exists x2", "exists x1 x2"]),
+            (
+                "any",
+                [
+                    "forall x1", "exists x1", "forall x1 x2", "exists x1; forall x2",
+                    "forall x1; exists x2", "exists x1 x2",
+                ],
+            ),
+        ],
+    )
+    def test_exhaustive_prefix_order_is_pinned(self, shape, prefixes):
+        got = [serialize_qbf_compact(q) for q in exhaustive_qbfs(2, 0, shape) if q.matrix == Const(True)]
+        assert got == [": true"] + [f"{p}; : true" for p in prefixes]
+
     def test_template_counts_are_deterministic(self):
         names = ("x1", "x2")
         assert template_matrices(names, 3) == template_matrices(names, 3)

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from qraise import planning
+from qraise.cli import main
 from qraise.errors import ContractError, ResourceLimitError
 from qraise.formulas import And, FALSE, Iff, Not, Or, TRUE, Var
 from qraise.parsing import parse_qbf
@@ -76,6 +78,73 @@ class TestPlanExists:
         inst = PlanningInstance(fluents, frozenset(), "f0", (Action("m", TRUE, (("f0", True),)),), "m")
         with pytest.raises(ResourceLimitError):
             plan_exists(inst)
+
+
+MANY_FLUENTS = " ".join(f"f{i}" for i in range(19))
+
+
+class TestCheckInstance:
+    """Building an instance checks nothing; the deciders check it first."""
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("fluents: x x a\ngoal: a\naction m: x => a\n", "duplicate fluent names"),
+            ("fluents: x a\ngoal: b\naction m: x => a\n", "goal 'b' is not a fluent"),
+            (
+                "fluents: x a\ninit: z=1\ngoal: a\naction m: x => a\n",
+                "initial state mentions unknown fluents",
+            ),
+            (
+                "fluents: x a\ngoal: a\naction m: x => a\naction m: !x => a\n",
+                "duplicate action names",
+            ),
+            ("fluents: x a\ngoal: a\naction m: x & z => a\n", "action 'm' mentions unknown fluents: z"),
+            ("fluents: x a\ngoal: a\naction m: x => a w\n", "action 'm' mentions unknown fluents: w"),
+            # 20 fluents: the contract error comes before the fluent cap
+            (
+                f"fluents: {MANY_FLUENTS} a\ngoal: a\naction m: f1 => a\naction m: f2 => a\n",
+                "duplicate action names",
+            ),
+        ],
+    )
+    def test_solve_prints_one_contract_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.plan"
+        path.write_text(text, encoding="utf-8")
+        assert main(["solve", "--target", "planning", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error[contract]: {message}\n")
+
+    def test_unknown_matrix_action(self):
+        # The text format makes the first action the matrix action, so only a
+        # hand-built instance can name a missing one.
+        inst = PlanningInstance(("x", "a"), frozenset(), "a", (Action("m", X, (("a", True),)),), "n")
+        with pytest.raises(ContractError, match="^unknown matrix action 'n'$"):
+            plan_exists(inst)
+        with pytest.raises(ContractError, match="^unknown matrix action 'n'$"):
+            validate_plan(inst, ())
+
+    def test_raise_onto_a_taken_action_name(self):
+        inst = PlanningInstance(
+            ("x", "a"),
+            frozenset(),
+            "a",
+            (Action("m", X, (("a", True),)), Action("enter-x", TRUE, ())),
+            "m",
+        )
+        raised = raise_universal(inst, "x", 1)
+        with pytest.raises(ContractError, match="^duplicate action names$"):
+            plan_exists(raised)
+
+    def test_reduction_walks_no_precondition(self, monkeypatch):
+        walked = []
+        monkeypatch.setattr(planning, "variables", lambda f: walked.append(f))
+        q = parse_qbf(
+            "exists x1; forall x2; exists x3; forall x4; exists x5; forall x6;"
+            " : (x1 | x2) & (x3 <-> x4) | x5 & !x6"
+        )
+        assert len(reduce_qbf(q).actions) == 1 + 2 * 3 + 3 * 3
+        assert walked == []
 
 
 class TestBaseReduction:

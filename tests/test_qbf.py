@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qraise.errors import ContractError, ResourceLimitError
-from qraise.formulas import Iff, Not, Or, Var
-from qraise.qbf import QBF_VAR_CAP, Qbf, Quantifier, qbf_valid, qbf_valid_by_table
+from qraise.errors import ContractError, ResourceLimitError, UnsupportedShapeError
+from qraise.formulas import Iff, Not, Or, Var, conjunction
+from qraise.harness import QbfGenSpec, generate_qbfs
+from qraise.qbf import QBF_VAR_CAP, Qbf, Quantifier, qbf_valid, qbf_valid_by_table, split_prefix
 
 from test_formulas import formulas
 
@@ -40,6 +41,52 @@ class TestValidity:
         assert qbf_valid(Qbf((), And(TRUE, Not(FALSE)))) is True
         assert qbf_valid(Qbf((), FALSE)) is False
         assert qbf_valid_by_table(Qbf((), Not(FALSE))) is True
+
+
+    def test_oracles_agree_on_wide_tables(self):
+        # Twelve variables give 4096-bit tables, well past one machine word.
+        qbfs = list(generate_qbfs(QbfGenSpec(seed=3, num_vars=12, matrix_depth=7, count=60)))
+        assert max(len(q.prefix) for q in qbfs) == 12
+        assert all(qbf_valid(q) == qbf_valid_by_table(q) for q in qbfs)
+
+
+def _qbf(*prefix):
+    return Qbf(prefix, conjunction(Or(Var(n), Not(Var(n))) for _, n in prefix))
+
+
+class TestSplitPrefix:
+    @pytest.mark.parametrize(
+        "shape,outer,inner",
+        [
+            ("ea", ((E, "x"), (E, "y")), ((A, "z"),)),
+            ("ea", (), ((A, "z"),)),
+            ("ae", ((A, "x"),), ((E, "y"), (E, "z"))),
+            ("ae", ((A, "x"), (A, "y")), ()),
+            ("any", ((A, "x"), (E, "y"), (A, "z")), ()),
+        ],
+    )
+    def test_accepts_its_shape(self, shape, outer, inner):
+        assert split_prefix(_qbf(*outer, *inner), shape) == (outer, inner)
+
+    @pytest.mark.parametrize(
+        "shape,prefix,message",
+        [
+            (
+                "ea",
+                ((E, "x"), (A, "y"), (E, "z")),
+                "prefix is not exists*-forall*: existential after universal",
+            ),
+            (
+                "ae",
+                ((A, "x"), (E, "y"), (A, "z")),
+                "prefix is not forall*-exists*: universal after existential",
+            ),
+        ],
+    )
+    def test_rejects_a_misordered_prefix(self, shape, prefix, message):
+        with pytest.raises(UnsupportedShapeError) as caught:
+            split_prefix(_qbf(*prefix), shape)
+        assert str(caught.value) == message
 
 
 class TestConstruction:
