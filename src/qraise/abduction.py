@@ -87,7 +87,7 @@ def _explanations(instance: AbductionInstance, first_only: bool) -> list[Explana
         )
     # Consistency and entailment are universe-independent as long as the
     # universe covers every variable involved, so one table set over the
-    # whole instance serves all 2^|H| candidate subsets.
+    # whole instance serves every candidate subset.
     u = universe(sorted(instance.all_variables()))
     theory_mask = u.full
     for f in instance.theory:
@@ -99,16 +99,26 @@ def _explanations(instance: AbductionInstance, first_only: bool) -> list[Explana
         (name, truth_table(Var(name), u.order, u.width)) for name in sorted(instance.hypotheses)
     ]
     not_goal = u.full ^ goal_mask
+    # Preorder over subsets of the name-sorted hypotheses: a set, then its
+    # extensions by higher-named hypotheses in ascending order. That is the
+    # lexicographic order, so the first hit is the least explanation. An entry
+    # is (chosen indices, table, next index to add); it is visited when first
+    # popped, with that index just past its last hypothesis. A subtree whose
+    # table is 0 is skipped: adding hypotheses only shrinks the table.
+    stack = [((), theory_mask, 0)] if theory_mask else []
     found: list[Explanation] = []
-    for bits in range(1 << len(hyp_masks)):
-        mask = theory_mask
-        for i, (_, var_mask) in enumerate(hyp_masks):
-            if bits >> i & 1:
-                mask &= var_mask
-        if mask and mask & not_goal == 0:
-            found.append(frozenset(name for i, (name, _) in enumerate(hyp_masks) if bits >> i & 1))
+    while stack:
+        chosen, mask, start = stack.pop()
+        if start == (chosen[-1] + 1 if chosen else 0) and mask & not_goal == 0:
+            found.append(frozenset(hyp_masks[i][0] for i in chosen))
             if first_only:
                 return found
+        for i in range(start, len(hyp_masks)):
+            narrowed = mask & hyp_masks[i][1]
+            if narrowed:
+                stack.append((chosen, mask, i + 1))
+                stack.append((chosen + (i,), narrowed, i + 1))
+                break
     return found
 
 
@@ -124,10 +134,10 @@ def has_explanation(instance: AbductionInstance) -> bool:
 
 def solve(instance: AbductionInstance) -> tuple[bool, str]:
     """Decide ``instance``; the detail names its lexicographically least explanation."""
-    explanations = enumerate_explanations(instance)
+    explanations = _explanations(instance, first_only=True)
     if not explanations:
         return False, ""
-    return True, f"explanation={{{', '.join(min(sorted(s) for s in explanations))}}}"
+    return True, f"explanation={{{', '.join(sorted(explanations[0]))}}}"
 
 
 def substitute_theory(instance: AbductionInstance, name: str, value: bool) -> AbductionInstance:

@@ -2,10 +2,16 @@
 
 A default ``alpha : beta / gamma`` concludes ``gamma`` once ``alpha`` is
 derivable, provided ``beta`` stays consistent with the final belief set.
-Extensions are found by generate-and-verify: a candidate subset of the
-defaults is accepted when the staged applicability construction — grow
-prerequisites stage by stage, check justifications against the candidate's
-full consequence set — reproduces exactly that candidate.
+Extensions are found by a depth-first walk over generating sets (Reiter
+1980) that decides defaults from the highest index down, carrying the
+candidate's consequence table ``c``. As ``c`` only shrinks, an include
+branch is dropped once ``c`` contradicts a chosen justification. A complete
+candidate is an extension when (a) its belief set is consistent, (b) every
+chosen justification is compatible with ``c``, (c) no excluded default is
+applicable against ``c`` and (d) the chosen defaults alone, applied from the
+background until nothing changes, reach all of it. The staged construction's
+table contains ``c`` while it stays inside the candidate, so it reproduces
+the candidate exactly when (c) and (d) hold.
 
 ``base_reduction`` encodes satisfiability of a matrix as skeptical
 entailment of a fresh query from a single-default theory.
@@ -102,7 +108,8 @@ class _TheoryTables:
         self.background = self.full
         for f in theory.background:
             self.background &= self.table(f)
-        self.pre = [self.table(d.prerequisite) for d in theory.defaults]
+        # ``t & not_pre[i] == 0``: table ``t`` entails default i's prerequisite.
+        self.not_pre = [self.full ^ self.table(d.prerequisite) for d in theory.defaults]
         self.just = [self.table(d.justification) for d in theory.defaults]
         self.cons = [self.table(d.consequence) for d in theory.defaults]
 
@@ -110,53 +117,34 @@ class _TheoryTables:
         return truth_table(f, self.universe.order, self.universe.width)
 
 
-def _fixpoint(tables: _TheoryTables, candidate_mask: int) -> tuple[int, int]:
-    """Run the staged construction against a candidate generating set.
-
-    Returns the generating set the construction actually reaches (as an
-    index bitmask) together with the candidate's consequence-set table.
-    """
+def _accepts(tables: _TheoryTables, mask: int, consequence: int | None = None) -> int | None:
+    """The candidate's consequence table (pass it if known) if it is an extension, else None."""
     count = len(tables.cons)
-    consequence = tables.background
-    for i in range(count):
-        if candidate_mask >> i & 1:
-            consequence &= tables.cons[i]
-    reached = 0
-    current = tables.background
-    while True:
-        added = 0
+    if consequence is None:
+        consequence = tables.background
         for i in range(count):
-            if reached >> i & 1:
-                continue
-            entailed = current & (tables.full ^ tables.pre[i]) == 0
-            compatible = consequence & tables.just[i] != 0
-            if entailed and compatible:
-                added |= 1 << i
-        if not added:
-            return reached, consequence
-        reached |= added
-        for i in range(count):
-            if added >> i & 1:
-                current &= tables.cons[i]
-
-
-def _consequence_set(theory: DefaultTheory, generating: Iterable[int]) -> frozenset[Formula]:
-    return theory.background | {theory.defaults[i].consequence for i in generating}
-
-
-def _accepts(tables: _TheoryTables, candidate_mask: int) -> int | None:
-    """The candidate's consequence table if it generates an extension, else None."""
-    reached, consequence_table = _fixpoint(tables, candidate_mask)
-    # The construction must apply exactly the candidate defaults. Comparing
-    # generating sets (not consequence formulas) keeps descriptors canonical
-    # when distinct defaults share a consequence.
-    if reached != candidate_mask:
+            if mask >> i & 1:
+                consequence &= tables.cons[i]
+    # (a) Only an inconsistent background, with no default chosen, is an inconsistent extension.
+    if mask and not consequence:
         return None
-    # An inconsistent belief set is an extension only when the background
-    # itself is inconsistent and no default was selected.
-    if consequence_table or (tables.background == 0 and candidate_mask == 0):
-        return consequence_table
-    return None
+    for i in range(count):
+        compatible = consequence & tables.just[i] != 0
+        if mask >> i & 1:
+            if not compatible:  # (b)
+                return None
+        elif compatible and consequence & tables.not_pre[i] == 0:  # (c)
+            return None
+    # (d) Generating sets, not consequences, are compared: defaults may share one.
+    reached, current, grew = 0, tables.background, True
+    while grew:
+        grew = False
+        for i in range(count):
+            if (mask & ~reached) >> i & 1 and current & tables.not_pre[i] == 0:
+                reached |= 1 << i
+                current &= tables.cons[i]
+                grew = True
+    return consequence if reached == mask else None
 
 
 def verify_extension(theory: DefaultTheory, generating: Iterable[int]) -> bool:
@@ -169,8 +157,7 @@ def verify_extension(theory: DefaultTheory, generating: Iterable[int]) -> bool:
 
 
 def _enumeration_tables(theory: DefaultTheory, extra: Iterable[Formula] = ()) -> _TheoryTables:
-    """Tables for enumerating every generating set of ``theory``; the count
-    cap is checked before any table is built."""
+    """Tables for enumerating ``theory``, built after the count cap check."""
     count = len(theory.defaults)
     if count > DEFAULT_COUNT_CAP:
         raise ResourceLimitError(
@@ -180,11 +167,24 @@ def _enumeration_tables(theory: DefaultTheory, extra: Iterable[Formula] = ()) ->
 
 
 def _extensions(tables: _TheoryTables) -> Iterator[tuple[int, int]]:
-    """Every extension as (generating-set bitmask, consequence table)."""
-    for mask in range(1 << len(tables.cons)):
-        consequence = _accepts(tables, mask)
-        if consequence is not None:
-            yield mask, consequence
+    """Every extension as (generating-set bitmask, consequence table), masks ascending."""
+    count = len(tables.cons)
+    # Entries are (undecided defaults, chosen mask, table); the exclude branch is
+    # pushed last, so it pops first and masks ascend. A self-calling closure would
+    # form a reference cycle that keeps every table alive until a collection.
+    stack = [(count, 0, tables.background)]
+    while stack:
+        undecided, mask, consequence = stack.pop()
+        if not undecided:
+            if _accepts(tables, mask, consequence) is not None:
+                yield mask, consequence
+            continue
+        i = undecided - 1
+        chosen = mask | 1 << i
+        narrowed = consequence & tables.cons[i]
+        if all(narrowed & tables.just[j] for j in range(i, count) if chosen >> j & 1):
+            stack.append((i, chosen, narrowed))
+        stack.append((i, mask, consequence))
 
 
 def extensions(theory: DefaultTheory) -> tuple[ExtensionDescriptor, ...]:
@@ -192,7 +192,8 @@ def extensions(theory: DefaultTheory) -> tuple[ExtensionDescriptor, ...]:
     found = []
     for mask, _ in _extensions(_enumeration_tables(theory)):
         generating = frozenset(i for i in range(len(theory.defaults)) if mask >> i & 1)
-        found.append(ExtensionDescriptor(generating, _consequence_set(theory, generating)))
+        consequences = theory.background | {theory.defaults[i].consequence for i in generating}
+        found.append(ExtensionDescriptor(generating, consequences))
     return tuple(found)
 
 
@@ -200,8 +201,7 @@ def skeptically_entails(theory: DefaultTheory, goal: Formula) -> SkepticalResult
     """Does every extension entail ``goal``? Vacuously true without extensions."""
     tables = _enumeration_tables(theory, extra=[goal])
     goal_gap = tables.full ^ tables.table(goal)
-    holds = True
-    seen = 0
+    holds, seen = True, 0
     for _, consequence in _extensions(tables):
         seen += 1
         if consequence & goal_gap:

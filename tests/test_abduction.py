@@ -15,6 +15,7 @@ from qraise.abduction import (
     raise_existential,
     reduce_qbf,
     serialize_instance,
+    solve,
     substitute_theory,
 )
 from qraise.errors import ContractError, ResourceLimitError, UnsupportedShapeError
@@ -126,6 +127,25 @@ class TestEnumerate:
             for r in range(len(hyps) + 1):
                 for chosen in combinations(sorted(hyps), r):
                     assert is_explanation(inst, chosen) == (frozenset(chosen) in everything)
+
+    def test_solve_names_the_least_explanation(self):
+        rng = random.Random(12)
+        for _ in range(150):
+            hyps = [f"h{i}" for i in range(rng.randint(0, 6))]
+            theory = {_random_formula(rng, hyps + ["v"], 2) for _ in range(rng.randint(0, 2))}
+            if hyps:
+                # pairs that explain m, and one pair that clashes
+                for _ in range(rng.randint(1, 3)):
+                    pair = And(Var(rng.choice(hyps)), Var(rng.choice(hyps)))
+                    theory.add(Implies(pair, Var("m")))
+                theory.add(Or(Not(Var(rng.choice(hyps))), Not(Var(rng.choice(hyps)))))
+            inst = AbductionInstance(frozenset(hyps), frozenset({"m"}), frozenset(theory))
+            everything = enumerate_explanations(inst)
+            found, detail = solve(inst)
+            assert found == has_explanation(inst) == bool(everything)
+            if everything:
+                least = min(sorted(s) for s in everything)
+                assert detail == f"explanation={{{', '.join(least)}}}"
 
 
 def _random_formula(rng, names, depth):

@@ -1,9 +1,11 @@
 """Extension semantics, skeptical entailment, and the universal raise."""
 
+import gc
 import random
 
 import pytest
 
+from qraise import defaults
 from qraise.defaults import (
     Default,
     DefaultTheory,
@@ -18,7 +20,7 @@ from qraise.defaults import (
     verify_extension,
 )
 from qraise.errors import ContractError, ResourceLimitError, UnsupportedShapeError
-from qraise.formulas import And, Const, Not, Or, TRUE, Var, entails
+from qraise.formulas import And, Const, FALSE, Not, Or, TRUE, Var, entails
 from qraise.parsing import parse_qbf
 from qraise.qbf import qbf_valid
 
@@ -206,6 +208,116 @@ def test_lemma_merge_on_random_theories():
             and skeptically_entails(substitute_theory(theory, "x", False), Var("q0")).holds
         )
         assert got == want
+
+
+def _staged_fixpoint(tables, pre, just, cons, background, mask):
+    """The staged construction against a candidate: the generating set it
+    reaches, and the candidate's consequence table."""
+    consequence = background
+    for i in range(len(cons)):
+        if mask >> i & 1:
+            consequence &= cons[i]
+    reached, current = 0, background
+    while True:
+        added = 0
+        for i in range(len(cons)):
+            if reached >> i & 1:
+                continue
+            entailed = current & (tables.full ^ pre[i]) == 0
+            if entailed and consequence & just[i] != 0:
+                added |= 1 << i
+        if not added:
+            return reached, consequence
+        reached |= added
+        for i in range(len(cons)):
+            if added >> i & 1:
+                current &= cons[i]
+
+
+def _oracle_extensions(theory, tables):
+    """Every mask in range(2**n) through the staged construction: the
+    exhaustive generate-and-verify that the depth-first walk replaced."""
+    background = tables.full
+    for f in theory.background:
+        background &= tables.table(f)
+    pre = [tables.table(d.prerequisite) for d in theory.defaults]
+    just = [tables.table(d.justification) for d in theory.defaults]
+    cons = [tables.table(d.consequence) for d in theory.defaults]
+    found = []
+    for mask in range(1 << len(theory.defaults)):
+        reached, consequence = _staged_fixpoint(tables, pre, just, cons, background, mask)
+        if reached == mask and (consequence or (background == 0 and mask == 0)):
+            found.append((mask, consequence))
+    return found
+
+
+def _random_theory(rng, pool):
+    shared = [_random_formula(rng, pool, 2) for _ in range(2)]
+
+    def component():
+        roll = rng.random()
+        if roll < 0.1:
+            return rng.choice([TRUE, FALSE])
+        if roll < 0.3:
+            return rng.choice(shared)
+        if roll < 0.65:
+            literal = Var(rng.choice(pool))
+            return literal if rng.random() < 0.5 else Not(literal)
+        return _random_formula(rng, pool, 2)
+
+    made = []
+    for _ in range(rng.randint(0, 5)):
+        prerequisite = TRUE if rng.random() < 0.4 else component()
+        justification = component()
+        normal = rng.random() < 0.5
+        made.append(Default(prerequisite, justification, justification if normal else component()))
+    if rng.random() < 0.6:
+        # two normal defaults that defeat each other: competing extensions
+        literal = Var(rng.choice(pool))
+        for side in (literal, Not(literal)):
+            made.insert(rng.randint(0, len(made)), Default(TRUE, side, side))
+    roll = rng.random()
+    if roll < 0.3:
+        background = frozenset(_random_formula(rng, pool, 2) for _ in range(rng.randint(1, 2)))
+    elif roll < 0.45:
+        background = frozenset({And(X, Not(X))})
+    else:
+        background = frozenset()
+    return DefaultTheory(tuple(made), background)
+
+
+def test_depth_first_walk_matches_exhaustive_oracle():
+    """Same (mask, table) list in the same order, and verify_extension agrees
+    with the oracle on every subset."""
+    rng = random.Random(404)
+    pool = ["x", "y", "q0"]
+    several = 0
+    for _ in range(300):
+        theory = _random_theory(rng, pool)
+        tables = defaults._enumeration_tables(theory)
+        expected = _oracle_extensions(theory, tables)
+        assert list(defaults._extensions(tables)) == expected
+        accepted = {mask for mask, _ in expected}
+        n = len(theory.defaults)
+        for mask in range(1 << n):
+            chosen = [i for i in range(n) if mask >> i & 1]
+            assert verify_extension(theory, chosen) == (mask in accepted)
+        several += len(expected) > 1
+    assert several > 50
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    """The walk holds its tables in plain locals: a self-referencing walk would
+    keep every table alive until a collection, raising peak memory."""
+    theory, query = reduce_qbf(parse_qbf("forall x1 x2; exists y; : (x1 | y) & (x2 <-> y)"))
+    gc.collect()
+    gc.disable()
+    try:
+        skeptically_entails(theory, Var(query))
+        extensions(theory)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestReduceQbf:
