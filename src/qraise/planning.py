@@ -1,9 +1,12 @@
 """STRIPS-style planning with formula preconditions, and its QBF encoding.
 
 Actions are pairs of an arbitrary precondition formula and a literal list
-of effects. ``plan_exists`` does breadth-first reachability over the full
-``2^|fluents|`` state graph, so answers are exact and returned plans are
-shortest.
+of effects. ``plan_exists`` does breadth-first search from the initial
+state and visits only the states it reaches, so answers are exact and
+returned plans are shortest. Each precondition is compiled once into two
+literal masks and a truth table over its remaining variables; the fluent
+count stays bounded by ``FLUENT_CAP``, since up to ``2^|fluents|`` states
+may be reachable.
 
 ``base_reduction`` turns a matrix into a single action that sets the goal
 when the matrix holds. ``raise_existential`` adds a one-shot chooser for a
@@ -19,6 +22,7 @@ prefix with ``qbf.raise_prefix``.
 Building an instance checks nothing. ``check_instance`` rejects one whose
 names do not fit together, and ``plan_exists`` and ``validate_plan`` call it
 first, so a chain of raises is checked once per decision, not once per raise.
+``solve`` replays a found plan without checking the instance again.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import ContractError, ParseError, QraiseError
-from .formulas import And, Formula, Not, Var, evaluate, substitute, truth_table, universe, variables
+from .formulas import And, Formula, Not, Var, conjunction, evaluate, substitute, truth_table
+from .formulas import universe, variables
 from .parsing import parse_formula, serialize_formula
 from .qbf import Qbf, Quantifier, raise_prefix, split_prefix
 
@@ -37,7 +42,7 @@ NAME, SUFFIX, SHAPE = "planning", "plan", "any"
 
 GOAL_VAR = "a"
 
-# Hard cap on the fluent count for plan search (2^|fluents| states).
+# Hard cap on the fluent count for plan search (up to 2^|fluents| reachable states).
 FLUENT_CAP = 18
 
 State = Mapping[str, bool]
@@ -115,18 +120,48 @@ def control_fluents(instance: PlanningInstance) -> frozenset[str]:
     )
 
 
+def _precondition_test(
+    precondition: Formula, order: Mapping[str, int]
+) -> tuple[int, int, tuple[tuple[int, int], ...], int]:
+    """Compile ``precondition`` into a state test over the fluent bits ``order``.
+
+    Returns ``(must_set, must_clear, gather, table)``. The literal conjuncts
+    of the top-level ``And`` tree become the two masks; the conjunction of
+    the other conjuncts is tabulated over its own variables only. A state
+    passes when it has every ``must_set`` bit, no ``must_clear`` bit, and
+    bit ``index`` of ``table`` is set, where ``index`` gathers the state's
+    bit ``position`` into bit ``i`` for each ``(i, position)`` of ``gather``.
+    """
+    must_set = must_clear = 0
+    rest: list[Formula] = []
+    stack = [precondition]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, And):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, Var):
+            must_set |= 1 << order[node.name]
+        elif isinstance(node, Not) and isinstance(node.operand, Var):
+            must_clear |= 1 << order[node.operand.name]
+        else:
+            rest.append(node)
+    if not rest:
+        return must_set, must_clear, (), 1
+    remainder = conjunction(rest)
+    u = universe(sorted(variables(remainder), key=order.__getitem__))
+    gather = tuple((i, order[name]) for name, i in u.order.items())
+    return must_set, must_clear, gather, truth_table(remainder, u.order, u.width)
+
+
 def plan_exists(instance: PlanningInstance) -> tuple[bool, tuple[str, ...] | None]:
-    """Breadth-first search over the whole state graph; plans are shortest."""
+    """Breadth-first search over the states reachable from the initial one;
+    plans are shortest."""
     check_instance(instance)
-    # Declaration order, not sorted: the constructions declare control
-    # fluents last, so they take the high bits, reachable states are large
-    # numbers and ``table >> state`` stays short.
-    u = universe(instance.fluents, FLUENT_CAP, "fluents")
-    order = u.order
+    order = universe(instance.fluents, FLUENT_CAP, "fluents").order
     goal_bit = 1 << order[instance.goal]
     compiled = []
     for idx, act in enumerate(instance.actions):
-        table = truth_table(act.precondition, order, u.width)
         set_mask = 0
         clear_mask = 0
         for name, value in act.effects:
@@ -134,7 +169,7 @@ def plan_exists(instance: PlanningInstance) -> tuple[bool, tuple[str, ...] | Non
                 set_mask |= 1 << order[name]
             else:
                 clear_mask |= 1 << order[name]
-        compiled.append((idx, table, set_mask, clear_mask))
+        compiled.append((idx, *_precondition_test(act.precondition, order), set_mask, clear_mask))
     start = 0
     for name in instance.initial:
         start |= 1 << order[name]
@@ -144,8 +179,13 @@ def plan_exists(instance: PlanningInstance) -> tuple[bool, tuple[str, ...] | Non
     goal_state = start if start & goal_bit else None
     while frontier and goal_state is None:
         state = frontier.popleft()
-        for idx, table, set_mask, clear_mask in compiled:
-            if not table >> state & 1:
+        for idx, must_set, must_clear, gather, table, set_mask, clear_mask in compiled:
+            if state & must_set != must_set or state & must_clear:
+                continue
+            index = 0
+            for i, position in gather:
+                index |= (state >> position & 1) << i
+            if not table >> index & 1:
                 continue
             successor = (state | set_mask) & ~clear_mask
             if successor in seen:
@@ -167,12 +207,12 @@ def plan_exists(instance: PlanningInstance) -> tuple[bool, tuple[str, ...] | Non
 
 
 def solve(instance: PlanningInstance) -> tuple[bool, str]:
-    """Decide ``instance``; a found plan is replayed by ``validate_plan``
-    before it is reported, and the detail lists its steps."""
+    """Decide ``instance``; a found plan is replayed before it is reported,
+    and the detail lists its steps."""
     found, plan = plan_exists(instance)
     if not found:
         return False, ""
-    if not validate_plan(instance, plan or ()):
+    if not _replay(instance, plan or ()):
         raise QraiseError(f"plan failed replay: {' '.join(plan or ())}")
     return True, f"plan={' '.join(plan or ())}"
 
@@ -180,6 +220,10 @@ def solve(instance: PlanningInstance) -> tuple[bool, str]:
 def validate_plan(instance: PlanningInstance, plan: Sequence[str]) -> bool:
     """Independent replay: execute each step on dict states and check the goal."""
     check_instance(instance)
+    return _replay(instance, plan)
+
+
+def _replay(instance: PlanningInstance, plan: Sequence[str]) -> bool:
     by_name = {act.name: act for act in instance.actions}
     state = initial_state(instance)
     for step in plan:

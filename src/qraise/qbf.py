@@ -1,10 +1,11 @@
 """Closed quantified boolean formulas, two independent validity deciders,
 and the prefix handling every reduction shares.
 
-``qbf_valid`` recurses on the prefix, splitting the matrix by substitution:
-an existential variable is an OR over its two substituted matrices, a
-universal one an AND. ``qbf_valid_by_table`` never substitutes anything: it
-tabulates the matrix over all prefix assignments and folds the table one
+``qbf_valid`` recurses on the prefix with one assignment: it sets the
+outermost variable to true, then to false, stops at the value that decides
+its quantifier (true for exists, false for forall), and evaluates the
+unchanged matrix at each leaf. ``qbf_valid_by_table`` builds no assignment:
+it tabulates the matrix over all prefix assignments and folds the table one
 quantifier level at a time. The two must always agree; each guards the other.
 
 A reduction is a base instance followed by one raise per quantifier.
@@ -19,7 +20,7 @@ from enum import Enum
 from typing import Callable, Mapping, Sequence, TypeVar
 
 from .errors import ContractError, ResourceLimitError, UnsupportedShapeError
-from .formulas import Formula, evaluate, substitute, truth_table, variables
+from .formulas import Formula, evaluate, truth_table, variables
 
 # Hard cap on the prefix length for both deciders.
 QBF_VAR_CAP = 16
@@ -67,19 +68,22 @@ def _check_cap(q: Qbf) -> None:
 
 
 def qbf_valid(q: Qbf) -> bool:
-    """Decide validity by recursive substitution on the outermost variable."""
+    """Decide validity by recursion on the outermost variable, evaluating
+    the matrix under each full assignment the recursion reaches."""
     _check_cap(q)
-    return _valid_rec(q.prefix, q.matrix)
+    return _valid_rec(q.prefix, 0, q.matrix, {})
 
 
-def _valid_rec(prefix: Prefix, matrix: Formula) -> bool:
-    if not prefix:
-        return evaluate(matrix, {})
-    (quant, name), rest = prefix[0], prefix[1:]
-    on_true = _valid_rec(rest, substitute(matrix, name, True))
-    if quant is Quantifier.EXISTS:
-        return on_true or _valid_rec(rest, substitute(matrix, name, False))
-    return on_true and _valid_rec(rest, substitute(matrix, name, False))
+def _valid_rec(prefix: Prefix, depth: int, matrix: Formula, assignment: dict[str, bool]) -> bool:
+    if depth == len(prefix):
+        return evaluate(matrix, assignment)
+    quant, name = prefix[depth]
+    deciding = quant is Quantifier.EXISTS
+    for value in (True, False):
+        assignment[name] = value
+        if _valid_rec(prefix, depth + 1, matrix, assignment) == deciding:
+            return deciding
+    return not deciding
 
 
 def qbf_valid_by_table(q: Qbf) -> bool:

@@ -109,7 +109,7 @@ class TestInternalErrors:
         instance = tmp_path / "instance.plan"
         source = qbf_file("exists x; : x")
         run_cli(capsys, "reduce", "--target", "planning", str(source), "-o", str(instance))
-        monkeypatch.setattr(planning, "validate_plan", lambda instance, plan: False)
+        monkeypatch.setattr(planning, "_replay", lambda instance, plan: False)
         code, out, err = run_cli(capsys, "solve", "--target", "planning", str(instance))
         assert code == 2 and out == ""
         assert err.startswith("error[internal]: plan failed replay") and err.count("\n") == 1

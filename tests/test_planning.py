@@ -1,15 +1,19 @@
 """Action semantics, exact plan search, and the two raising gadgets."""
 
 import random
+from collections import deque
 
 import pytest
 
 from qraise import planning
 from qraise.cli import main
 from qraise.errors import ContractError, ResourceLimitError
-from qraise.formulas import And, FALSE, Iff, Not, Or, TRUE, Var
+from qraise.formulas import And, Const, FALSE, Iff, Implies, Not, Or, TRUE, Var
+from qraise.formulas import truth_table, universe
+from qraise.harness import exhaustive_qbfs
 from qraise.parsing import parse_qbf
 from qraise.planning import (
+    FLUENT_CAP,
     Action,
     PlanningInstance,
     apply_action,
@@ -346,3 +350,185 @@ class TestInstanceFormat:
             parse_instance("fluents: a\ninit: a=2\ngoal: a\naction m: true => a\n")
         with pytest.raises(Exception):
             parse_instance("nonsense\n")
+
+
+def _table_plan_exists(instance):
+    """The table-based search that compiled preconditions replaced: one
+    2^|fluents|-bit truth table per action, looked up at every state."""
+    planning.check_instance(instance)
+    u = universe(instance.fluents, FLUENT_CAP, "fluents")
+    order = u.order
+    goal_bit = 1 << order[instance.goal]
+    compiled = []
+    for idx, act in enumerate(instance.actions):
+        table = truth_table(act.precondition, order, u.width)
+        set_mask = 0
+        clear_mask = 0
+        for name, value in act.effects:
+            if value:
+                set_mask |= 1 << order[name]
+            else:
+                clear_mask |= 1 << order[name]
+        compiled.append((idx, table, set_mask, clear_mask))
+    start = 0
+    for name in instance.initial:
+        start |= 1 << order[name]
+    parents = {}
+    seen = {start}
+    frontier = deque([start])
+    goal_state = start if start & goal_bit else None
+    while frontier and goal_state is None:
+        state = frontier.popleft()
+        for idx, table, set_mask, clear_mask in compiled:
+            if not table >> state & 1:
+                continue
+            successor = (state | set_mask) & ~clear_mask
+            if successor in seen:
+                continue
+            seen.add(successor)
+            parents[successor] = (state, idx)
+            if successor & goal_bit:
+                goal_state = successor
+                break
+            frontier.append(successor)
+    if goal_state is None:
+        return False, None
+    steps = []
+    cursor = goal_state
+    while cursor != start:
+        cursor, idx = parents[cursor]
+        steps.append(instance.actions[idx].name)
+    return True, tuple(reversed(steps))
+
+
+def _assert_matches_table_reference(instance):
+    found, plan = plan_exists(instance)
+    assert (found, plan) == _table_plan_exists(instance)
+    if found:
+        assert validate_plan(instance, plan)
+        # plans are shortest, so no proper prefix reaches the goal
+        assert not plan or not validate_plan(instance, plan[:-1])
+    return found, plan
+
+
+def _literal(rng, fluents):
+    var = Var(rng.choice(fluents))
+    return var if rng.random() < 0.5 else Not(var)
+
+
+def _compound(rng, fluents, depth=2):
+    """A conjunct that is not a literal: Or, Implies, Iff, a constant, or a
+    negated compound."""
+    roll = rng.random()
+    if roll < 0.1:
+        return Const(rng.random() < 0.5)
+    if roll < 0.25:
+        return Not(rng.choice([And, Or, Iff])(_literal(rng, fluents), _literal(rng, fluents)))
+    if roll < 0.3:
+        return Not(Not(Var(rng.choice(fluents))))
+    sides = [
+        _compound(rng, fluents, depth - 1) if depth and rng.random() < 0.3
+        else _literal(rng, fluents)
+        for _ in range(2)
+    ]
+    return rng.choice([Or, Implies, Iff])(*sides)
+
+
+def _and_tree(rng, conjuncts):
+    """Conjoin ``conjuncts`` under a random tree of ``And`` nodes."""
+    parts = list(conjuncts)
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        parts[i:i + 2] = [And(parts[i], parts[i + 1])]
+    return parts[0]
+
+
+def _random_precondition(rng, fluents):
+    roll = rng.random()
+    literals = [_literal(rng, fluents) for _ in range(rng.randint(0, 2))]
+    if literals and rng.random() < 0.2:
+        literals.append(rng.choice(literals))  # repeated literal
+    if literals and rng.random() < 0.1:
+        first = literals[0]
+        literals.append(first.operand if isinstance(first, Not) else Not(first))  # x & !x
+    if roll < 0.4:
+        conjuncts = literals
+    elif roll < 0.7:
+        conjuncts = literals + [_compound(rng, fluents)]
+    else:
+        # no literal conjunct at all
+        conjuncts = [_compound(rng, fluents) for _ in range(rng.randint(1, 2))]
+    rng.shuffle(conjuncts)
+    return _and_tree(rng, conjuncts) if conjuncts else TRUE
+
+
+def _conjuncts(f):
+    return _conjuncts(f.left) + _conjuncts(f.right) if isinstance(f, And) else [f]
+
+
+def _is_literal(f):
+    return isinstance(f, Var) or isinstance(f, Not) and isinstance(f.operand, Var)
+
+
+def _random_instance(rng, width):
+    fluents = tuple(f"f{i}" for i in range(width))
+    goal = rng.choice(fluents)
+    initial = {f for f in fluents if rng.random() < 0.4}
+    actions = []
+    for k in range(rng.randint(2, 7)):
+        written = rng.sample(fluents, rng.randint(1, min(3, width)))
+        effects = tuple((name, rng.random() < 0.6) for name in written)
+        actions.append(Action(f"act{k}", _random_precondition(rng, fluents), effects))
+    if width > 3 and rng.random() < 0.4:
+        # a chain of steps f0 -> f1 -> ... -> goal, so some plans are long
+        goal = fluents[-1]
+        initial = {fluents[0]} | {f for f in initial if rng.random() < 0.3}
+        actions = [
+            Action(a.name, a.precondition, tuple(e for e in a.effects if e[0] != goal))
+            for a in actions
+        ]
+        for k in range(width - 1):
+            extra = _random_precondition(rng, fluents) if rng.random() < 0.3 else TRUE
+            step = ((fluents[k + 1], True),) + ((fluents[k], False),) * (rng.random() < 0.5)
+            actions.append(Action(f"step{k}", And(Var(fluents[k]), extra), step))
+    if width == FLUENT_CAP:
+        # one precondition over every fluent
+        wide = Or(_and_tree(rng, [_literal(rng, [f]) for f in fluents]), Var(fluents[0]))
+        actions[-1] = Action(actions[-1].name, wide, actions[-1].effects)
+    initial = initial | {goal} if rng.random() < 0.1 else initial - {goal}
+    return PlanningInstance(fluents, frozenset(initial), goal, tuple(actions), "act0")
+
+
+def test_search_matches_table_reference_on_the_exhaustive_sweep():
+    found = [
+        _assert_matches_table_reference(reduce_qbf(q))[0] for q in exhaustive_qbfs(3, 3, "any")
+    ]
+    assert 0 < sum(found) < len(found)
+
+
+def test_search_matches_table_reference_on_general_instances():
+    rng = random.Random(2024)
+    seen = dict.fromkeys(
+        ["found", "missed", "three steps", "goal at start", "no literal", "x & !x"], 0
+    )
+    for n in range(320):
+        instance = _random_instance(rng, FLUENT_CAP if n % 40 == 0 else rng.randint(1, 7))
+        found, plan = _assert_matches_table_reference(instance)
+        seen["found" if found else "missed"] += 1
+        seen["three steps"] += found and len(plan) >= 3
+        seen["goal at start"] += instance.goal in instance.initial
+        for act in instance.actions:
+            literals = [c for c in _conjuncts(act.precondition) if _is_literal(c)]
+            seen["no literal"] += not literals and act.precondition != TRUE
+            seen["x & !x"] += any(Not(c) in literals for c in literals)
+    assert min(seen.values()) >= 15, sorted(seen.items())
+
+
+def test_solve_checks_the_instance_once(monkeypatch):
+    calls = []
+    check = planning.check_instance
+    monkeypatch.setattr(planning, "check_instance", lambda instance: calls.append(check(instance)))
+    for text, answer in (("exists x; forall y; : x | y", True), ("forall y; : y", False)):
+        calls.clear()
+        assert planning.solve(reduce_qbf(parse_qbf(text)))[0] is answer
+        assert len(calls) == 1

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qraise.errors import ContractError, ResourceLimitError, UnsupportedShapeError
-from qraise.formulas import Iff, Not, Or, Var, conjunction
-from qraise.harness import QbfGenSpec, generate_qbfs
+from qraise.formulas import Iff, Not, Or, Var, conjunction, evaluate, substitute
+from qraise.harness import QbfGenSpec, exhaustive_qbfs, generate_qbfs
 from qraise.qbf import QBF_VAR_CAP, Qbf, Quantifier, qbf_valid, qbf_valid_by_table, split_prefix
 
 from test_formulas import formulas
@@ -118,3 +118,24 @@ def test_oracles_agree(f, quant_bits):
     )
     q = Qbf(prefix, f)
     assert qbf_valid(q) == qbf_valid_by_table(q)
+
+
+def _valid_by_substitution(prefix, matrix):
+    """The substitution recursion the assignment walk replaced: each prefix
+    node splits the matrix into its two substituted copies."""
+    if not prefix:
+        return evaluate(matrix, {})
+    (quant, name), rest = prefix[0], prefix[1:]
+    on_true = _valid_by_substitution(rest, substitute(matrix, name, True))
+    if quant is E:
+        return on_true or _valid_by_substitution(rest, substitute(matrix, name, False))
+    return on_true and _valid_by_substitution(rest, substitute(matrix, name, False))
+
+
+def test_recursive_oracle_matches_substitution_reference():
+    exhaustive = list(exhaustive_qbfs(3, 3, "any"))
+    seeded = list(generate_qbfs(QbfGenSpec(seed=17, num_vars=12, matrix_depth=6, count=200)))
+    assert max(len(q.prefix) for q in seeded) == 12
+    for q in exhaustive + seeded:
+        expected = _valid_by_substitution(q.prefix, q.matrix)
+        assert qbf_valid(q) == expected == qbf_valid_by_table(q)
