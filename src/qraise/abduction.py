@@ -2,7 +2,11 @@
 
 An instance is a triple of hypothesis variables H, manifestation variables
 M, and a theory T of formulas. An explanation is a subset S of H such that
-S together with T is consistent and entails every manifestation.
+S together with T is consistent and entails every manifestation. Since S
+and M mention only hypotheses and manifestations, the decider works on T
+projected onto H and M (``formulas.project``); every other variable, the
+raised existentials and the universal block of a reduction among them,
+is eliminated first.
 
 ``base_reduction`` encodes "for all Y, matrix" as explanation existence of
 ``<{}, {a}, {!matrix | a}>``. ``raise_existential`` then merges the two
@@ -27,9 +31,9 @@ from .formulas import (
     conjunction,
     consistent,
     entails,
+    project,
     substitute,
     truth_table,
-    universe,
     variables,
 )
 from .parsing import parse_formula, serialize_formula
@@ -85,13 +89,10 @@ def _explanations(instance: AbductionInstance, first_only: bool) -> list[Explana
             f"{len(instance.hypotheses)} hypotheses exceed the enumeration cap of"
             f" {HYPOTHESIS_CAP}"
         )
-    # Consistency and entailment are universe-independent as long as the
-    # universe covers every variable involved, so one table set over the
-    # whole instance serves every candidate subset.
-    u = universe(sorted(instance.all_variables()))
-    theory_mask = u.full
-    for f in instance.theory:
-        theory_mask &= truth_table(f, u.order, u.width)
+    # A candidate S and the manifestations mention only H and M, so S with T
+    # is consistent and entails M exactly when S with T projected onto H and
+    # M is and does: one table over H and M serves every candidate subset.
+    u, theory_mask = project(instance.theory, instance.hypotheses | instance.manifestations)
     goal_mask = u.full
     for name in sorted(instance.manifestations):
         goal_mask &= truth_table(Var(name), u.order, u.width)

@@ -11,19 +11,27 @@ ordered variable universe is a single big integer whose bit ``j`` is the
 formula's value under the assignment encoded by ``j``. All connectives
 then become integer bit operations, which keeps exhaustive checks over
 ~20 variables affordable.
+
+``project`` keeps tables small when only some variables matter: it
+existentially projects every other variable out by bucket elimination,
+so the widest table spans one variable's bucket or the kept set, not the
+whole variable set. ``consistent`` and ``entails`` keep the whole table on
+purpose: they are the independent full-table checks.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .errors import ContractError, EvaluationError, ResourceLimitError
 
-# Hard cap on the assignment universe for consistent()/entails(). Exceeding
-# it raises ResourceLimitError rather than silently sampling.
+# Hard cap on every assignment universe: the whole one of consistent() and
+# entails(), each bucket and the kept set of project(). Exceeding it raises
+# ResourceLimitError rather than silently sampling.
 ENTAILMENT_VAR_CAP = 22
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_+^-]*\Z")
@@ -188,6 +196,30 @@ def _wave(position: int, width: int) -> int:
     return pattern
 
 
+def _insert(table: int, position: int, width: int) -> int:
+    """Lift a table over ``width - 1`` variables into ``width`` variables by
+    inserting, at bit ``position``, a variable the table does not depend on.
+
+    Every assignment index moves up by its bits from ``position`` on, one
+    bit at a time from the highest down; then the copy at ``position``
+    clear is duplicated into ``position`` set."""
+    for k in range(width - 2, position - 1, -1):
+        high = table & _wave(k, width)
+        table = table ^ high | high << (1 << k)
+    return table | table << (1 << position)
+
+
+def _remove(table: int, position: int, width: int) -> int:
+    """Existentially project the variable at bit ``position`` out of a
+    ``width``-variable table: OR its two halves together, then close the gap
+    with the inverse of ``_insert``'s moves, from the lowest bit up."""
+    table = (table | table >> (1 << position)) & ~_wave(position, width)
+    for k in range(position, width - 1):
+        high = table & _wave(k + 1, width)
+        table = table ^ high | high >> (1 << k)
+    return table
+
+
 def truth_table(f: Formula, order: Mapping[str, int], width: int) -> int:
     """Truth table of ``f`` as a ``2**width``-bit integer.
 
@@ -235,6 +267,60 @@ def universe(
     if len(order) > cap:
         raise ResourceLimitError(f"{len(order)} {what} exceed the cap of {cap}")
     return Universe(order, len(order), (1 << (1 << len(order))) - 1)
+
+
+# A factor of ``project``: its variables in sorted order, and a formula or a
+# table laid out over them in that order.
+_Factor = tuple[tuple[str, ...], Formula | int]
+
+
+def project(formulas: Iterable[Formula], keep: Iterable[str]) -> tuple[Universe, int]:
+    """Truth table, over ``universe(sorted(keep))``, of the conjunction of
+    ``formulas`` with every other variable existentially projected out.
+
+    Bucket elimination (Davis-Putnam; Dechter's "bucket elimination") over
+    factors, each a formula or a table over its own variables. While a
+    variable outside ``keep`` is left, the one whose bucket (the factors
+    that mention it) spans the fewest variables, ties broken by name, is
+    eliminated: its bucket is conjoined in the universe of that span and
+    the variable is projected out, leaving one new factor. The rest is
+    conjoined in the kept universe. Each universe built, every bucket and
+    the kept set, is held to ``ENTAILMENT_VAR_CAP``; the whole variable set
+    is not.
+    """
+    kept = universe(sorted(keep), what="kept variables")
+    factors: list[_Factor] = [(tuple(sorted(variables(f))), f) for f in formulas]
+    while True:
+        spans: defaultdict[str, set[str]] = defaultdict(set)
+        for names, _ in factors:
+            for name in names:
+                if name not in kept.order:
+                    spans[name].update(names)
+        if not spans:
+            return kept, _conjoin(factors, kept)
+        hidden = min(spans, key=lambda name: (len(spans[name]), name))
+        u = universe(sorted(spans[hidden]), what="variables in one elimination bucket")
+        bucket = [factor for factor in factors if hidden in factor[0]]
+        factors = [factor for factor in factors if hidden not in factor[0]]
+        table = _remove(_conjoin(bucket, u), u.order[hidden], u.width)
+        factors.append((tuple(name for name in u.order if name != hidden), table))
+
+
+def _conjoin(factors: list[_Factor], u: Universe) -> int:
+    """Conjunction of ``factors`` in ``u``, whose order must be sorted and
+    cover every factor's variables: formulas are tabulated, tables lifted."""
+    result = u.full
+    for names, factor in factors:
+        if isinstance(factor, Formula):
+            result &= truth_table(factor, u.order, u.width)
+            continue
+        width = len(names)
+        for name, position in u.order.items():
+            if name not in names:
+                width += 1
+                factor = _insert(factor, position, width)
+        result &= factor
+    return result
 
 
 def consistent(formulas: Iterable[Formula]) -> bool:

@@ -5,7 +5,9 @@ from itertools import combinations, product
 
 import pytest
 
+from qraise import abduction
 from qraise.abduction import (
+    HYPOTHESIS_CAP,
     AbductionInstance,
     base_reduction,
     enumerate_explanations,
@@ -19,9 +21,25 @@ from qraise.abduction import (
     substitute_theory,
 )
 from qraise.errors import ContractError, ResourceLimitError, UnsupportedShapeError
-from qraise.formulas import And, FALSE, Implies, Not, Or, Var, variables
+from qraise.cli import main
+from qraise.formulas import (
+    ENTAILMENT_VAR_CAP,
+    FALSE,
+    TRUE,
+    And,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Var,
+    conjunction,
+    truth_table,
+    universe,
+    variables,
+)
+from qraise.harness import SampleSpec, _random_abduction_instance, exhaustive_qbfs
 from qraise.parsing import parse_formula, parse_qbf
-from qraise.qbf import qbf_valid
+from qraise.qbf import Qbf, Quantifier, qbf_valid
 
 from test_formulas import naive_eval
 
@@ -288,3 +306,231 @@ class TestInstanceFormat:
     def test_bad_line_rejected(self):
         with pytest.raises(Exception):
             parse_instance("H: h\nM: a\nbogus line\n")
+
+
+# --- projection against the full-table decider ----------------------------------
+
+def _full_table_explanations(instance, first_only):
+    """The decider before projection, kept as the reference: one table set
+    over every variable of the instance, walked in the same order."""
+    if len(instance.hypotheses) > HYPOTHESIS_CAP:
+        raise ResourceLimitError(
+            f"{len(instance.hypotheses)} hypotheses exceed the enumeration cap of"
+            f" {HYPOTHESIS_CAP}"
+        )
+    u = universe(sorted(instance.all_variables()))
+    theory_mask = u.full
+    for f in instance.theory:
+        theory_mask &= truth_table(f, u.order, u.width)
+    goal_mask = u.full
+    for name in sorted(instance.manifestations):
+        goal_mask &= truth_table(Var(name), u.order, u.width)
+    hyp_masks = [
+        (name, truth_table(Var(name), u.order, u.width)) for name in sorted(instance.hypotheses)
+    ]
+    not_goal = u.full ^ goal_mask
+    stack = [((), theory_mask, 0)] if theory_mask else []
+    found = []
+    while stack:
+        chosen, mask, start = stack.pop()
+        if start == (chosen[-1] + 1 if chosen else 0) and mask & not_goal == 0:
+            found.append(frozenset(hyp_masks[i][0] for i in chosen))
+            if first_only:
+                return found
+        for i in range(start, len(hyp_masks)):
+            narrowed = mask & hyp_masks[i][1]
+            if narrowed:
+                stack.append((chosen, mask, i + 1))
+                stack.append((chosen + (i,), narrowed, i + 1))
+                break
+    return found
+
+
+def _assert_matches_full_table(instance):
+    """Same ``solve`` answer and detail, same explanation set; returns the
+    number of explanations."""
+    least = _full_table_explanations(instance, first_only=True)
+    detail = f"explanation={{{', '.join(sorted(least[0]))}}}" if least else ""
+    assert solve(instance) == (bool(least), detail)
+    everything = enumerate_explanations(instance)
+    assert everything == frozenset(_full_table_explanations(instance, first_only=False))
+    return len(everything)
+
+
+def test_projection_matches_full_table_on_the_exhaustive_sweep():
+    counts = [_assert_matches_full_table(reduce_qbf(q)) for q in exhaustive_qbfs(3, 3, "ea")]
+    assert 0 < sum(1 for c in counts if c) < len(counts)
+    assert any(c > 1 for c in counts)
+
+
+def test_projection_matches_full_table_on_lemma_draws():
+    rng = random.Random(31)
+    counts = []
+    for _ in range(1500):
+        spec = SampleSpec(num_vars=rng.randint(2, 6), matrix_depth=rng.randint(1, 3))
+        instance, _ = _random_abduction_instance(rng, spec)
+        counts.append(_assert_matches_full_table(instance))
+    assert 0 < sum(1 for c in counts if c) < len(counts)
+
+
+def _general_instance(rng, kind):
+    """A seeded instance; ``kind`` picks the feature it is built to have."""
+    hyps = [f"h{i}" for i in range(rng.randint(1, 5))]
+    mans = [f"m{i}" for i in range(rng.randint(1, 3))]
+    hidden = [f"y{i}" for i in range(rng.randint(1, 4))]
+    everyone = hyps + mans + hidden
+    theory = set()
+    if kind == "empty":
+        pass
+    elif kind == "kept only":
+        theory |= {_random_formula(rng, hyps + mans, 3) for _ in range(rng.randint(1, 3))}
+    elif kind == "hidden only":
+        theory |= {_random_formula(rng, hidden, 3) for _ in range(rng.randint(1, 3))}
+    elif kind == "unmentioned":
+        # at most one hypothesis and one manifestation occur in the theory
+        theory |= {_random_formula(rng, hidden + hyps[:1] + mans[:1], 3) for _ in range(2)}
+    elif kind == "const":
+        consts = [TRUE, FALSE, Or(TRUE, Var(rng.choice(hidden))), Implies(Var(hyps[0]), FALSE)]
+        theory.add(rng.choice(consts))
+        theory.add(Iff(rng.choice([TRUE, FALSE]), _random_formula(rng, everyone, 2)))
+    elif kind == "unsatisfiable":
+        name = rng.choice(everyone)
+        theory |= {Var(name), Not(Var(name)), _random_formula(rng, everyone, 2)}
+    else:
+        theory |= {_random_formula(rng, everyone, 3) for _ in range(rng.randint(1, 4))}
+    if kind not in ("empty", "hidden only", "unmentioned", "unsatisfiable"):
+        # pairs of hypotheses that reach a manifestation through a hidden variable
+        for _ in range(rng.randint(1, 3)):
+            pair = And(Var(rng.choice(hyps)), Var(rng.choice(hyps)))
+            link = rng.choice(hidden)
+            theory.add(Implies(pair, Var(link)))
+            theory.add(Implies(Var(link), conjunction(Var(m) for m in mans)))
+    return AbductionInstance(frozenset(hyps), frozenset(mans), frozenset(theory))
+
+
+def test_projection_matches_full_table_on_general_instances():
+    kinds = ("empty", "kept only", "hidden only", "unmentioned", "const", "unsatisfiable", "mixed")
+    rng = random.Random(32)
+    counts = {kind: [] for kind in kinds}
+    for k in range(350):
+        kind = kinds[k % len(kinds)]
+        instance = _general_instance(rng, kind)
+        counts[kind].append(_assert_matches_full_table(instance))
+    assert all(c == 0 for c in counts["unsatisfiable"])
+    assert all(c == 0 for c in counts["empty"])  # every instance manifests something
+    for kind in ("kept only", "const", "mixed"):
+        assert any(counts[kind]) and not all(counts[kind]), kind
+    assert any(c > 1 for c in counts["mixed"])
+
+
+# --- past the old whole-instance cap ------------------------------------------
+
+def _matrix_over(rng, names):
+    """A random matrix that mentions every name at least once."""
+    picks = list(names) + [rng.choice(names) for _ in range(len(names) // 2)]
+    rng.shuffle(picks)
+
+    def tree(leaves):
+        if len(leaves) == 1:
+            return Not(Var(leaves[0])) if rng.random() < 0.3 else Var(leaves[0])
+        half = len(leaves) // 2
+        return rng.choice([And, Or, Implies, Iff])(tree(leaves[:half]), tree(leaves[half:]))
+
+    return tree(picks)
+
+
+@pytest.mark.parametrize("existential,universal", [(5, 2), (5, 4), (6, 2), (6, 3)])
+def test_reductions_past_the_old_cap_agree_with_the_oracle(existential, universal):
+    rng = random.Random(existential * 10 + universal)
+    xs = [f"x{i + 1}" for i in range(existential)]
+    ys = [f"y{i + 1}" for i in range(universal)]
+    prefix = tuple((Quantifier.EXISTS, n) for n in xs) + tuple((Quantifier.FORALL, n) for n in ys)
+    answers = []
+    for _ in range(6):
+        q = Qbf(prefix, _matrix_over(rng, xs + ys))
+        instance = reduce_qbf(q)
+        assert len(instance.all_variables()) == 4 * existential + universal + 1
+        assert len(instance.all_variables()) > ENTAILMENT_VAR_CAP
+        answers.append(has_explanation(instance))
+        assert answers[-1] == qbf_valid(q)
+    assert any(answers) and not all(answers)
+
+
+def test_widest_reduction_at_the_caps_decides():
+    """7 existentials (14 hypotheses, the cap) under 9 universals: 16 QBF
+    variables, 38 instance variables; one valid and one invalid draw."""
+    rng = random.Random(79)
+    xs = [f"x{i + 1}" for i in range(7)]
+    ys = [f"y{i + 1}" for i in range(9)]
+    prefix = tuple((Quantifier.EXISTS, n) for n in xs) + tuple((Quantifier.FORALL, n) for n in ys)
+    seen = set()
+    while len(seen) < 2:
+        q = Qbf(prefix, _matrix_over(rng, xs + ys))
+        valid = qbf_valid(q)
+        if valid in seen:
+            continue
+        seen.add(valid)
+        instance = reduce_qbf(q)
+        assert len(instance.all_variables()) == 38
+        assert len(instance.hypotheses) == HYPOTHESIS_CAP
+        assert has_explanation(instance) == valid
+
+
+@pytest.mark.parametrize(
+    "matrix,expected",
+    [
+        ("(x1 | y1 | !y2) & (x2 -> x3) & (x4 | x5 | x6 | y2)", 0),
+        ("(x1 & y1) | (x2 & x3 & x4 & x5 & x6 & y2)", 1),
+    ],
+)
+def test_cli_round_trip_past_the_old_cap(capsys, tmp_path, matrix, expected):
+    source = tmp_path / "wide.qbf"
+    source.write_text(f"exists x1 x2 x3 x4 x5 x6;\nforall y1 y2;\n: {matrix}\n", encoding="utf-8")
+    target = tmp_path / "wide.abd"
+    assert main(["validate", str(source)]) == expected
+    assert main(["reduce", "--target", "abduction", str(source), "-o", str(target)]) == 0
+    assert len(parse_instance(target.read_text()).all_variables()) == 27
+    capsys.readouterr()
+    assert main(["solve", "--target", "abduction", str(target)]) == expected
+    out, err = capsys.readouterr()
+    assert out.startswith("yes" if expected == 0 else "no") and err == ""
+
+
+# --- caps -------------------------------------------------------------------------
+
+def test_wide_theory_formula_is_one_resource_error(capsys, tmp_path):
+    wide = " | ".join(f"v{i}" for i in range(ENTAILMENT_VAR_CAP + 1))
+    path = tmp_path / "wide.abd"
+    path.write_text(f"H: h\nM: m\nT: h -> m\nT: {wide}\n", encoding="utf-8")
+    assert main(["solve", "--target", "abduction", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error[resource]: {ENTAILMENT_VAR_CAP + 1} variables in one elimination bucket exceed"
+        f" the cap of {ENTAILMENT_VAR_CAP}"
+    ]
+
+
+def test_hypothesis_cap_comes_before_any_table(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(abduction, "project", fail)
+    wide = conjunction(Var(f"v{i}") for i in range(ENTAILMENT_VAR_CAP + 1))
+    many = frozenset(f"h{i}" for i in range(HYPOTHESIS_CAP + 1))
+    inst = AbductionInstance(many, frozenset({"a"}), frozenset({wide}))
+    with pytest.raises(
+        ResourceLimitError,
+        match=f"^{HYPOTHESIS_CAP + 1} hypotheses exceed the enumeration cap of {HYPOTHESIS_CAP}$",
+    ):
+        solve(inst)
+
+
+def test_kept_set_cap_names_the_kept_variables():
+    hyps = frozenset(f"h{i}" for i in range(HYPOTHESIS_CAP))
+    mans = frozenset(f"m{i}" for i in range(ENTAILMENT_VAR_CAP + 1 - HYPOTHESIS_CAP))
+    with pytest.raises(
+        ResourceLimitError,
+        match=f"^{ENTAILMENT_VAR_CAP + 1} kept variables exceed the cap of {ENTAILMENT_VAR_CAP}$",
+    ):
+        solve(AbductionInstance(hyps, mans, frozenset()))

@@ -1,5 +1,6 @@
 """Formula AST, substitution, evaluation, and the exact semantic checks."""
 
+import random
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from qraise.errors import ContractError, EvaluationError, ResourceLimitError
 from qraise.formulas import (
+    ENTAILMENT_VAR_CAP,
     And,
     Const,
     FALSE,
@@ -21,8 +23,11 @@ from qraise.formulas import (
     consistent,
     entails,
     evaluate,
+    project,
     size,
     substitute,
+    truth_table,
+    universe,
     variables,
 )
 
@@ -171,3 +176,69 @@ def test_conjunction_fold():
     assert conjunction([]) == TRUE
     assert conjunction([X]) == X
     assert conjunction([X, Y, A]) == And(And(X, Y), A)
+
+
+def _brute_projection(fs, keep):
+    """Projection by walking every row of the full table: a row that
+    satisfies every formula sets the bit of its kept variables' values."""
+    kept = sorted(set(keep))
+    full = universe(sorted(set(kept).union(*map(variables, fs))))
+    table = full.full
+    for f in fs:
+        table &= truth_table(f, full.order, full.width)
+    out = 0
+    for row in range(1 << full.width):
+        if table >> row & 1:
+            index = sum(1 << i for i, name in enumerate(kept) if row >> full.order[name] & 1)
+            out |= 1 << index
+    return kept, out
+
+
+def _random_theory_formula(rng, names, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return Const(rng.random() < 0.5) if rng.random() < 0.08 else Var(rng.choice(names))
+    if rng.random() < 0.2:
+        return Not(_random_theory_formula(rng, names, depth - 1))
+    ctor = rng.choice([And, Or, Implies, Iff])
+    return ctor(
+        _random_theory_formula(rng, names, depth - 1), _random_theory_formula(rng, names, depth - 1)
+    )
+
+
+class TestProject:
+    def test_matches_brute_force_projection(self):
+        rng = random.Random(41)
+        for _ in range(1500):
+            names = [f"v{i}" for i in range(rng.randint(1, 8))]
+            fs = [
+                _random_theory_formula(rng, names, rng.randint(0, 4))
+                for _ in range(rng.randint(0, 5))
+            ]
+            # keep may name variables no formula mentions, or none at all
+            keep = [n for n in names + ["w"] if rng.random() < 0.4]
+            u, table = project(fs, keep)
+            kept, expected = _brute_projection(fs, keep)
+            assert list(u.order) == kept
+            assert table == expected, (fs, keep)
+
+    def test_edge_cases(self):
+        assert project([], []) == (universe([]), 1)
+        assert project([], ["b", "a"])[1] == universe(["a", "b"]).full
+        assert project([X, Not(X)], [])[1] == 0
+        assert project([Or(X, Y)], ["y"])[1] == 0b11
+        assert project([FALSE, A], ["a"])[1] == 0
+        u, table = project([Implies(X, A), X], ["a"])
+        assert (u.order, table) == ({"a": 0}, 0b10)
+
+    def test_cap_bounds_each_bucket_not_the_whole_set(self):
+        chain = [Implies(Var(f"v{i}"), Var(f"v{i + 1}")) for i in range(40)]
+        u, table = project(chain + [Var("v0")], ["v40"])
+        assert table == 0b10
+        size, cap = ENTAILMENT_VAR_CAP + 1, ENTAILMENT_VAR_CAP
+        wide = conjunction(Var(f"v{i}") for i in range(size))
+        bucket = f"^{size} variables in one elimination bucket exceed the cap of {cap}$"
+        with pytest.raises(ResourceLimitError, match=bucket):
+            project([wide], ["v0"])
+        kept = f"^{size} kept variables exceed the cap of {cap}$"
+        with pytest.raises(ResourceLimitError, match=kept):
+            project([], [f"k{i}" for i in range(size)])
