@@ -218,9 +218,7 @@ def serialize_instance(instance: AbductionInstance) -> str:
         f"H: {' '.join(sorted(instance.hypotheses))}".rstrip(),
         f"M: {' '.join(sorted(instance.manifestations))}".rstrip(),
     ]
-    lines.extend(
-        f"T: {serialize_formula(f)}" for f in sorted(instance.theory, key=serialize_formula)
-    )
+    lines.extend(f"T: {text}" for text in sorted(map(serialize_formula, instance.theory)))
     return "\n".join(lines) + "\n"
 
 

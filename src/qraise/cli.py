@@ -149,8 +149,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 2
     except RecursionError as exc:
-        # Deeply nested input overflows the recursive parser and AST walks;
-        # a traceback's exit status 1 would read as a "no".
+        # Deeply nested input still overflows the formula walks that recurse:
+        # evaluate, truth_table, substitute and the dataclass __hash__/__eq__.
+        # A traceback's exit status 1 would read as a "no".
         print(f"error[internal]: input nested too deeply: {exc}", file=sys.stderr)
         return 2
 

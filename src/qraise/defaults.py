@@ -292,7 +292,7 @@ def serialize_theory(theory: DefaultTheory, query: str | None = None) -> str:
             f"{serialize_formula(d.prerequisite)} : {serialize_formula(d.justification)}"
             f" / {serialize_formula(d.consequence)}"
         )
-    lines.extend(f"W: {serialize_formula(f)}" for f in sorted(theory.background, key=serialize_formula))
+    lines.extend(f"W: {text}" for text in sorted(map(serialize_formula, theory.background)))
     if query is not None:
         lines.append(f"query: {query}")
     return "\n".join(lines) + "\n"

@@ -18,13 +18,21 @@ insignificant; serialization is line oriented.
 Names starting with ``_`` are reserved for generated gadget variables:
 ``parse_qbf`` rejects them in user input, while ``parse_formula`` accepts
 them so that generated instance files round-trip.
+
+Neither direction recurses, so nesting depth is bounded only by memory.
+The grammar's binary levels are one table, ``_BINARY``, giving each
+connective its strength; the arrows associate right, ``|`` and ``&``
+left. ``_formula`` is one operator-precedence loop (Dijkstra's
+shunting-yard) over a stack of operands and a stack of pending ``(``,
+``!`` and connectives. ``serialize_formula`` emits pieces left to right
+from an explicit stack: whether a child needs parentheses depends only on
+its own connective and its parent's. Tokens are ``(kind, text, offset)``
+triples; a ``ParseError`` turns the offset into a line and column.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import ParseError
 from .formulas import And, Const, Formula, Iff, Implies, Not, Or, Var, variables
@@ -33,201 +41,174 @@ from .qbf import Qbf, Quantifier
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<arrow><->|->)
-  | (?P<punct>[()!&|;:])
+  | (?P<op><->|->|[()!&|;:])
   | (?P<ident>[A-Za-z_](?:[A-Za-z0-9_+^]|-(?!>))*)
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 _KEYWORDS = {"true", "false", "exists", "forall"}
 
+# Binary connectives by symbol: (strength, node). Larger binds tighter;
+# ``!`` binds tighter than all of them, at strength 5.
+_BINARY = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And)}
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # 'ident', 'op', or 'end'
-    text: str
-    line: int
-    column: int
+# (kind, text, offset) per token; kind is 'op', 'ident' or 'end'.
+_Tokens = list[tuple[str, str, int]]
 
 
-def _tokenize(text: str) -> Iterator[_Token]:
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        column = pos - line_start + 1
-        if m.lastgroup == "ws":
-            chunk = m.group()
-            newlines = chunk.count("\n")
-            if newlines:
-                line += newlines
-                line_start = pos + chunk.rindex("\n") + 1
-        elif m.lastgroup == "ident":
-            yield _Token("ident", m.group(), line, column)
+def _error(text: str, offset: int, message: str) -> ParseError:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, line_start) + 1, offset - line_start + 1)
+
+
+def _tokenize(text: str) -> _Tokens:
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise _error(text, m.start(), f"unexpected character {m.group()!r}")
+        if kind != "ws":
+            tokens.append((kind, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def _expect(text: str, tokens: _Tokens, i: int, symbol: str) -> int:
+    """The index after ``tokens[i]``, which must be ``symbol``."""
+    if tokens[i][1] != symbol:
+        found = tokens[i][1] or "end of input"
+        raise _error(text, tokens[i][2], f"expected {symbol!r}, found {found!r}")
+    return i + 1
+
+
+def _reduce(operands: list[Formula], pending: list[str], strength: int) -> None:
+    """Apply the pending operators above the innermost ``(`` that bind at
+    least ``strength`` tightly."""
+    while pending and pending[-1] != "(":
+        if pending[-1] == "!":
+            operands.append(Not(operands.pop()))
         else:
-            yield _Token("op", m.group(), line, column)
-        pos = m.end()
-    yield _Token("end", "", line, len(text) - line_start + 1)
+            own, node = _BINARY[pending[-1]]
+            if own < strength:
+                return
+            right = operands.pop()
+            operands.append(node(operands.pop(), right))
+        pending.pop()
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self._tokens = list(_tokenize(text))
-        self._pos = 0
+def _formula(text: str, tokens: _Tokens, i: int) -> tuple[Formula, int]:
+    """Parse the formula that starts at ``tokens[i]``; return it and the
+    index of the first token after it."""
+    operands: list[Formula] = []
+    pending: list[str] = []
+    while True:
+        kind, word, offset = tokens[i]
+        i += 1
+        if word in ("!", "("):
+            pending.append(word)
+            continue
+        if kind != "ident":
+            raise _error(text, offset, f"expected a formula, found {word or 'end of input'!r}")
+        if word in ("exists", "forall"):
+            raise _error(text, offset, f"keyword {word!r} is not a formula")
+        operands.append(Const(word == "true") if word in ("true", "false") else Var(word))
+        # The operand is complete: close groups until a connective follows.
+        while tokens[i][1] not in _BINARY:
+            _reduce(operands, pending, 0)
+            if not pending:
+                return operands[0], i
+            i = _expect(text, tokens, i, ")")
+            pending.pop()
+        own, _ = _BINARY[tokens[i][1]]
+        _reduce(operands, pending, own + (own <= 2))  # the arrows associate right
+        pending.append(tokens[i][1])
+        i += 1
 
-    @property
-    def current(self) -> _Token:
-        return self._tokens[self._pos]
 
-    def advance(self) -> _Token:
-        tok = self._tokens[self._pos]
-        if tok.kind != "end":
-            self._pos += 1
-        return tok
-
-    def accept(self, text: str) -> bool:
-        if self.current.kind == "op" and self.current.text == text:
-            self.advance()
-            return True
-        return False
-
-    def expect(self, text: str) -> None:
-        if not self.accept(text):
-            tok = self.current
-            shown = tok.text or "end of input"
-            raise ParseError(f"expected {text!r}, found {shown!r}", tok.line, tok.column)
-
-    def fail(self, message: str) -> ParseError:
-        tok = self.current
-        return ParseError(message, tok.line, tok.column)
-
-    # formula levels, loosest first
-
-    def formula(self) -> Formula:
-        left = self.implication()
-        if self.accept("<->"):
-            return Iff(left, self.formula())
-        return left
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.accept("->"):
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.accept("|"):
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.negation()
-        while self.accept("&"):
-            left = And(left, self.negation())
-        return left
-
-    def negation(self) -> Formula:
-        if self.accept("!"):
-            return Not(self.negation())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.current
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "true":
-                return Const(True)
-            if tok.text == "false":
-                return Const(False)
-            if tok.text in _KEYWORDS:
-                raise ParseError(f"keyword {tok.text!r} is not a formula", tok.line, tok.column)
-            return Var(tok.text)
-        if self.accept("("):
-            inner = self.formula()
-            self.expect(")")
-            return inner
-        shown = tok.text or "end of input"
-        raise ParseError(f"expected a formula, found {shown!r}", tok.line, tok.column)
+def _expect_end(text: str, tokens: _Tokens, i: int) -> None:
+    if tokens[i][0] != "end":
+        raise _error(text, tokens[i][2], f"unexpected trailing input {tokens[i][1]!r}")
 
 
 def parse_formula(text: str) -> Formula:
     """Parse a bare formula; trailing garbage is an error."""
-    parser = _Parser(text)
-    result = parser.formula()
-    if parser.current.kind != "end":
-        raise parser.fail(f"unexpected trailing input {parser.current.text!r}")
+    tokens = _tokenize(text)
+    result, i = _formula(text, tokens, 0)
+    _expect_end(text, tokens, i)
     return result
 
 
 def parse_qbf(text: str) -> Qbf:
     """Parse a closed QBF in the quantifier-lines format."""
-    parser = _Parser(text)
+    tokens = _tokenize(text)
     prefix: list[tuple[Quantifier, str]] = []
     seen: set[str] = set()
-    while parser.current.kind == "ident" and parser.current.text in ("exists", "forall"):
-        quant = Quantifier.EXISTS if parser.current.text == "exists" else Quantifier.FORALL
-        parser.advance()
+    i = 0
+    while tokens[i][1] in ("exists", "forall"):
+        quant = Quantifier.EXISTS if tokens[i][1] == "exists" else Quantifier.FORALL
+        i += 1
         group: list[str] = []
-        while parser.current.kind == "ident":
-            tok = parser.advance()
-            if tok.text in _KEYWORDS:
-                raise ParseError(f"keyword {tok.text!r} cannot be quantified", tok.line, tok.column)
-            if tok.text.startswith("_"):
-                raise ParseError(
-                    f"variable {tok.text!r} uses the reserved '_' prefix", tok.line, tok.column
-                )
-            if tok.text in seen:
-                raise ParseError(f"duplicate prefix variable {tok.text!r}", tok.line, tok.column)
-            seen.add(tok.text)
-            group.append(tok.text)
+        while tokens[i][0] == "ident":
+            _, name, offset = tokens[i]
+            if name in _KEYWORDS:
+                raise _error(text, offset, f"keyword {name!r} cannot be quantified")
+            if name.startswith("_"):
+                raise _error(text, offset, f"variable {name!r} uses the reserved '_' prefix")
+            if name in seen:
+                raise _error(text, offset, f"duplicate prefix variable {name!r}")
+            seen.add(name)
+            group.append(name)
+            i += 1
         if not group:
-            raise parser.fail("expected at least one variable after the quantifier")
-        parser.expect(";")
+            raise _error(text, tokens[i][2], "expected at least one variable after the quantifier")
+        i = _expect(text, tokens, i, ";")
         prefix.extend((quant, name) for name in group)
-    parser.expect(":")
-    matrix = parser.formula()
-    if parser.current.kind != "end":
-        raise parser.fail(f"unexpected trailing input {parser.current.text!r}")
+    matrix, i = _formula(text, tokens, _expect(text, tokens, i, ":"))
+    _expect_end(text, tokens, i)
     free = sorted(variables(matrix) - seen)
     if free:
-        raise ParseError(f"free variable {free[0]}", parser.current.line, parser.current.column)
+        raise _error(text, len(text), f"free variable {free[0]}")
     return Qbf(tuple(prefix), matrix)
 
 
 # --- serialization -----------------------------------------------------------
 
-_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
+_SYMBOL = {node: (f" {symbol} ", own) for symbol, (own, node) in _BINARY.items()}
+_STRENGTH = {node: own for own, node in _BINARY.values()} | {Not: 5}
 
 
-def _prec(f: Formula) -> int:
-    return _PREC.get(type(f), 6)
+def _push(stack: list[Formula | str], child: Formula, least: int) -> None:
+    """Schedule ``child``, in parentheses if it binds less than ``least``."""
+    if _STRENGTH.get(type(child), 6) < least:
+        stack += (")", child, "(")
+    else:
+        stack.append(child)
 
 
 def serialize_formula(f: Formula) -> str:
     """Render with minimal parentheses; ``parse_formula`` inverts exactly."""
-    if isinstance(f, Const):
-        return "true" if f.value else "false"
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Not):
-        inner = serialize_formula(f.operand)
-        if _prec(f.operand) < 5:
-            inner = f"({inner})"
-        return f"!{inner}"
-    symbol, own = {And: ("&", 4), Or: ("|", 3), Implies: ("->", 2), Iff: ("<->", 1)}[type(f)]
-    right_assoc = own <= 2
-    left = serialize_formula(f.left)  # type: ignore[union-attr]
-    right = serialize_formula(f.right)  # type: ignore[union-attr]
-    if _prec(f.left) < own or (right_assoc and _prec(f.left) == own):  # type: ignore[union-attr]
-        left = f"({left})"
-    if _prec(f.right) < own or (not right_assoc and _prec(f.right) == own):  # type: ignore[union-attr]
-        right = f"({right})"
-    return f"{left} {symbol} {right}"
+    out: list[str] = []
+    stack: list[Formula | str] = [f]  # what is left to render, next piece last
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Const):
+            out.append("true" if item.value else "false")
+        elif isinstance(item, Var):
+            out.append(item.name)
+        elif isinstance(item, Not):
+            out.append("!")
+            _push(stack, item.operand, 5)
+        else:
+            symbol, own = _SYMBOL[type(item)]
+            right_assoc = own <= 2
+            _push(stack, item.right, own + (not right_assoc))
+            stack.append(symbol)
+            _push(stack, item.left, own + right_assoc)
+    return "".join(out)
 
 
 def serialize_qbf(q: Qbf) -> str:

@@ -115,6 +115,49 @@ class TestInternalErrors:
         assert err.startswith("error[internal]: plan failed replay") and err.count("\n") == 1
 
 
+class TestDeepInput:
+    """The three deep inputs decide like ``exists x; : x`` or give one
+    ``error[internal]`` line: the parser and serializer take any depth, but
+    ``evaluate``, ``truth_table`` and ``substitute`` still recurse."""
+
+    DEEP = {
+        "conjunction": "exists x; : " + " & ".join(["x"] * 5000),
+        "negation": "exists x; : " + "!" * 5000 + "x",
+        "parentheses": "exists x; : " + "(" * 3000 + "x" + ")" * 3000,
+    }
+
+    @staticmethod
+    def outcomes(capsys, tmp_path, source):
+        """(command, exit code, stdout, stderr) of validate, and of reduce
+        and then solve on the reduced file for every target."""
+        results = [("validate",) + run_cli(capsys, "validate", str(source))]
+        for target in ("abduction", "default", "planning"):
+            instance = tmp_path / f"{source.stem}.{target}"
+            reduced = run_cli(capsys, "reduce", "--target", target, str(source), "-o", str(instance))
+            results.append((f"reduce {target}",) + reduced)
+            if reduced[0] == 0:
+                solved = run_cli(capsys, "solve", "--target", target, str(instance))
+                results.append((f"solve {target}",) + solved)
+        return results
+
+    def test_three_thousand_parentheses_validate(self, capsys, qbf_file):
+        code, out, err = run_cli(capsys, "validate", str(qbf_file(self.DEEP["parentheses"])))
+        assert (code, out, err) == (0, "valid\n", "")
+
+    @pytest.mark.parametrize("shape", sorted(DEEP))
+    def test_decides_as_shallow_or_one_internal_error(self, capsys, tmp_path, qbf_file, shape):
+        shallow = {
+            command: (code, out.split()[:1])
+            for command, code, out, _ in self.outcomes(capsys, tmp_path, qbf_file("exists x; : x", "shallow.qbf"))
+        }
+        assert all(code == 0 for code, _ in shallow.values()) and len(shallow) == 7
+        for command, code, out, err in self.outcomes(capsys, tmp_path, qbf_file(self.DEEP[shape], "deep.qbf")):
+            if code == 2:
+                assert out == "" and err.startswith("error[internal]:") and err.count("\n") == 1, command
+            else:
+                assert (code, out.split()[:1]) == shallow[command] and err == "", command
+
+
 class TestCheckAndGrowth:
     def test_exhaustive_check_passes(self, capsys):
         code, out, _ = run_cli(

@@ -1,11 +1,22 @@
-"""Grammar, precedence, error positions, and round-trip identity."""
+"""Grammar, precedence, error positions, and round-trip identity.
+
+The recursive-descent parser and recursive serializer that the iterative
+text layer replaced are kept below as reference implementations: random
+token strings must parse to the same AST or fail with the same message,
+line and column, and random formulas must serialize to the same bytes.
+"""
+
+import random
+import re
+from dataclasses import dataclass
+from typing import Iterator
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qraise.errors import ParseError
-from qraise.formulas import And, FALSE, Iff, Implies, Not, Or, TRUE, Var
+from qraise.formulas import And, Const, FALSE, Formula, Iff, Implies, Not, Or, TRUE, Var, variables
 from qraise.parsing import (
     parse_formula,
     parse_qbf,
@@ -16,6 +27,256 @@ from qraise.parsing import (
 from qraise.qbf import Qbf, Quantifier
 
 from test_formulas import formulas
+
+# --- reference implementations: the recursive text layer ----------------------
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<arrow><->|->)
+  | (?P<punct>[()!&|;:])
+  | (?P<ident>[A-Za-z_](?:[A-Za-z0-9_+^]|-(?!>))*)
+    """,
+    re.VERBOSE,
+)
+
+_KEYWORDS = {"true", "false", "exists", "forall"}
+
+
+@dataclass(frozen=True, slots=True)
+class _Token:
+    kind: str  # 'ident', 'op', or 'end'
+    text: str
+    line: int
+    column: int
+
+
+def _tokenize(text: str) -> Iterator[_Token]:
+    pos = 0
+    line = 1
+    line_start = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+        column = pos - line_start + 1
+        if m.lastgroup == "ws":
+            chunk = m.group()
+            newlines = chunk.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos + chunk.rindex("\n") + 1
+        elif m.lastgroup == "ident":
+            yield _Token("ident", m.group(), line, column)
+        else:
+            yield _Token("op", m.group(), line, column)
+        pos = m.end()
+    yield _Token("end", "", line, len(text) - line_start + 1)
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self._tokens = list(_tokenize(text))
+        self._pos = 0
+
+    @property
+    def current(self) -> _Token:
+        return self._tokens[self._pos]
+
+    def advance(self) -> _Token:
+        tok = self._tokens[self._pos]
+        if tok.kind != "end":
+            self._pos += 1
+        return tok
+
+    def accept(self, text: str) -> bool:
+        if self.current.kind == "op" and self.current.text == text:
+            self.advance()
+            return True
+        return False
+
+    def expect(self, text: str) -> None:
+        if not self.accept(text):
+            tok = self.current
+            shown = tok.text or "end of input"
+            raise ParseError(f"expected {text!r}, found {shown!r}", tok.line, tok.column)
+
+    def fail(self, message: str) -> ParseError:
+        tok = self.current
+        return ParseError(message, tok.line, tok.column)
+
+    # formula levels, loosest first
+
+    def formula(self) -> Formula:
+        left = self.implication()
+        if self.accept("<->"):
+            return Iff(left, self.formula())
+        return left
+
+    def implication(self) -> Formula:
+        left = self.disjunction()
+        if self.accept("->"):
+            return Implies(left, self.implication())
+        return left
+
+    def disjunction(self) -> Formula:
+        left = self.conjunction()
+        while self.accept("|"):
+            left = Or(left, self.conjunction())
+        return left
+
+    def conjunction(self) -> Formula:
+        left = self.negation()
+        while self.accept("&"):
+            left = And(left, self.negation())
+        return left
+
+    def negation(self) -> Formula:
+        if self.accept("!"):
+            return Not(self.negation())
+        return self.atom()
+
+    def atom(self) -> Formula:
+        tok = self.current
+        if tok.kind == "ident":
+            self.advance()
+            if tok.text == "true":
+                return Const(True)
+            if tok.text == "false":
+                return Const(False)
+            if tok.text in _KEYWORDS:
+                raise ParseError(f"keyword {tok.text!r} is not a formula", tok.line, tok.column)
+            return Var(tok.text)
+        if self.accept("("):
+            inner = self.formula()
+            self.expect(")")
+            return inner
+        shown = tok.text or "end of input"
+        raise ParseError(f"expected a formula, found {shown!r}", tok.line, tok.column)
+
+
+def reference_parse_formula(text: str) -> Formula:
+    parser = _Parser(text)
+    result = parser.formula()
+    if parser.current.kind != "end":
+        raise parser.fail(f"unexpected trailing input {parser.current.text!r}")
+    return result
+
+
+def reference_parse_qbf(text: str) -> Qbf:
+    parser = _Parser(text)
+    prefix: list[tuple[Quantifier, str]] = []
+    seen: set[str] = set()
+    while parser.current.kind == "ident" and parser.current.text in ("exists", "forall"):
+        quant = Quantifier.EXISTS if parser.current.text == "exists" else Quantifier.FORALL
+        parser.advance()
+        group: list[str] = []
+        while parser.current.kind == "ident":
+            tok = parser.advance()
+            if tok.text in _KEYWORDS:
+                raise ParseError(f"keyword {tok.text!r} cannot be quantified", tok.line, tok.column)
+            if tok.text.startswith("_"):
+                raise ParseError(
+                    f"variable {tok.text!r} uses the reserved '_' prefix", tok.line, tok.column
+                )
+            if tok.text in seen:
+                raise ParseError(f"duplicate prefix variable {tok.text!r}", tok.line, tok.column)
+            seen.add(tok.text)
+            group.append(tok.text)
+        if not group:
+            raise parser.fail("expected at least one variable after the quantifier")
+        parser.expect(";")
+        prefix.extend((quant, name) for name in group)
+    parser.expect(":")
+    matrix = parser.formula()
+    if parser.current.kind != "end":
+        raise parser.fail(f"unexpected trailing input {parser.current.text!r}")
+    free = sorted(variables(matrix) - seen)
+    if free:
+        raise ParseError(f"free variable {free[0]}", parser.current.line, parser.current.column)
+    return Qbf(tuple(prefix), matrix)
+
+
+_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
+
+
+def _prec(f: Formula) -> int:
+    return _PREC.get(type(f), 6)
+
+
+def reference_serialize_formula(f: Formula) -> str:
+    if isinstance(f, Const):
+        return "true" if f.value else "false"
+    if isinstance(f, Var):
+        return f.name
+    if isinstance(f, Not):
+        inner = reference_serialize_formula(f.operand)
+        if _prec(f.operand) < 5:
+            inner = f"({inner})"
+        return f"!{inner}"
+    symbol, own = {And: ("&", 4), Or: ("|", 3), Implies: ("->", 2), Iff: ("<->", 1)}[type(f)]
+    right_assoc = own <= 2
+    left = reference_serialize_formula(f.left)
+    right = reference_serialize_formula(f.right)
+    if _prec(f.left) < own or (right_assoc and _prec(f.left) == own):
+        left = f"({left})"
+    if _prec(f.right) < own or (not right_assoc and _prec(f.right) == own):
+        right = f"({right})"
+    return f"{left} {symbol} {right}"
+
+
+# --- random inputs for the differential tests ---------------------------------
+
+_OPERATORS = ["!", "&", "|", "->", "<->", "(", ")"]
+_WORDS = ["x", "y", "z", "true", "false", "exists", "forall", "_p1", "a+", "x-y", "x->y"]
+_ODD = ["-", "%", "\u00e9", ";", ":"]
+_SPACE = [" ", " ", " ", "", "\n", "\r", "\t"]
+_BINDING_GROUPS = ["exists x y;", "forall z a+;", "exists x-y;"]
+_ODD_GROUPS = [
+    "exists ;", "forall x;", "exists _p1;", "forall true;", "exists x\n;", "forall", "exists x",
+]
+
+
+def _random_formula(rng: random.Random, depth: int) -> Formula:
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([TRUE, FALSE, Var("x"), Var("y"), Var("z"), Var("_p1"), Var("a+")])
+    if rng.random() < 0.2:
+        return Not(_random_formula(rng, depth - 1))
+    node = rng.choice([And, Or, Implies, Iff])
+    return node(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
+
+
+def _random_text(rng: random.Random) -> str:
+    """A formula-like token string: either random pieces, or a serialized
+    random formula with redundant parentheses and a few pieces edited."""
+    if rng.random() < 0.5:
+        pieces = [
+            rng.choice(_WORDS if rng.random() < 0.45 else _OPERATORS if rng.random() < 0.9 else _ODD)
+            for _ in range(rng.randint(0, 12))
+        ]
+    else:
+        pieces = re.findall(r"<->|->|[()!&|]|[^\s()!&|<-]+", reference_serialize_formula(
+            _random_formula(rng, rng.randint(0, 5))
+        ))
+        for _ in range(rng.randint(0, 2)):
+            edit = rng.random()
+            at = rng.randint(0, len(pieces))
+            if edit < 0.3:
+                pieces[at:at] = ["("]
+                close = rng.randint(at + 1, len(pieces))
+                pieces[close:close] = [")"]
+            elif edit < 0.65 and pieces:
+                del pieces[min(at, len(pieces) - 1)]
+            else:
+                pieces[at:at] = [rng.choice(_WORDS + _OPERATORS + _ODD)]
+    return "".join(piece + rng.choice(_SPACE) for piece in pieces)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
 
 
 class TestFormulaGrammar:
@@ -115,3 +376,56 @@ class TestQbfFormat:
         )
         q = Qbf(prefix, Or(Or(Var(names[0]), Var(names[1])), Var(names[2])))
         assert parse_qbf(serialize_qbf(q)) == q
+
+
+class TestAgainstRecursiveReference:
+    def test_random_token_strings_parse_alike(self):
+        rng = random.Random(7)
+        for _ in range(100_000):
+            body = _random_text(rng)
+            assert _outcome(parse_formula, body) == _outcome(reference_parse_formula, body), body
+            groups = rng.sample(_BINDING_GROUPS, rng.randint(0, 3))
+            if rng.random() < 0.3:
+                groups.insert(rng.randint(0, len(groups)), rng.choice(_ODD_GROUPS))
+            text = " ".join(groups)
+            text += rng.choice(_SPACE) + rng.choice([":", ":", ":", ""]) + body
+            assert _outcome(parse_qbf, text) == _outcome(reference_parse_qbf, text), text
+
+    def test_random_formulas_serialize_alike(self):
+        rng = random.Random(11)
+        for _ in range(50_000):
+            f = _random_formula(rng, rng.randint(0, 7))
+            assert serialize_formula(f) == reference_serialize_formula(f)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", "x", "(x", "x)", "((x)", "!", "!(", "x &", "& x", "x y", "x ; y", "exists",
+            "x & forall", "x -> -> y", "(x\n&\n)", "x\n\n  %", "\u00e9", "a -\n> b",
+            "x <-> y <-> z", "x -> y -> z", "x | y | z & w", "!!(x) & !(y | z)",
+            "((x -> y) <-> !z) | (true & false)",
+        ],
+    )
+    def test_edge_cases_parse_alike(self, text):
+        assert _outcome(parse_formula, text) == _outcome(reference_parse_formula, text)
+        for prefix in ("", ":", "exists x; :", "exists ;", "forall y z;\n: "):
+            qbf_text = prefix + text
+            assert _outcome(parse_qbf, qbf_text) == _outcome(reference_parse_qbf, qbf_text)
+
+
+class TestDeepInput:
+    def test_deep_mix_of_negation_and_conjunction_round_trips(self):
+        # Built as text in canonical form; strings are compared because the
+        # dataclass == on a 10^4-deep AST recurses.
+        rng = random.Random(3)
+        prefixes, suffixes, top = [], [], "x"
+        for _ in range(10_000):
+            if rng.random() < 0.5:
+                prefixes.append("!(" if top == "&" else "!")
+                suffixes.append(")" if top == "&" else "")
+                top = "!"
+            else:
+                suffixes.append(" & y")
+                top = "&"
+        text = "".join(reversed(prefixes)) + "x" + "".join(suffixes)
+        assert serialize_formula(parse_formula(text)) == text
