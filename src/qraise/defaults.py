@@ -13,6 +13,14 @@ background until nothing changes, reach all of it. The staged construction's
 table contains ``c`` while it stays inside the candidate, so it reproduces
 the candidate exactly when (c) and (d) hold.
 
+The tables leave out every private variable: one that occurs in a single
+formula object, used only as a background formula, a justification or a
+consequence (see ``_TheoryTables``). That formula's table is its
+projection by bucket elimination. ``ENTAILMENT_VAR_CAP`` therefore bounds
+the remaining variables and each projected formula's buckets, not the whole
+theory. A reduced theory's matrix variables occur only in the base
+default's body, so they never widen the tables.
+
 ``base_reduction`` encodes satisfiability of a matrix as skeptical
 entailment of a fresh query from a single-default theory.
 ``raise_universal`` merges the two theories obtained by fixing ``x``: two
@@ -34,6 +42,7 @@ from .formulas import (
     Not,
     TRUE,
     Var,
+    project,
     substitute,
     truth_table,
     universe,
@@ -97,24 +106,67 @@ class SkepticalResult:
 
 
 class _TheoryTables:
-    """Per-theory truth tables shared by all candidate generating sets."""
+    """Per-theory truth tables shared by all candidate generating sets.
+
+    A variable is private when it occurs in one formula object only, and
+    that object is used only positively: as a background formula, a
+    justification or a consequence. A variable of a prerequisite or of
+    ``extra`` (the goal) is never private. The universe holds the other
+    variables, and each formula with private variables is tabulated with
+    them projected out (``formulas.project``).
+
+    This is sound because every test on these tables (``_accepts``, the
+    prune in ``_extensions``, ``skeptically_entails``) asks whether some
+    positive tables, with at most one negated prerequisite or goal, have a
+    common satisfying assignment. A private variable ``v`` occurs in one
+    conjunct ``F`` only (``F`` may repeat, and ``F & F = F``), and if ``v``
+    does not occur in ``G`` then ``exists v (F & G) = (exists v F) & G``.
+
+    Formulas are told apart by identity: two equal but separate objects
+    share their variables, so neither can project them out. Tables are
+    memoized by ``id`` too, so a default whose justification is its
+    consequence is tabulated once. Equality would hash whole trees.
+    """
 
     def __init__(self, theory: DefaultTheory, extra: Iterable[Formula] = ()):
-        names = set(theory.all_variables())
-        for f in extra:
-            names |= variables(f)
-        self.universe = universe(sorted(names))
-        self.full = self.universe.full
+        extra = list(extra)
+        self._held = theory, extra  # so that no id in ``_tables`` is reused
+        negative = [d.prerequisite for d in theory.defaults] + extra
+        positive = [*theory.background]
+        for d in theory.defaults:
+            positive += (d.justification, d.consequence)
+        found: dict[int, tuple[Formula, frozenset[str]]] = {}  # by id: formula, variables
+        kept: set[str] = set()  # variables of a negative formula or of two objects
+        for f in negative:
+            if id(f) not in found:
+                names = variables(f)
+                found[id(f)] = f, names
+                kept |= names
+        seen = set(kept)
+        for f in positive:
+            if id(f) not in found:
+                names = variables(f)
+                found[id(f)] = f, names
+                kept |= seen & names
+                seen |= names
+        u = self.universe = universe(sorted(kept))
+        self.full = u.full
+        self._tables = {
+            key: truth_table(f, u.order, u.width) if names <= kept else project([f], u.order)[1]
+            for key, (f, names) in found.items()
+        }
+        tables = self._tables
         self.background = self.full
         for f in theory.background:
-            self.background &= self.table(f)
+            self.background &= tables[id(f)]
         # ``t & not_pre[i] == 0``: table ``t`` entails default i's prerequisite.
-        self.not_pre = [self.full ^ self.table(d.prerequisite) for d in theory.defaults]
-        self.just = [self.table(d.justification) for d in theory.defaults]
-        self.cons = [self.table(d.consequence) for d in theory.defaults]
+        self.not_pre = [self.full ^ tables[id(d.prerequisite)] for d in theory.defaults]
+        self.just = [tables[id(d.justification)] for d in theory.defaults]
+        self.cons = [tables[id(d.consequence)] for d in theory.defaults]
 
     def table(self, f: Formula) -> int:
-        return truth_table(f, self.universe.order, self.universe.width)
+        """The table of ``f``, which must be a formula object of the theory or ``extra``."""
+        return self._tables[id(f)]
 
 
 def _accepts(tables: _TheoryTables, mask: int, consequence: int | None = None) -> int | None:
@@ -168,23 +220,26 @@ def _enumeration_tables(theory: DefaultTheory, extra: Iterable[Formula] = ()) ->
 
 def _extensions(tables: _TheoryTables) -> Iterator[tuple[int, int]]:
     """Every extension as (generating-set bitmask, consequence table), masks ascending."""
-    count = len(tables.cons)
-    # Entries are (undecided defaults, chosen mask, table); the exclude branch is
-    # pushed last, so it pops first and masks ascend. A self-calling closure would
-    # form a reference cycle that keeps every table alive until a collection.
-    stack = [(count, 0, tables.background)]
+    # Entries are (undecided defaults, chosen mask, table, the chosen defaults'
+    # justification tables); the exclude branch is pushed last, so it pops first
+    # and masks ascend. A self-calling closure would form a reference cycle that
+    # keeps every table alive until a collection.
+    stack = [(len(tables.cons), 0, tables.background, ())]
     while stack:
-        undecided, mask, consequence = stack.pop()
+        undecided, mask, consequence, justifications = stack.pop()
         if not undecided:
             if _accepts(tables, mask, consequence) is not None:
                 yield mask, consequence
             continue
         i = undecided - 1
-        chosen = mask | 1 << i
         narrowed = consequence & tables.cons[i]
-        if all(narrowed & tables.just[j] for j in range(i, count) if chosen >> j & 1):
-            stack.append((i, chosen, narrowed))
-        stack.append((i, mask, consequence))
+        chosen = (tables.just[i],) + justifications
+        for just in chosen:
+            if not narrowed & just:
+                break
+        else:
+            stack.append((i, mask | 1 << i, narrowed, chosen))
+        stack.append((i, mask, consequence, justifications))
 
 
 def extensions(theory: DefaultTheory) -> tuple[ExtensionDescriptor, ...]:
@@ -317,9 +372,14 @@ def parse_theory(text: str) -> tuple[DefaultTheory, str | None]:
         head, _, rest = line.partition(":")
         justification_text, _, consequence_text = rest.partition("/")
         prerequisite = TRUE if not head.strip() else parse_formula(head)
-        defaults.append(
-            Default(prerequisite, parse_formula(justification_text), parse_formula(consequence_text))
-        )
+        justification = parse_formula(justification_text)
+        # One object for both, as in a reduced theory: _TheoryTables projects
+        # a variable out only when a single object holds it.
+        if consequence_text.strip() == justification_text.strip():
+            consequence = justification
+        else:
+            consequence = parse_formula(consequence_text)
+        defaults.append(Default(prerequisite, justification, consequence))
     return DefaultTheory(tuple(defaults), frozenset(background)), query
 
 

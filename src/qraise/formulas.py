@@ -25,7 +25,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractError, EvaluationError, ResourceLimitError
 
@@ -196,27 +196,41 @@ def _wave(position: int, width: int) -> int:
     return pattern
 
 
-def _insert(table: int, position: int, width: int) -> int:
-    """Lift a table over ``width - 1`` variables into ``width`` variables by
-    inserting, at bit ``position``, a variable the table does not depend on.
+def _insert(table: int, positions: Sequence[int], width: int) -> int:
+    """Lift a table over ``width - len(positions)`` variables into ``width``
+    variables by inserting, at each bit position in ``positions`` (ascending,
+    in the wider layout), a variable the table does not depend on.
 
-    Every assignment index moves up by its bits from ``position`` on, one
-    bit at a time from the highest down; then the copy at ``position``
-    clear is duplicated into ``position`` set."""
-    for k in range(width - 2, position - 1, -1):
-        high = table & _wave(k, width)
-        table = table ^ high | high << (1 << k)
-    return table | table << (1 << position)
+    Each old index bit moves up to its new position in one step, from the
+    highest down, so the positions it skips are already clear; then the
+    copy with an inserted bit clear is duplicated into that bit set."""
+    if not positions:
+        return table
+    low = positions[0]  # the bits below it stay put
+    targets = [k for k in range(low, width) if k not in positions]
+    for old in range(low + len(targets) - 1, low - 1, -1):
+        high = table & _wave(old, width)
+        table = table ^ high | high << ((1 << targets[old - low]) - (1 << old))
+    for position in positions:
+        table |= table << (1 << position)
+    return table
 
 
-def _remove(table: int, position: int, width: int) -> int:
-    """Existentially project the variable at bit ``position`` out of a
-    ``width``-variable table: OR its two halves together, then close the gap
-    with the inverse of ``_insert``'s moves, from the lowest bit up."""
-    table = (table | table >> (1 << position)) & ~_wave(position, width)
-    for k in range(position, width - 1):
-        high = table & _wave(k + 1, width)
-        table = table ^ high | high >> (1 << k)
+def _remove(table: int, positions: Sequence[int], width: int) -> int:
+    """Existentially project the variables at bit ``positions`` (ascending)
+    out of a ``width``-variable table: OR the two halves of each together,
+    then close the gaps with the inverse of ``_insert``'s moves, from the
+    lowest bit up."""
+    if not positions:
+        return table
+    for position in positions:
+        table = (table | table >> (1 << position)) & ~_wave(position, width)
+    new = positions[0]  # the bits below it stay put
+    for old in range(new + 1, width):
+        if old not in positions:
+            high = table & _wave(old, width)
+            table = table ^ high | high >> ((1 << old) - (1 << new))
+            new += 1
     return table
 
 
@@ -283,7 +297,9 @@ def project(formulas: Iterable[Formula], keep: Iterable[str]) -> tuple[Universe,
     variable outside ``keep`` is left, the one whose bucket (the factors
     that mention it) spans the fewest variables, ties broken by name, is
     eliminated: its bucket is conjoined in the universe of that span and
-    the variable is projected out, leaving one new factor. The rest is
+    the variable is projected out, leaving one new factor. When the bucket
+    is a single factor, every hidden variable that only this factor
+    mentions is projected out of it in the same universe. The rest is
     conjoined in the kept universe. Each universe built, every bucket and
     the kept set, is held to ``ENTAILMENT_VAR_CAP``; the whole variable set
     is not.
@@ -302,8 +318,16 @@ def project(formulas: Iterable[Formula], keep: Iterable[str]) -> tuple[Universe,
         u = universe(sorted(spans[hidden]), what="variables in one elimination bucket")
         bucket = [factor for factor in factors if hidden in factor[0]]
         factors = [factor for factor in factors if hidden not in factor[0]]
-        table = _remove(_conjoin(bucket, u), u.order[hidden], u.width)
-        factors.append((tuple(name for name in u.order if name != hidden), table))
+        gone = [hidden]
+        if len(bucket) == 1:
+            # Every hidden variable that no other factor mentions has this same
+            # bucket, so all of them go in this one universe.
+            gone = [
+                name for name in u.order
+                if name in spans and all(name not in names for names, _ in factors)
+            ]
+        table = _remove(_conjoin(bucket, u), [u.order[name] for name in gone], u.width)
+        factors.append((tuple(name for name in u.order if name not in gone), table))
 
 
 def _conjoin(factors: list[_Factor], u: Universe) -> int:
@@ -314,12 +338,8 @@ def _conjoin(factors: list[_Factor], u: Universe) -> int:
         if isinstance(factor, Formula):
             result &= truth_table(factor, u.order, u.width)
             continue
-        width = len(names)
-        for name, position in u.order.items():
-            if name not in names:
-                width += 1
-                factor = _insert(factor, position, width)
-        result &= factor
+        missing = [position for name, position in u.order.items() if name not in names]
+        result &= _insert(factor, missing, u.width)
     return result
 
 

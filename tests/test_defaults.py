@@ -6,9 +6,11 @@ import random
 import pytest
 
 from qraise import defaults
+from qraise.cli import main
 from qraise.defaults import (
     Default,
     DefaultTheory,
+    SkepticalResult,
     base_reduction,
     extensions,
     parse_theory,
@@ -20,9 +22,23 @@ from qraise.defaults import (
     verify_extension,
 )
 from qraise.errors import ContractError, ResourceLimitError, UnsupportedShapeError
-from qraise.formulas import And, Const, FALSE, Not, Or, TRUE, Var, entails
-from qraise.parsing import parse_qbf
-from qraise.qbf import qbf_valid
+from qraise.formulas import (
+    ENTAILMENT_VAR_CAP,
+    And,
+    Const,
+    FALSE,
+    Not,
+    Or,
+    TRUE,
+    Var,
+    entails,
+    project,
+    truth_table,
+    universe,
+    variables,
+)
+from qraise.parsing import parse_formula, parse_qbf, serialize_formula
+from qraise.qbf import Qbf, Quantifier, qbf_valid
 
 A, X, Y, P = Var("a"), Var("x"), Var("y"), Var("p")
 
@@ -167,8 +183,6 @@ def _random_formula(rng, names, depth):
 def test_lemma_merge_on_random_theories():
     """Extensions of the raised theory correspond to the branch extensions,
     with the branch literal and the guard adjoined; skeptical answers AND."""
-    from qraise.formulas import truth_table
-
     rng = random.Random(33)
     for _ in range(60):
         pool = ["x", "q0", "v1"]
@@ -362,3 +376,245 @@ class TestTheoryFormat:
     def test_malformed_line(self):
         with pytest.raises(Exception):
             parse_theory("not a default\n")
+
+    def test_equal_texts_parse_to_one_object(self):
+        theory, query = reduce_qbf(parse_qbf("forall x; exists y; : x <-> y"))
+        text = serialize_theory(theory, query)
+        parsed, _ = parse_theory(text)
+        assert all(d.justification is d.consequence for d in parsed.defaults)
+        assert serialize_theory(parsed, query) == text
+        spaced, _ = parse_theory(": a & x /a & x \n: a&x / a & x\n: a / a & x\n")
+        shared, unequal, other = spaced.defaults
+        assert shared.justification is shared.consequence
+        assert unequal.justification == unequal.consequence
+        assert unequal.justification is not unequal.consequence
+        assert other.justification is not other.consequence
+
+
+# --- projection against the full-table decider ----------------------------------
+
+class _FullTables:
+    """The tables before projection, kept as the reference: every formula is
+    tabulated over every variable of the theory and ``extra``."""
+
+    def __init__(self, theory, extra=()):
+        names = set(theory.all_variables())
+        for f in extra:
+            names |= variables(f)
+        self.universe = universe(sorted(names))
+        self.full = self.universe.full
+        self.background = self.full
+        for f in theory.background:
+            self.background &= self.table(f)
+        self.not_pre = [self.full ^ self.table(d.prerequisite) for d in theory.defaults]
+        self.just = [self.table(d.justification) for d in theory.defaults]
+        self.cons = [self.table(d.consequence) for d in theory.defaults]
+
+    def table(self, f):
+        return truth_table(f, self.universe.order, self.universe.width)
+
+
+def _full_accepts(tables, mask, consequence=None):
+    count = len(tables.cons)
+    if consequence is None:
+        consequence = tables.background
+        for i in range(count):
+            if mask >> i & 1:
+                consequence &= tables.cons[i]
+    if mask and not consequence:
+        return None
+    for i in range(count):
+        compatible = consequence & tables.just[i] != 0
+        if mask >> i & 1:
+            if not compatible:
+                return None
+        elif compatible and consequence & tables.not_pre[i] == 0:
+            return None
+    reached, current, grew = 0, tables.background, True
+    while grew:
+        grew = False
+        for i in range(count):
+            if (mask & ~reached) >> i & 1 and current & tables.not_pre[i] == 0:
+                reached |= 1 << i
+                current &= tables.cons[i]
+                grew = True
+    return consequence if reached == mask else None
+
+
+def _full_extensions(tables):
+    count = len(tables.cons)
+    stack = [(count, 0, tables.background)]
+    while stack:
+        undecided, mask, consequence = stack.pop()
+        if not undecided:
+            if _full_accepts(tables, mask, consequence) is not None:
+                yield mask, consequence
+            continue
+        i = undecided - 1
+        chosen = mask | 1 << i
+        narrowed = consequence & tables.cons[i]
+        if all(narrowed & tables.just[j] for j in range(i, count) if chosen >> j & 1):
+            stack.append((i, chosen, narrowed))
+        stack.append((i, mask, consequence))
+
+
+def _full_skeptical(theory, goal):
+    tables = _FullTables(theory, [goal])
+    goal_gap = tables.full ^ tables.table(goal)
+    found = [consequence for _, consequence in _full_extensions(tables)]
+    holds = all(consequence & goal_gap == 0 for consequence in found)
+    return SkepticalResult(holds=holds, vacuous=not found, extension_count=len(found))
+
+
+def _assert_matches_full_tables(theory, goal):
+    """Same extension masks in the same order as the reference, each
+    consequence table the projection of the background and the chosen
+    consequences, and the same skeptical answer. Returns (variables projected
+    out, extension count)."""
+    tables = defaults._enumeration_tables(theory, [goal])
+    reference = _FullTables(theory, [goal])
+    got = list(defaults._extensions(tables))
+    want = list(_full_extensions(reference))
+    assert [mask for mask, _ in got] == [mask for mask, _ in want]
+    for mask, table in got:
+        chosen = [d.consequence for i, d in enumerate(theory.defaults) if mask >> i & 1]
+        assert table == project([*theory.background, *chosen], tables.universe.order)[1]
+    assert skeptically_entails(theory, goal) == _full_skeptical(theory, goal)
+    return reference.universe.width - tables.universe.width, len(want)
+
+
+def _pooled_theory(rng):
+    """A theory whose components are drawn from a pool of shared objects.
+    Each pool object may own variables no other object mentions; it becomes
+    private unless the object also serves as a prerequisite or the goal.
+    Some objects have an equal but separate copy in the pool."""
+    common = ["x", "y", "q0"]
+    pool = []
+    for k in range(rng.randint(2, 5)):
+        own = [f"v{k}_{j}" for j in range(rng.randint(0, 3))]
+        pool.append(_random_formula(rng, common + own, 3))
+    for f in rng.sample(pool, rng.randint(0, 2)):
+        pool.append(parse_formula(serialize_formula(f)))
+    pool += [Var(rng.choice(common)), Not(Var(rng.choice(common)))]
+
+    def pick():
+        return TRUE if rng.random() < 0.05 else rng.choice(pool)
+
+    made = []
+    for _ in range(rng.randint(0, 5)):
+        prerequisite = TRUE if rng.random() < 0.6 else pick()
+        justification = pick()
+        made.append(
+            Default(prerequisite, justification, justification if rng.random() < 0.6 else pick())
+        )
+    if rng.random() < 0.5:
+        literal = Var(rng.choice(common))
+        for side in (literal, Not(literal)):
+            made.insert(rng.randint(0, len(made)), Default(TRUE, side, side))
+    background = frozenset(rng.sample(pool, rng.randint(0, 1)) if rng.random() < 0.3 else ())
+    goal = rng.choice([Var("q0"), Var("x"), pick()])
+    return DefaultTheory(tuple(made), background), goal
+
+
+def test_projection_matches_full_tables_on_pooled_theories():
+    rng = random.Random(808)
+    projected = several = 0
+    for _ in range(1500):
+        theory, goal = _pooled_theory(rng)
+        hidden, count = _assert_matches_full_tables(theory, goal)
+        projected += hidden > 0
+        several += count > 1
+    assert projected > 500 and several > 200
+
+
+def test_projection_matches_full_tables_on_reductions():
+    """Forall*-exists* reductions with up to 5 universals, decided as built
+    and after a text round trip, which must project the same variables."""
+    rng = random.Random(809)
+    answers = []
+    for _ in range(60):
+        universal, existential = rng.randint(0, 5), rng.randint(1, 4)
+        xs = [f"x{i + 1}" for i in range(universal)]
+        ys = [f"y{i + 1}" for i in range(existential)]
+        prefix = tuple((Quantifier.FORALL, n) for n in xs) + tuple(
+            (Quantifier.EXISTS, n) for n in ys
+        )
+        q = Qbf(prefix, _random_formula(rng, xs + ys, 3))
+        theory, query = reduce_qbf(q)
+        hidden, _ = _assert_matches_full_tables(theory, Var(query))
+        parsed, _ = parse_theory(serialize_theory(theory, query))
+        assert _assert_matches_full_tables(parsed, Var(query))[0] == hidden
+        answers.append(skeptically_entails(theory, Var(query)).holds)
+        assert answers[-1] == qbf_valid(q)
+    assert any(answers) and not all(answers)
+
+
+class TestPrivateVariables:
+    def _universe(self, theory, goal):
+        return set(defaults._enumeration_tables(theory, [goal]).universe.order)
+
+    def test_prerequisite_variable_is_kept(self):
+        # p is never derived, so the default never fires; ``exists p. p`` would fire it
+        theory, query = parse_theory("p : q / q\nquery: q\n")
+        assert defaults.solve((theory, query)) == (False, "extensions=1")
+        assert self._universe(theory, Var(query)) == {"p", "q"}
+
+    def test_goal_that_is_a_consequence_keeps_its_variables(self):
+        # nothing fires, and ``exists y. y | a`` would be entailed by nothing
+        body = Or(Var("y"), A)
+        theory = DefaultTheory((Default(P, body, body),))
+        assert skeptically_entails(theory, body).holds is False
+        assert self._universe(theory, body) == {"a", "p", "y"}
+
+    def test_equal_but_separate_objects_keep_a_shared_variable(self):
+        separate = DefaultTheory((Default(TRUE, And(A, Y), And(A, Y)),))
+        assert self._universe(separate, A) == {"a", "y"}
+        body = And(A, Y)
+        shared = DefaultTheory((Default(TRUE, body, body),))
+        assert self._universe(shared, A) == {"a"}
+        assert skeptically_entails(separate, A) == skeptically_entails(shared, A)
+
+
+# --- wide reductions -----------------------------------------------------------------
+
+def _wide_qbf_text(existential, valid):
+    """5 universals, each copied by an existential, and a disjunction over
+    the other existentials: valid by construction, or made invalid by
+    ``e6 & !e6``."""
+    xs = " ".join(f"x{i}" for i in range(1, 6))
+    es = " ".join(f"e{i}" for i in range(1, existential + 1))
+    copies = " & ".join(f"(x{i} <-> e{i})" for i in range(1, 6))
+    rest = " | ".join(f"e{i}" for i in range(6, existential + 1))
+    contradiction = "" if valid else " & e6 & !e6"
+    return f"forall {xs};\nexists {es};\n: {copies} & ({rest}){contradiction}\n"
+
+
+@pytest.mark.parametrize("existential", [14, 16])
+@pytest.mark.parametrize("valid", [True, False])
+def test_wide_reductions_decide(existential, valid):
+    theory, query = reduce_qbf(parse_qbf(_wide_qbf_text(existential, valid)))
+    assert len(theory.all_variables()) == 1 + 2 * 5 + existential > ENTAILMENT_VAR_CAP
+    assert defaults.solve((theory, query)) == (valid, "extensions=32")
+
+
+@pytest.mark.parametrize("valid", [True, False])
+def test_wide_reduction_through_the_cli(capsys, tmp_path, valid):
+    source, target = tmp_path / "wide.qbf", tmp_path / "wide.dlt"
+    source.write_text(_wide_qbf_text(14, valid), encoding="utf-8")
+    assert main(["reduce", "--target", "default", str(source), "-o", str(target)]) == 0
+    assert main(["solve", "--target", "default", str(target)]) == (0 if valid else 1)
+    out, err = capsys.readouterr()
+    assert out == f"{'yes' if valid else 'no'} extensions=32\n" and err == ""
+
+
+def test_too_wide_a_body_is_the_bucket_cap(capsys, tmp_path):
+    source, target = tmp_path / "wide.qbf", tmp_path / "wide.dlt"
+    source.write_text(_wide_qbf_text(17, True), encoding="utf-8")
+    assert main(["reduce", "--target", "default", str(source), "-o", str(target)]) == 0
+    assert main(["solve", "--target", "default", str(target)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error[resource]: {ENTAILMENT_VAR_CAP + 1} variables in one elimination bucket exceed"
+        f" the cap of {ENTAILMENT_VAR_CAP}"
+    ]

@@ -19,6 +19,8 @@ from qraise.formulas import (
     Or,
     TRUE,
     Var,
+    _insert,
+    _remove,
     conjunction,
     consistent,
     entails,
@@ -203,6 +205,30 @@ def _random_theory_formula(rng, names, depth):
     return ctor(
         _random_theory_formula(rng, names, depth - 1), _random_theory_formula(rng, names, depth - 1)
     )
+
+
+def test_insert_and_remove_several_positions_match_bit_by_bit():
+    """Row ``j`` of the wide table belongs to the narrow row made of ``j``'s
+    bits outside ``positions``; inserting copies that row, removing ORs the
+    rows that share it."""
+    rng = random.Random(40)
+    for _ in range(400):
+        width = rng.randint(1, 7)
+        positions = sorted(rng.sample(range(width), rng.randint(0, width)))
+        rest = [k for k in range(width) if k not in positions]
+
+        def narrow(j):
+            return sum(1 << i for i, k in enumerate(rest) if j >> k & 1)
+
+        table = rng.getrandbits(1 << len(rest))
+        lifted = _insert(table, positions, width)
+        assert lifted == sum(1 << j for j in range(1 << width) if table >> narrow(j) & 1)
+        assert _remove(lifted, positions, width) == table
+        wide = rng.getrandbits(1 << width)
+        projected = 0
+        for j in range(1 << width):
+            projected |= (wide >> j & 1) << narrow(j)
+        assert _remove(wide, positions, width) == projected
 
 
 class TestProject:
