@@ -150,7 +150,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except RecursionError as exc:
         # Deeply nested input still overflows the formula walks that recurse:
-        # evaluate, truth_table, substitute and the dataclass __hash__/__eq__.
+        # evaluate, the recursive QBF oracle's evaluator qbf._evaluate_reading
+        # (validate), truth_table, substitute and the dataclass __hash__/__eq__.
         # A traceback's exit status 1 would read as a "no".
         print(f"error[internal]: input nested too deeply: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from qraise.cli import main
+from qraise.qbf import QBF_VAR_CAP
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +42,21 @@ class TestValidate:
     def test_free_variable_error(self, capsys, qbf_file):
         code, _, err = run_cli(capsys, "validate", str(qbf_file("forall y; : x")))
         assert code == 2 and "free variable x" in err
+
+    @staticmethod
+    def wide(n):
+        """``forall v1 ... vn: v1 | !v1 | ... | vn | !vn``."""
+        names = [f"v{i}" for i in range(1, n + 1)]
+        return f"forall {' '.join(names)}; : " + " | ".join(f"{v} | !{v}" for v in names)
+
+    def test_prefix_at_the_cap_decides(self, capsys, qbf_file):
+        code, out, err = run_cli(capsys, "validate", str(qbf_file(self.wide(QBF_VAR_CAP))))
+        assert (code, out, err) == (0, "valid\n", "")
+
+    def test_prefix_past_the_cap_exits_three(self, capsys, qbf_file):
+        code, out, err = run_cli(capsys, "validate", str(qbf_file(self.wide(QBF_VAR_CAP + 1))))
+        assert code == 3 and out == ""
+        assert err.startswith("error[resource]:") and err.count("\n") == 1
 
 
 class TestReduceSolve:
@@ -118,7 +134,8 @@ class TestInternalErrors:
 class TestDeepInput:
     """The three deep inputs decide like ``exists x; : x`` or give one
     ``error[internal]`` line: the parser and serializer take any depth, but
-    ``evaluate``, ``truth_table`` and ``substitute`` still recurse."""
+    ``evaluate``, the QBF oracle's ``qbf._evaluate_reading`` (``validate``),
+    ``truth_table`` and ``substitute`` still recurse."""
 
     DEEP = {
         "conjunction": "exists x; : " + " & ".join(["x"] * 5000),

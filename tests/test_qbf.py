@@ -1,11 +1,14 @@
 """QBF validity: the recursive decider, the table decider, and their agreement."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qraise.errors import ContractError, ResourceLimitError, UnsupportedShapeError
-from qraise.formulas import Iff, Not, Or, Var, conjunction, evaluate, substitute
+from qraise import qbf as qbf_module
+from qraise.formulas import And, Iff, Implies, Not, Or, Var, conjunction, evaluate, substitute
 from qraise.harness import QbfGenSpec, exhaustive_qbfs, generate_qbfs
 from qraise.qbf import QBF_VAR_CAP, Qbf, Quantifier, qbf_valid, qbf_valid_by_table, split_prefix
 
@@ -107,17 +110,23 @@ class TestConstruction:
             qbf_valid_by_table(q)
 
 
-@given(
-    formulas(max_leaves=6),
-    st.lists(st.booleans(), min_size=3, max_size=3),
-)
-@settings(max_examples=150)
-def test_oracles_agree(f, quant_bits):
-    prefix = tuple(
-        (E if bit else A, name) for bit, name in zip(quant_bits, ("x", "y", "z"))
-    )
-    q = Qbf(prefix, f)
-    assert qbf_valid(q) == qbf_valid_by_table(q)
+_NAMES = tuple(f"v{i}" for i in range(1, 7))
+
+
+def _quants_and_matrix(n):
+    """A quantifier bit for each of the first ``n`` names, and a matrix that
+    need not mention all of them."""
+    quant_bits = st.lists(st.booleans(), min_size=n, max_size=n)
+    return st.tuples(quant_bits, formulas(_NAMES[:n], max_leaves=10))
+
+
+@given(st.integers(5, 6).flatmap(_quants_and_matrix))
+@settings(max_examples=300)
+def test_oracles_agree(drawn):
+    quant_bits, matrix = drawn
+    prefix = tuple((E if bit else A, name) for bit, name in zip(quant_bits, _NAMES))
+    q = Qbf(prefix, matrix)
+    assert qbf_valid(q) == _valid_by_assignment(prefix, matrix) == qbf_valid_by_table(q)
 
 
 def _valid_by_substitution(prefix, matrix):
@@ -132,6 +141,42 @@ def _valid_by_substitution(prefix, matrix):
     return on_true and _valid_by_substitution(rest, substitute(matrix, name, False))
 
 
+def _valid_by_assignment(prefix, matrix, depth=0, assignment=None):
+    """The assignment walk before it skipped unread variables: every
+    non-deciding true branch is followed by the false branch."""
+    assignment = {} if assignment is None else assignment
+    if depth == len(prefix):
+        return evaluate(matrix, assignment)
+    quant, name = prefix[depth]
+    deciding = quant is E
+    for value in (True, False):
+        assignment[name] = value
+        if _valid_by_assignment(prefix, matrix, depth + 1, assignment) == deciding:
+            return deciding
+    return not deciding
+
+
+def _wide_qbfs(seed, count, n):
+    """``count`` QBFs over exactly ``n`` prefix variables with random
+    quantifiers. The matrix mentions a random number of them, so some
+    levels are skipped and others are not."""
+    rng = random.Random(seed)
+    names = [f"x{i}" for i in range(1, n + 1)]
+    connectives = (And, Or, Implies, Iff)
+
+    def tree(picks):
+        if len(picks) == 1:
+            return Not(Var(picks[0])) if rng.random() < 0.3 else Var(picks[0])
+        half = rng.randint(1, len(picks) - 1)
+        return rng.choice(connectives)(tree(picks[:half]), tree(picks[half:]))
+
+    for _ in range(count):
+        mentioned = rng.sample(names, rng.randint(1, n))
+        picks = mentioned + [rng.choice(mentioned) for _ in range(rng.randint(0, 6))]
+        rng.shuffle(picks)
+        yield Qbf(tuple((rng.choice((E, A)), name) for name in names), tree(picks))
+
+
 def test_recursive_oracle_matches_substitution_reference():
     exhaustive = list(exhaustive_qbfs(3, 3, "any"))
     seeded = list(generate_qbfs(QbfGenSpec(seed=17, num_vars=12, matrix_depth=6, count=200)))
@@ -139,3 +184,62 @@ def test_recursive_oracle_matches_substitution_reference():
     for q in exhaustive + seeded:
         expected = _valid_by_substitution(q.prefix, q.matrix)
         assert qbf_valid(q) == expected == qbf_valid_by_table(q)
+        assert _valid_by_assignment(q.prefix, q.matrix) == expected
+
+
+def test_recursive_oracle_matches_the_full_walk_at_sixteen_variables():
+    wide = list(_wide_qbfs(seed=23, count=40, n=16))
+    assert {len(q.prefix) for q in wide} == {16}
+    answers = [qbf_valid(q) for q in wide]
+    assert 10 <= sum(answers) <= 30
+    for q, answer in zip(wide, answers):
+        expected = _valid_by_substitution(q.prefix, q.matrix)
+        assert answer == expected == qbf_valid_by_table(q)
+        assert _valid_by_assignment(q.prefix, q.matrix) == expected
+
+
+class TestSkip:
+    @staticmethod
+    def matrix_evaluations(monkeypatch, q):
+        """The assignments under which ``qbf_valid`` evaluates the whole
+        matrix of ``q``, in order."""
+        evaluate_reading = qbf_module._evaluate_reading
+        calls = []
+
+        def counting(f, assignment, read):
+            if f is q.matrix:
+                calls.append(dict(assignment))
+            return evaluate_reading(f, assignment, read)
+
+        monkeypatch.setattr(qbf_module, "_evaluate_reading", counting)
+        qbf_valid(q)
+        return calls
+
+    def test_unread_variables_are_not_branched_on(self, monkeypatch):
+        names = [f"v{i}" for i in range(1, 17)]
+        q = Qbf(tuple((A, n) for n in names), Or(Var("v1"), Not(Var("v1"))))
+        calls = self.matrix_evaluations(monkeypatch, q)
+        # The full walk evaluates this matrix 2**16 times.
+        assert [c["v1"] for c in calls] == [True, False]
+
+    @pytest.mark.parametrize(
+        "matrix,evaluated",
+        [
+            # x=true decides without reading y or z, so neither is branched
+            # on; under x=false, y=true reads y but not z.
+            (
+                Or(Var("x"), Or(Var("y"), Var("z"))),
+                ["TTT", "FTT", "FFT", "FFF"],
+            ),
+            # y is read under x=true but not under x=false, where its false
+            # branch is skipped; z is never read.
+            (
+                Implies(Var("x"), Or(Var("y"), Not(Var("y")))),
+                ["TTT", "TFT", "FTT"],
+            ),
+        ],
+    )
+    def test_a_variable_is_branched_on_only_where_it_was_read(self, monkeypatch, matrix, evaluated):
+        q = Qbf(((A, "x"), (A, "y"), (A, "z")), matrix)
+        calls = self.matrix_evaluations(monkeypatch, q)
+        assert ["".join("TF"[not c[v]] for v in "xyz") for c in calls] == evaluated
