@@ -14,6 +14,7 @@ Every error is printed to stderr as one line starting with
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -24,6 +25,11 @@ from .parsing import parse_qbf
 from .qbf import qbf_valid
 
 
+# Built on first use and kept for the process: in-process callers of ``main``
+# (tests, the benchmark, scripts driving many files) would otherwise rebuild
+# the whole tree on every call. A shell user builds it once per process anyway.
+# Not built at import, so importing qraise stays cheap.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qraise",

@@ -42,7 +42,7 @@ from .formulas import (
     Not,
     TRUE,
     Var,
-    project,
+    _eliminate,
     substitute,
     truth_table,
     universe,
@@ -113,7 +113,7 @@ class _TheoryTables:
     justification or a consequence. A variable of a prerequisite or of
     ``extra`` (the goal) is never private. The universe holds the other
     variables, and each formula with private variables is tabulated with
-    them projected out (``formulas.project``).
+    them projected out (``formulas.project``'s elimination step).
 
     This is sound because every test on these tables (``_accepts``, the
     prune in ``_extensions``, ``skeptically_entails``) asks whether some
@@ -152,7 +152,9 @@ class _TheoryTables:
         u = self.universe = universe(sorted(kept))
         self.full = u.full
         self._tables = {
-            key: truth_table(f, u.order, u.width) if names <= kept else project([f], u.order)[1]
+            key: truth_table(f, u.order, u.width)
+            if names <= kept
+            else _eliminate([(tuple(sorted(names)), f)], u)
             for key, (f, names) in found.items()
         }
         tables = self._tables

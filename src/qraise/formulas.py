@@ -305,7 +305,14 @@ def project(formulas: Iterable[Formula], keep: Iterable[str]) -> tuple[Universe,
     is not.
     """
     kept = universe(sorted(keep), what="kept variables")
-    factors: list[_Factor] = [(tuple(sorted(variables(f))), f) for f in formulas]
+    return kept, _eliminate([(tuple(sorted(variables(f))), f) for f in formulas], kept)
+
+
+def _eliminate(factors: list[_Factor], kept: Universe) -> int:
+    """``project``'s elimination: the table over ``kept``, whose order must
+    be sorted, of the conjunction of ``factors`` with every variable outside
+    ``kept`` projected out. For callers that already hold the kept universe
+    and each formula's variables."""
     while True:
         spans: defaultdict[str, set[str]] = defaultdict(set)
         for names, _ in factors:
@@ -313,7 +320,7 @@ def project(formulas: Iterable[Formula], keep: Iterable[str]) -> tuple[Universe,
                 if name not in kept.order:
                     spans[name].update(names)
         if not spans:
-            return kept, _conjoin(factors, kept)
+            return _conjoin(factors, kept)
         hidden = min(spans, key=lambda name: (len(spans[name]), name))
         u = universe(sorted(spans[hidden]), what="variables in one elimination bucket")
         bucket = [factor for factor in factors if hidden in factor[0]]

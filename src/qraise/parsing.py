@@ -28,6 +28,14 @@ shunting-yard) over a stack of operands and a stack of pending ``(``,
 from an explicit stack: whether a child needs parentheses depends only on
 its own connective and its parent's. Tokens are ``(kind, text, offset)``
 triples; a ``ParseError`` turns the offset into a line and column.
+
+The tokenizer makes one pass: each match absorbs the whitespace before
+its token, so no whitespace token is made. A parse makes one ``Var`` per
+distinct name and shares it wherever the name occurs; ``true`` and
+``false`` are ``formulas.TRUE`` and ``FALSE``. Leaves are shared within a
+parse, never across parses: two parses of the same text give separate
+objects, which ``defaults._TheoryTables`` tells apart by identity.
+``parse_qbf`` takes the matrix's names from that leaf table.
 """
 
 from __future__ import annotations
@@ -35,20 +43,23 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .formulas import And, Const, Formula, Iff, Implies, Not, Or, Var, variables
+from .formulas import FALSE, TRUE, And, Const, Formula, Iff, Implies, Not, Or, Var
 from .qbf import Qbf, Quantifier
 
+# Each match absorbs the whitespace before its token; the group that matched
+# (``lastindex``) gives the kind: op, ident, or a bad character. Trailing
+# whitespace matches with no group, at ``\Z``.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<op><->|->|[()!&|;:])
-  | (?P<ident>[A-Za-z_](?:[A-Za-z0-9_+^]|-(?!>))*)
-  | (?P<bad>.)
-    """,
-    re.VERBOSE,
+    r"\s*(?:(<->|->|[()!&|;:])|([A-Za-z_][A-Za-z0-9_+^]*(?:-(?!>)[A-Za-z0-9_+^]*)*)|(\S)|\Z)"
 )
+_KIND = (None, "op", "ident")
 
 _KEYWORDS = {"true", "false", "exists", "forall"}
+
+# The leaves every parse starts from. A parse adds one ``Var`` per name it
+# meets to its own copy; a table shared across parses would make separate
+# formulas share objects, and ``defaults._TheoryTables`` tells them apart by id.
+_CONSTANTS: dict[str, Formula] = {"true": TRUE, "false": FALSE}
 
 # Binary connectives by symbol: (strength, node). Larger binds tighter;
 # ``!`` binds tighter than all of them, at strength 5.
@@ -66,11 +77,12 @@ def _error(text: str, offset: int, message: str) -> ParseError:
 def _tokenize(text: str) -> _Tokens:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise _error(text, m.start(), f"unexpected character {m.group()!r}")
-        if kind != "ws":
-            tokens.append((kind, m.group(), m.start()))
+        kind = m.lastindex
+        if kind is None:  # only whitespace is left
+            break
+        if kind == 3:
+            raise _error(text, m.start(3), f"unexpected character {m[3]!r}")
+        tokens.append((_KIND[kind], m[kind], m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -98,9 +110,12 @@ def _reduce(operands: list[Formula], pending: list[str], strength: int) -> None:
         pending.pop()
 
 
-def _formula(text: str, tokens: _Tokens, i: int) -> tuple[Formula, int]:
+def _formula(
+    text: str, tokens: _Tokens, i: int, leaves: dict[str, Formula]
+) -> tuple[Formula, int]:
     """Parse the formula that starts at ``tokens[i]``; return it and the
-    index of the first token after it."""
+    index of the first token after it. ``leaves`` maps each name met so far
+    in this parse to its one leaf; it starts as a copy of ``_CONSTANTS``."""
     operands: list[Formula] = []
     pending: list[str] = []
     while True:
@@ -109,21 +124,27 @@ def _formula(text: str, tokens: _Tokens, i: int) -> tuple[Formula, int]:
         if word in ("!", "("):
             pending.append(word)
             continue
-        if kind != "ident":
-            raise _error(text, offset, f"expected a formula, found {word or 'end of input'!r}")
-        if word in ("exists", "forall"):
-            raise _error(text, offset, f"keyword {word!r} is not a formula")
-        operands.append(Const(word == "true") if word in ("true", "false") else Var(word))
+        leaf = leaves.get(word)
+        if leaf is None:
+            if kind != "ident":
+                raise _error(text, offset, f"expected a formula, found {word or 'end of input'!r}")
+            if word in ("exists", "forall"):
+                raise _error(text, offset, f"keyword {word!r} is not a formula")
+            leaf = leaves[word] = Var(word)
+        operands.append(leaf)
         # The operand is complete: close groups until a connective follows.
         while tokens[i][1] not in _BINARY:
-            _reduce(operands, pending, 0)
+            if pending and pending[-1] != "(":
+                _reduce(operands, pending, 0)
             if not pending:
                 return operands[0], i
             i = _expect(text, tokens, i, ")")
             pending.pop()
-        own, _ = _BINARY[tokens[i][1]]
-        _reduce(operands, pending, own + (own <= 2))  # the arrows associate right
-        pending.append(tokens[i][1])
+        word = tokens[i][1]
+        if pending and pending[-1] != "(":
+            own = _BINARY[word][0]
+            _reduce(operands, pending, own + (own <= 2))  # the arrows associate right
+        pending.append(word)
         i += 1
 
 
@@ -135,7 +156,7 @@ def _expect_end(text: str, tokens: _Tokens, i: int) -> None:
 def parse_formula(text: str) -> Formula:
     """Parse a bare formula; trailing garbage is an error."""
     tokens = _tokenize(text)
-    result, i = _formula(text, tokens, 0)
+    result, i = _formula(text, tokens, 0, dict(_CONSTANTS))
     _expect_end(text, tokens, i)
     return result
 
@@ -165,9 +186,10 @@ def parse_qbf(text: str) -> Qbf:
             raise _error(text, tokens[i][2], "expected at least one variable after the quantifier")
         i = _expect(text, tokens, i, ";")
         prefix.extend((quant, name) for name in group)
-    matrix, i = _formula(text, tokens, _expect(text, tokens, i, ":"))
+    leaves = dict(_CONSTANTS)
+    matrix, i = _formula(text, tokens, _expect(text, tokens, i, ":"), leaves)
     _expect_end(text, tokens, i)
-    free = sorted(variables(matrix) - seen)
+    free = sorted(leaves.keys() - _CONSTANTS.keys() - seen)
     if free:
         raise _error(text, len(text), f"free variable {free[0]}")
     return Qbf(tuple(prefix), matrix)

@@ -1,10 +1,14 @@
 """Command-line contract: exit codes, output prefixes, file round trips."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qraise
+from qraise import cli
 from qraise.cli import main
 from qraise.qbf import QBF_VAR_CAP
 
@@ -210,6 +214,48 @@ class TestCheckAndGrowth:
         code, out, _ = run_cli(capsys, "growth", "--target", "abduction", "--raises", "4")
         assert code == 0
         assert "check per-raise deltas identical: PASS" in out
+
+
+class TestCachedParser:
+    """``main`` builds its argument parser once per process; reusing it after
+    each kind of failure gives what a fresh process gives."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_reuse_matches_fresh_processes(self, capsys, monkeypatch, tmp_path, qbf_file):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+        env = dict(os.environ, PYTHONPATH=str(Path(qraise.__file__).parents[1]))
+        source = qbf_file("exists x; forall y; : x | y")
+        runs = [
+            ["reduce", "--target", "nowhere", str(source)],  # usage error
+            ["validate", str(qbf_file(": tru(", "bad.qbf"))],
+            ["validate", str(qbf_file(TestValidate.wide(QBF_VAR_CAP + 1), "wide.qbf"))],
+            ["validate", str(source)],
+            ["reduce", "--target", "abduction", str(source), "-o", "{out}"],
+            ["solve", "--target", "abduction", "{out}"],
+        ]
+        outcomes = {"in process": [], "fresh": []}
+        for where in outcomes:
+            out_file = tmp_path / f"{where}.abd"
+            for argv in runs:
+                argv = [arg.replace("{out}", str(out_file)) for arg in argv]
+                if where == "fresh":
+                    done = subprocess.run(
+                        [sys.executable, "-m", "qraise.cli", *argv],
+                        capture_output=True, text=True, env=env,
+                    )
+                    outcome = done.returncode, done.stdout, done.stderr
+                else:
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                    outcome = (code,) + capsys.readouterr()
+                outcomes[where].append(outcome)
+            outcomes[where].append(out_file.read_text(encoding="utf-8"))
+        assert [outcome[0] for outcome in outcomes["fresh"][:-1]] == [2, 2, 3, 0, 0, 0]
+        assert outcomes["in process"] == outcomes["fresh"]
 
 
 def test_console_entry_point_runs():

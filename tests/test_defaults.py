@@ -549,6 +549,24 @@ def test_projection_matches_full_tables_on_reductions():
     assert any(answers) and not all(answers)
 
 
+def test_each_table_is_its_formulas_projection():
+    """``_TheoryTables`` runs ``project``'s elimination step on the universe
+    and variables it already holds: every table equals ``project([f], kept)``."""
+    rng = random.Random(810)
+    projected = 0
+    for _ in range(600):
+        theory, goal = _pooled_theory(rng)
+        tables = defaults._enumeration_tables(theory, [goal])
+        kept = tables.universe.order
+        formulas = [goal, *theory.background]
+        for d in theory.defaults:
+            formulas += (d.prerequisite, d.justification, d.consequence)
+        for f in formulas:
+            assert tables.table(f) == project([f], kept)[1]
+            projected += not variables(f) <= kept.keys()
+    assert projected > 500
+
+
 class TestPrivateVariables:
     def _universe(self, theory, goal):
         return set(defaults._enumeration_tables(theory, [goal]).universe.order)

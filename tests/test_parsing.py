@@ -327,6 +327,24 @@ class TestFormulaGrammar:
         assert parse_formula(serialize_formula(f)) == f
 
 
+class TestSharedLeaves:
+    """A parse makes one leaf per name and shares it; separate parses share
+    nothing but the constants."""
+
+    def test_one_leaf_per_name_within_a_parse(self):
+        f = parse_formula("x & !x")
+        assert f.left is f.right.operand
+
+    def test_leaves_shared_within_a_qbf_matrix(self):
+        q = parse_qbf("exists x; : (x | true) & (x -> true)")
+        assert q.matrix.left.left is q.matrix.right.left
+        assert q.matrix.left.right is TRUE and q.matrix.right.right is TRUE
+
+    def test_no_leaf_shared_across_parses(self):
+        first, second = parse_formula("x"), parse_formula("x")
+        assert first == second and first is not second
+
+
 class TestQbfFormat:
     def test_spec_shape(self):
         q = parse_qbf("exists x;\nforall y;\n: (x | !y)")
@@ -404,6 +422,9 @@ class TestAgainstRecursiveReference:
             "x & forall", "x -> -> y", "(x\n&\n)", "x\n\n  %", "\u00e9", "a -\n> b",
             "x <-> y <-> z", "x -> y -> z", "x | y | z & w", "!!(x) & !(y | z)",
             "((x -> y) <-> !z) | (true & false)",
+            # whitespace absorbed into the next token, and names with '-'
+            "   %", "x &\n\n   \u00e9", "x & y   ", "x & y\n\n", "\t", "x\t&\t!\ty\t",
+            "x &\r\ny\r\n", "x\r\n%", "a-b->c", "x- > y", "x-", "x--y -> z-",
         ],
     )
     def test_edge_cases_parse_alike(self, text):
