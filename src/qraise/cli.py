@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -84,8 +86,23 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     if args.output is None:
         sys.stdout.write(text)
     else:
-        args.output.write_text(text, encoding="utf-8")
+        _overwrite(args.output, text)
     return 0
+
+
+def _overwrite(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` like ``Path.write_text``, but cut an
+    existing regular file to its new length after writing instead of
+    truncating it to zero first. On ext4 (``auto_da_alloc``, the default) a
+    file truncated to zero has its data flushed to disk on close, so every
+    ``reduce -o`` over an existing file blocked on the disk (rewriting 30 KB
+    files on a 2-vCPU VM: 0.36 ms median, up to 18 ms, against 0.12 ms
+    median and no wait this way). A write cut short leaves old bytes after
+    the new ones. Pipes and devices are written as they are."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

@@ -89,6 +89,27 @@ class TestReduceSolve:
         assert code == 0
         assert out.startswith("H:")
 
+    @pytest.mark.parametrize("old", ["", "H: stale\n" * 2000, "H:"])
+    def test_reduce_overwrites_to_the_new_length(self, capsys, tmp_path, qbf_file, old):
+        source = str(qbf_file("exists x; forall y; : x | y"))
+        _, expected, _ = run_cli(capsys, "reduce", "--target", "abduction", source)
+        out_file = tmp_path / "instance.abd"
+        out_file.write_text(old, encoding="utf-8")
+        code, _, _ = run_cli(capsys, "reduce", "--target", "abduction", source, "-o", str(out_file))
+        assert code == 0
+        assert out_file.read_text(encoding="utf-8") == expected
+
+    def test_reduce_to_a_device(self, capsys, qbf_file):
+        source = str(qbf_file("forall y; : y"))
+        code, out, err = run_cli(capsys, "reduce", "--target", "abduction", source, "-o", os.devnull)
+        assert (code, out, err) == (0, "", "")
+
+    def test_reduce_to_a_directory_exits_two(self, capsys, tmp_path, qbf_file):
+        source = str(qbf_file("forall y; : y"))
+        code, _, err = run_cli(capsys, "reduce", "--target", "abduction", source, "-o", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error[io]:")
+
     def test_reduce_wrong_shape_exits_two(self, capsys, qbf_file):
         code, _, err = run_cli(
             capsys, "reduce", "--target", "abduction", str(qbf_file("forall y; exists x; : x & y"))
