@@ -156,6 +156,10 @@ def base_instance(matrix: Formula) -> AbductionInstance:
     """``<{}, {a}, {!matrix | a}>``, the instance every raise starts from."""
     if GOAL_VAR in variables(matrix):
         raise ContractError(f"matrix uses the reserved manifestation name {GOAL_VAR!r}")
+    return _base_instance(matrix)
+
+
+def _base_instance(matrix: Formula) -> AbductionInstance:
     return AbductionInstance(
         hypotheses=frozenset(),
         manifestations=frozenset({GOAL_VAR}),
@@ -179,15 +183,27 @@ def raise_existential(instance: AbductionInstance, name: str, index: int) -> Abd
     """Merge the two ``name``-branches of ``instance`` into one instance.
 
     Adds hypotheses ``name+`` / ``name-`` marking the chosen branch, one
-    fresh manifestation forcing a choice, and five linking formulas.
+    fresh manifestation forcing a choice, and five linking formulas. The
+    fresh names are checked against the whole instance, which this walks;
+    ``reduce_qbf`` checks them once against the QBF's prefix instead.
     """
     if name in instance.hypotheses or name in instance.manifestations:
         raise ContractError(f"{name} occurs among the hypotheses or manifestations")
-    pos, neg, bridge = f"{name}+", f"{name}-", f"_q{index}"
     occupied = instance.all_variables()
-    for fresh in (pos, neg, bridge):
+    for fresh in _fresh_names(name, index):
         if fresh in occupied:
             raise ContractError(f"fresh name {fresh!r} already occurs in the instance")
+    return _raise_existential(instance, name, index)
+
+
+def _fresh_names(name: str, index: int) -> tuple[str, str, str]:
+    """The two branch hypotheses and the manifestation of raise ``index``."""
+    return f"{name}+", f"{name}-", f"_q{index}"
+
+
+def _raise_existential(instance: AbductionInstance, name: str, index: int) -> AbductionInstance:
+    """``raise_existential`` without its checks."""
+    pos, neg, bridge = _fresh_names(name, index)
     gadget = (
         Implies(Var(pos), Var(bridge)),
         Implies(Var(neg), Var(bridge)),
@@ -203,12 +219,27 @@ def raise_existential(instance: AbductionInstance, name: str, index: int) -> Abd
 
 
 def reduce_qbf(q: Qbf) -> AbductionInstance:
-    """Equivalid abduction instance for an exists*-forall* QBF."""
+    """Equivalid abduction instance for an exists*-forall* QBF.
+
+    The names a raise must find unused are checked once, up front: the
+    instance mentions only prefix names (``Qbf`` admits no other matrix
+    variable), ``GOAL_VAR`` and earlier raises' fresh names, and the fresh
+    names differ from each other and from ``GOAL_VAR``. So no raise can
+    clash unless some prefix name is a fresh name; only then does the fold
+    take the checked raises, whose walk of the instance finds whether the
+    name really occurs there yet.
+    """
     existential, _ = split_prefix(q, SHAPE)
-    if GOAL_VAR in (name for _, name in q.prefix):
+    names = {name for _, name in q.prefix}
+    if GOAL_VAR in names:
         raise ContractError(f"prefix uses the reserved manifestation name {GOAL_VAR!r}")
-    instance = base_instance(q.matrix)
-    return raise_prefix(instance, existential, {Quantifier.EXISTS: raise_existential})
+    fresh = {
+        new
+        for index, (_, name) in enumerate(reversed(existential), start=1)
+        for new in _fresh_names(name, index)
+    }
+    step = raise_existential if names & fresh else _raise_existential
+    return raise_prefix(_base_instance(q.matrix), existential, {Quantifier.EXISTS: step})
 
 
 # --- instance text format ----------------------------------------------------

@@ -11,7 +11,9 @@ chosen justification is compatible with ``c``, (c) no excluded default is
 applicable against ``c`` and (d) the chosen defaults alone, applied from the
 background until nothing changes, reach all of it. The staged construction's
 table contains ``c`` while it stays inside the candidate, so it reproduces
-the candidate exactly when (c) and (d) hold.
+the candidate exactly when (c) and (d) hold. The include prune is (b) on
+the final table of every candidate the walk completes, so ``_accepts``
+tests only (a), (c) and (d); ``verify_extension`` tests (b) itself.
 
 The tables leave out every private variable: one that occurs in a single
 formula object, used only as a background formula, a justification or a
@@ -171,24 +173,19 @@ class _TheoryTables:
         return self._tables[id(f)]
 
 
-def _accepts(tables: _TheoryTables, mask: int, consequence: int | None = None) -> int | None:
-    """The candidate's consequence table (pass it if known) if it is an extension, else None."""
+def _accepts(tables: _TheoryTables, mask: int, consequence: int) -> bool:
+    """Is the candidate ``mask``, whose consequence table is ``consequence``,
+    an extension? The caller has tested (b): ``_extensions`` by its include
+    prune, ``verify_extension`` itself."""
     count = len(tables.cons)
-    if consequence is None:
-        consequence = tables.background
-        for i in range(count):
-            if mask >> i & 1:
-                consequence &= tables.cons[i]
     # (a) Only an inconsistent background, with no default chosen, is an inconsistent extension.
     if mask and not consequence:
-        return None
+        return False
     for i in range(count):
-        compatible = consequence & tables.just[i] != 0
         if mask >> i & 1:
-            if not compatible:  # (b)
-                return None
-        elif compatible and consequence & tables.not_pre[i] == 0:  # (c)
-            return None
+            continue
+        if consequence & tables.just[i] and consequence & tables.not_pre[i] == 0:  # (c)
+            return False
     # (d) Generating sets, not consequences, are compared: defaults may share one.
     reached, current, grew = 0, tables.background, True
     while grew:
@@ -198,7 +195,7 @@ def _accepts(tables: _TheoryTables, mask: int, consequence: int | None = None) -
                 reached |= 1 << i
                 current &= tables.cons[i]
                 grew = True
-    return consequence if reached == mask else None
+    return reached == mask
 
 
 def verify_extension(theory: DefaultTheory, generating: Iterable[int]) -> bool:
@@ -207,7 +204,13 @@ def verify_extension(theory: DefaultTheory, generating: Iterable[int]) -> bool:
     for i in chosen:
         if not 0 <= i < len(theory.defaults):
             raise ContractError(f"default index out of range: {i}")
-    return _accepts(_TheoryTables(theory), sum(1 << i for i in chosen)) is not None
+    tables = _TheoryTables(theory)
+    consequence = tables.background
+    for i in chosen:
+        consequence &= tables.cons[i]
+    if any(not consequence & tables.just[i] for i in chosen):  # (b)
+        return False
+    return _accepts(tables, sum(1 << i for i in chosen), consequence)
 
 
 def _enumeration_tables(theory: DefaultTheory, extra: Iterable[Formula] = ()) -> _TheoryTables:
@@ -230,7 +233,7 @@ def _extensions(tables: _TheoryTables) -> Iterator[tuple[int, int]]:
     while stack:
         undecided, mask, consequence, justifications = stack.pop()
         if not undecided:
-            if _accepts(tables, mask, consequence) is not None:
+            if _accepts(tables, mask, consequence):
                 yield mask, consequence
             continue
         i = undecided - 1
@@ -290,8 +293,8 @@ def substitute_theory(theory: DefaultTheory, name: str, value: bool) -> DefaultT
 
 
 def _base_theory(matrix: Formula) -> tuple[DefaultTheory, str]:
-    if QUERY_VAR in variables(matrix):
-        raise ContractError(f"matrix uses the reserved query name {QUERY_VAR!r}")
+    """The single-default theory; the caller has checked that the matrix
+    does not use ``QUERY_VAR``."""
     body = And(Var(QUERY_VAR), matrix)
     return DefaultTheory((Default(TRUE, body, body),), frozenset()), QUERY_VAR
 
@@ -312,13 +315,21 @@ def raise_universal(theory: DefaultTheory, name: str, index: int) -> DefaultTheo
     """Merge the two ``name``-branches of ``theory`` into one theory.
 
     Only defined for an empty background: the choice defaults must be the
-    sole defaults applicable at the start.
+    sole defaults applicable at the start. The fresh guard ``_p<index>`` is
+    checked against the whole theory, which this walks; ``reduce_qbf``
+    checks the guards once against the QBF's prefix instead.
     """
     if theory.background:
         raise ContractError("universal raise requires an empty background")
     guard = f"_p{index}"
     if guard in theory.all_variables() or guard == name:
         raise ContractError(f"fresh name {guard!r} already occurs in the theory")
+    return _raise_universal(theory, name, index)
+
+
+def _raise_universal(theory: DefaultTheory, name: str, index: int) -> DefaultTheory:
+    """``raise_universal`` without its checks."""
+    guard = f"_p{index}"
     pick_true = And(Var(name), Var(guard))
     pick_false = And(Not(Var(name)), Var(guard))
     guarded = tuple(
@@ -332,12 +343,23 @@ def raise_universal(theory: DefaultTheory, name: str, index: int) -> DefaultTheo
 
 
 def reduce_qbf(q: Qbf) -> tuple[DefaultTheory, str]:
-    """Equivalid skeptical-entailment instance for a forall*-exists* QBF."""
+    """Equivalid skeptical-entailment instance for a forall*-exists* QBF.
+
+    The guards are checked once, up front: the theory mentions only prefix
+    names (``Qbf`` admits no other matrix variable), ``QUERY_VAR`` and
+    earlier guards, and its background stays empty. So no raise can clash
+    unless some prefix name is a guard; only then does the fold take the
+    checked raises, whose walk of the theory finds whether the guard really
+    occurs there yet.
+    """
     universal, _ = split_prefix(q, SHAPE)
-    if QUERY_VAR in (name for _, name in q.prefix):
+    names = {name for _, name in q.prefix}
+    if QUERY_VAR in names:
         raise ContractError(f"prefix uses the reserved query name {QUERY_VAR!r}")
+    guards = {f"_p{index}" for index in range(1, len(universal) + 1)}
+    step = raise_universal if names & guards else _raise_universal
     theory, query = _base_theory(q.matrix)
-    return raise_prefix(theory, universal, {Quantifier.FORALL: raise_universal}), query
+    return raise_prefix(theory, universal, {Quantifier.FORALL: step}), query
 
 
 # --- theory text format ------------------------------------------------------
@@ -345,10 +367,12 @@ def reduce_qbf(q: Qbf) -> tuple[DefaultTheory, str]:
 def serialize_theory(theory: DefaultTheory, query: str | None = None) -> str:
     lines = []
     for d in theory.defaults:
-        lines.append(
-            f"{serialize_formula(d.prerequisite)} : {serialize_formula(d.justification)}"
-            f" / {serialize_formula(d.consequence)}"
-        )
+        justification = serialize_formula(d.justification)
+        if d.consequence is d.justification:  # as in a reduced theory: render it once
+            consequence = justification
+        else:
+            consequence = serialize_formula(d.consequence)
+        lines.append(f"{serialize_formula(d.prerequisite)} : {justification} / {consequence}")
     lines.extend(f"W: {text}" for text in sorted(map(serialize_formula, theory.background)))
     if query is not None:
         lines.append(f"query: {query}")

@@ -26,33 +26,40 @@ left. ``_formula`` is one operator-precedence loop (Dijkstra's
 shunting-yard) over a stack of operands and a stack of pending ``(``,
 ``!`` and connectives. ``serialize_formula`` emits pieces left to right
 from an explicit stack: whether a child needs parentheses depends only on
-its own connective and its parent's. Tokens are ``(kind, text, offset)``
-triples; a ``ParseError`` turns the offset into a line and column.
+its own connective and its parent's.
 
-The tokenizer makes one pass: each match absorbs the whitespace before
-its token, so no whitespace token is made. A parse makes one ``Var`` per
-distinct name and shares it wherever the name occurs; ``true`` and
-``false`` are ``formulas.TRUE`` and ``FALSE``. Leaves are shared within a
-parse, never across parses: two parses of the same text give separate
-objects, which ``defaults._TheoryTables`` tells apart by identity.
-``parse_qbf`` takes the matrix's names from that leaf table.
+The tokenizer is one ``findall``: a list of plain token strings, with the
+whitespace skipped and any other character that starts no token kept as a
+one-character token of its own. The grammar checks every token it takes,
+so such a bad character always ends the parse in an error. Offsets are
+found only then: ``_error`` scans the text again for the failing token,
+and reports the first bad character instead if there is one anywhere, so
+a bad character still comes before any grammar error. A parse makes
+one ``Var`` per distinct name and shares it wherever the name occurs;
+``true`` and ``false`` are ``formulas.TRUE`` and ``FALSE``. Leaves are
+shared within a parse, never across parses: two parses of the same text
+give separate objects, which ``defaults._TheoryTables`` tells apart by
+identity. ``parse_qbf`` takes the matrix's names from that leaf table.
 """
 
 from __future__ import annotations
 
 import re
+import string
 
 from .errors import ParseError
 from .formulas import FALSE, TRUE, And, Const, Formula, Iff, Implies, Not, Or, Var
 from .qbf import Qbf, Quantifier
 
-# Each match absorbs the whitespace before its token; the group that matched
-# (``lastindex``) gives the kind: op, ident, or a bad character. Trailing
-# whitespace matches with no group, at ``\Z``.
-_TOKEN_RE = re.compile(
-    r"\s*(?:(<->|->|[()!&|;:])|([A-Za-z_][A-Za-z0-9_+^]*(?:-(?!>)[A-Za-z0-9_+^]*)*)|(\S)|\Z)"
-)
-_KIND = (None, "op", "ident")
+# One match per token: an identifier, an operator, or any other single
+# non-space character, which is a bad one. Whitespace matches nothing, so
+# ``findall`` skips it. ``_SCAN_RE`` is the same scan with the bad character
+# as group 1, for ``_error``.
+_IDENT = r"[A-Za-z_][A-Za-z0-9_+^]*(?:-(?!>)[A-Za-z0-9_+^]*)*"
+_OPERATOR = r"<->|->|[()!&|;:]"
+_TOKEN_RE = re.compile(rf"{_IDENT}|{_OPERATOR}|\S")
+_SCAN_RE = re.compile(rf"{_IDENT}|{_OPERATOR}|(\S)")
+_IDENT_START = frozenset(string.ascii_letters + "_")
 
 _KEYWORDS = {"true", "false", "exists", "forall"}
 
@@ -65,33 +72,37 @@ _CONSTANTS: dict[str, Formula] = {"true": TRUE, "false": FALSE}
 # ``!`` binds tighter than all of them, at strength 5.
 _BINARY = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And)}
 
-# (kind, text, offset) per token; kind is 'op', 'ident' or 'end'.
-_Tokens = list[tuple[str, str, int]]
+
+def _is_ident(token: str) -> bool:
+    return token[:1] in _IDENT_START  # the end marker "" is not
 
 
-def _error(text: str, offset: int, message: str) -> ParseError:
+def _tokenize(text: str) -> list[str]:
+    """The tokens of ``text``, then "" for the end of input."""
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
+    return tokens
+
+
+def _error(text: str, index: int, message: str) -> ParseError:
+    """``message`` at token ``index`` of ``text`` (the end of input past the
+    last token), unless ``text`` has a bad character: the first one is the
+    error then, wherever it is."""
+    offset = len(text)
+    for count, m in enumerate(_SCAN_RE.finditer(text)):
+        if m.lastindex:
+            offset, message = m.start(), f"unexpected character {m[1]!r}"
+            break
+        if count == index:
+            offset = m.start()
     line_start = text.rfind("\n", 0, offset) + 1
     return ParseError(message, text.count("\n", 0, line_start) + 1, offset - line_start + 1)
 
 
-def _tokenize(text: str) -> _Tokens:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastindex
-        if kind is None:  # only whitespace is left
-            break
-        if kind == 3:
-            raise _error(text, m.start(3), f"unexpected character {m[3]!r}")
-        tokens.append((_KIND[kind], m[kind], m.start(kind)))
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-def _expect(text: str, tokens: _Tokens, i: int, symbol: str) -> int:
+def _expect(text: str, tokens: list[str], i: int, symbol: str) -> int:
     """The index after ``tokens[i]``, which must be ``symbol``."""
-    if tokens[i][1] != symbol:
-        found = tokens[i][1] or "end of input"
-        raise _error(text, tokens[i][2], f"expected {symbol!r}, found {found!r}")
+    if tokens[i] != symbol:
+        raise _error(text, i, f"expected {symbol!r}, found {tokens[i] or 'end of input'!r}")
     return i + 1
 
 
@@ -111,7 +122,7 @@ def _reduce(operands: list[Formula], pending: list[str], strength: int) -> None:
 
 
 def _formula(
-    text: str, tokens: _Tokens, i: int, leaves: dict[str, Formula]
+    text: str, tokens: list[str], i: int, leaves: dict[str, Formula]
 ) -> tuple[Formula, int]:
     """Parse the formula that starts at ``tokens[i]``; return it and the
     index of the first token after it. ``leaves`` maps each name met so far
@@ -119,28 +130,28 @@ def _formula(
     operands: list[Formula] = []
     pending: list[str] = []
     while True:
-        kind, word, offset = tokens[i]
+        word = tokens[i]
         i += 1
         if word in ("!", "("):
             pending.append(word)
             continue
         leaf = leaves.get(word)
         if leaf is None:
-            if kind != "ident":
-                raise _error(text, offset, f"expected a formula, found {word or 'end of input'!r}")
+            if not _is_ident(word):
+                raise _error(text, i - 1, f"expected a formula, found {word or 'end of input'!r}")
             if word in ("exists", "forall"):
-                raise _error(text, offset, f"keyword {word!r} is not a formula")
+                raise _error(text, i - 1, f"keyword {word!r} is not a formula")
             leaf = leaves[word] = Var(word)
         operands.append(leaf)
         # The operand is complete: close groups until a connective follows.
-        while tokens[i][1] not in _BINARY:
+        while tokens[i] not in _BINARY:
             if pending and pending[-1] != "(":
                 _reduce(operands, pending, 0)
             if not pending:
                 return operands[0], i
             i = _expect(text, tokens, i, ")")
             pending.pop()
-        word = tokens[i][1]
+        word = tokens[i]
         if pending and pending[-1] != "(":
             own = _BINARY[word][0]
             _reduce(operands, pending, own + (own <= 2))  # the arrows associate right
@@ -148,9 +159,9 @@ def _formula(
         i += 1
 
 
-def _expect_end(text: str, tokens: _Tokens, i: int) -> None:
-    if tokens[i][0] != "end":
-        raise _error(text, tokens[i][2], f"unexpected trailing input {tokens[i][1]!r}")
+def _expect_end(text: str, tokens: list[str], i: int) -> None:
+    if tokens[i]:
+        raise _error(text, i, f"unexpected trailing input {tokens[i]!r}")
 
 
 def parse_formula(text: str) -> Formula:
@@ -167,23 +178,23 @@ def parse_qbf(text: str) -> Qbf:
     prefix: list[tuple[Quantifier, str]] = []
     seen: set[str] = set()
     i = 0
-    while tokens[i][1] in ("exists", "forall"):
-        quant = Quantifier.EXISTS if tokens[i][1] == "exists" else Quantifier.FORALL
+    while tokens[i] in ("exists", "forall"):
+        quant = Quantifier.EXISTS if tokens[i] == "exists" else Quantifier.FORALL
         i += 1
         group: list[str] = []
-        while tokens[i][0] == "ident":
-            _, name, offset = tokens[i]
+        while _is_ident(tokens[i]):
+            name = tokens[i]
             if name in _KEYWORDS:
-                raise _error(text, offset, f"keyword {name!r} cannot be quantified")
+                raise _error(text, i, f"keyword {name!r} cannot be quantified")
             if name.startswith("_"):
-                raise _error(text, offset, f"variable {name!r} uses the reserved '_' prefix")
+                raise _error(text, i, f"variable {name!r} uses the reserved '_' prefix")
             if name in seen:
-                raise _error(text, offset, f"duplicate prefix variable {name!r}")
+                raise _error(text, i, f"duplicate prefix variable {name!r}")
             seen.add(name)
             group.append(name)
             i += 1
         if not group:
-            raise _error(text, tokens[i][2], "expected at least one variable after the quantifier")
+            raise _error(text, i, "expected at least one variable after the quantifier")
         i = _expect(text, tokens, i, ";")
         prefix.extend((quant, name) for name in group)
     leaves = dict(_CONSTANTS)
@@ -191,7 +202,7 @@ def parse_qbf(text: str) -> Qbf:
     _expect_end(text, tokens, i)
     free = sorted(leaves.keys() - _CONSTANTS.keys() - seen)
     if free:
-        raise _error(text, len(text), f"free variable {free[0]}")
+        raise _error(text, i, f"free variable {free[0]}")
     return Qbf(tuple(prefix), matrix)
 
 

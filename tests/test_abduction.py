@@ -39,7 +39,7 @@ from qraise.formulas import (
 )
 from qraise.harness import SampleSpec, _random_abduction_instance, exhaustive_qbfs
 from qraise.parsing import parse_formula, parse_qbf
-from qraise.qbf import Qbf, Quantifier, qbf_valid
+from qraise.qbf import Qbf, Quantifier, qbf_valid, raise_prefix, split_prefix
 
 from test_formulas import naive_eval
 
@@ -289,6 +289,69 @@ class TestReduceQbf:
         assert {"_q1", "_q2"} <= inst.manifestations
         assert Implies(Var("x2+"), Var("_q1")) in inst.theory
         assert Implies(Var("x1+"), Var("_q2")) in inst.theory
+
+
+# --- fresh-name clashes against the per-raise fold -------------------------------
+
+def _per_raise_fold(q):
+    """``reduce_qbf`` as it was, kept as the reference: every raise walks the
+    whole instance to check its fresh names."""
+    existential, _ = split_prefix(q, abduction.SHAPE)
+    if abduction.GOAL_VAR in (name for _, name in q.prefix):
+        raise ContractError(f"prefix uses the reserved manifestation name {abduction.GOAL_VAR!r}")
+    instance = abduction.base_instance(q.matrix)
+    return raise_prefix(instance, existential, {Quantifier.EXISTS: raise_existential})
+
+
+def _reduced_text(reduce, q):
+    try:
+        return serialize_instance(reduce(q))
+    except (ContractError, UnsupportedShapeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestFreshNameClashes:
+    def test_raised_name_clashes_with_a_later_raise(self):
+        q = parse_qbf("exists x x+; forall y; : x & x+ | y")
+        with pytest.raises(ContractError, match=r"fresh name 'x\+' already occurs in the instance"):
+            reduce_qbf(q)
+
+    def test_prefix_name_the_matrix_leaves_out_does_not_clash(self):
+        # x+ is a fresh name of x's raise, but nothing in the instance uses it.
+        q = parse_qbf("exists x; forall x+; : x")
+        assert _reduced_text(reduce_qbf, q) == _reduced_text(_per_raise_fold, q)
+        assert "x+" in reduce_qbf(q).hypotheses
+
+    def test_bridge_name_in_the_matrix_clashes(self):
+        q = Qbf(((Quantifier.EXISTS, "x"), (Quantifier.FORALL, "_q1")), Or(X, Var("_q1")))
+        with pytest.raises(ContractError, match="fresh name '_q1' already occurs"):
+            reduce_qbf(q)
+
+    def test_standalone_raise_still_walks_the_instance(self):
+        inst = AbductionInstance(frozenset(), frozenset({"a"}), frozenset({Var("_q2")}))
+        with pytest.raises(ContractError, match="fresh name '_q2'"):
+            raise_existential(inst, "x", 2)
+        inst = AbductionInstance(frozenset(), frozenset({"a"}), frozenset({Var("x-")}))
+        with pytest.raises(ContractError, match="fresh name 'x-'"):
+            raise_existential(inst, "x", 1)
+
+    def test_random_qbfs_reduce_as_the_per_raise_fold(self):
+        rng = random.Random(41)
+        pool = ["x", "x+", "x-", "y", "y+", "x+-", "_q1", "_q2", "a"]
+        outcomes = {"ok": 0, "clash": 0, "other error": 0}
+        for _ in range(3000):
+            names = rng.sample(pool, rng.randint(0, 4))
+            prefix = tuple((rng.choice(list(Quantifier)), name) for name in names)
+            mentioned = [name for name in names if rng.random() < 0.6]
+            matrix = _random_formula(rng, mentioned, 2) if mentioned else TRUE
+            q = Qbf(prefix, matrix)
+            expected = _reduced_text(_per_raise_fold, q)
+            assert _reduced_text(reduce_qbf, q) == expected, q
+            if isinstance(expected, str):
+                outcomes["ok"] += 1
+            else:
+                outcomes["clash" if "fresh name" in expected[1] else "other error"] += 1
+        assert min(outcomes.values()) > 100, outcomes
 
 
 class TestInstanceFormat:

@@ -38,7 +38,7 @@ from qraise.formulas import (
     variables,
 )
 from qraise.parsing import parse_formula, parse_qbf, serialize_formula
-from qraise.qbf import Qbf, Quantifier, qbf_valid
+from qraise.qbf import Qbf, Quantifier, qbf_valid, raise_prefix, split_prefix
 
 A, X, Y, P = Var("a"), Var("x"), Var("y"), Var("p")
 
@@ -71,6 +71,17 @@ class TestVerifyExtension:
     def test_index_out_of_range(self):
         with pytest.raises(ContractError):
             verify_extension(DefaultTheory((D(A),)), {3})
+
+    def test_refuted_justification_is_rejected(self):
+        # Choosing true : !x / x concludes x, which refutes its justification:
+        # only test (b) fails, and the walk's prune, not _accepts, applies it.
+        # Not choosing it leaves it applicable, so the theory has no extension.
+        theory = DefaultTheory((D(Not(X), X),))
+        tables = defaults._TheoryTables(theory)
+        assert defaults._accepts(tables, 1, tables.cons[0])
+        assert verify_extension(theory, {0}) is False
+        assert verify_extension(theory, set()) is False
+        assert list(defaults._extensions(tables)) == []
 
 
 class TestExtensions:
@@ -356,6 +367,68 @@ class TestReduceQbf:
             reduce_qbf(parse_qbf("exists x; forall y; : x & y"))
 
 
+# --- fresh-name clashes against the per-raise fold -------------------------------
+
+def _per_raise_fold(q):
+    """``reduce_qbf`` as it was, kept as the reference: every raise walks the
+    whole theory to check its guard."""
+    universal, _ = split_prefix(q, defaults.SHAPE)
+    if defaults.QUERY_VAR in (name for _, name in q.prefix):
+        raise ContractError(f"prefix uses the reserved query name {defaults.QUERY_VAR!r}")
+    body = And(Var(defaults.QUERY_VAR), q.matrix)
+    theory = DefaultTheory((Default(TRUE, body, body),))
+    return raise_prefix(theory, universal, {Quantifier.FORALL: raise_universal}), defaults.QUERY_VAR
+
+
+def _reduced_text(reduce, q):
+    try:
+        return serialize_theory(*reduce(q))
+    except (ContractError, UnsupportedShapeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestFreshNameClashes:
+    def test_universal_named_as_its_guard(self):
+        q = Qbf(((Quantifier.FORALL, "_p1"), (Quantifier.EXISTS, "y")), And(Var("_p1"), Y))
+        with pytest.raises(ContractError, match="fresh name '_p1' already occurs in the theory"):
+            reduce_qbf(q)
+
+    def test_guard_in_the_matrix_clashes(self):
+        q = Qbf(((Quantifier.FORALL, "x"), (Quantifier.EXISTS, "_p1")), Or(X, Var("_p1")))
+        with pytest.raises(ContractError, match="fresh name '_p1' already occurs in the theory"):
+            reduce_qbf(q)
+
+    def test_guard_the_theory_leaves_out_does_not_clash(self):
+        # _p1 is x's guard, but nothing in the theory uses it before x is raised.
+        q = Qbf(((Quantifier.FORALL, "_p1"), (Quantifier.FORALL, "x")), X)
+        assert _reduced_text(reduce_qbf, q) == _reduced_text(_per_raise_fold, q)
+        assert isinstance(_reduced_text(reduce_qbf, q), str)
+
+    def test_standalone_raise_still_walks_the_theory(self):
+        with pytest.raises(ContractError, match="fresh name '_p2'"):
+            raise_universal(DefaultTheory((D(Or(X, Var("_p2"))),)), "x", 2)
+        with pytest.raises(ContractError, match="fresh name '_p1'"):
+            raise_universal(DefaultTheory((D(X),)), "_p1", 1)
+
+    def test_random_qbfs_reduce_as_the_per_raise_fold(self):
+        rng = random.Random(43)
+        pool = ["x", "y", "z", "_p1", "_p2", "_p3", "a"]
+        outcomes = {"ok": 0, "clash": 0, "other error": 0}
+        for _ in range(3000):
+            names = rng.sample(pool, rng.randint(0, 4))
+            prefix = tuple((rng.choice(list(Quantifier)), name) for name in names)
+            mentioned = [name for name in names if rng.random() < 0.6]
+            matrix = _random_formula(rng, mentioned, 2) if mentioned else TRUE
+            q = Qbf(prefix, matrix)
+            expected = _reduced_text(_per_raise_fold, q)
+            assert _reduced_text(reduce_qbf, q) == expected, q
+            if isinstance(expected, str):
+                outcomes["ok"] += 1
+            else:
+                outcomes["clash" if "fresh name" in expected[1] else "other error"] += 1
+        assert min(outcomes.values()) > 100, outcomes
+
+
 class TestTheoryFormat:
     def test_round_trip(self):
         q = parse_qbf("forall x; exists y; : x <-> y")
@@ -389,6 +462,13 @@ class TestTheoryFormat:
         assert unequal.justification == unequal.consequence
         assert unequal.justification is not unequal.consequence
         assert other.justification is not other.consequence
+
+    def test_shared_body_renders_as_two_equal_objects_do(self):
+        body = parse_formula("a & (x <-> !y)")
+        shared = DefaultTheory((Default(X, body, body),))
+        separate = DefaultTheory((Default(X, body, parse_formula("a & (x <-> !y)")),))
+        assert serialize_theory(shared, "a") == serialize_theory(separate, "a")
+        assert serialize_theory(shared) == "x : a & (x <-> !y) / a & (x <-> !y)\n"
 
 
 # --- projection against the full-table decider ----------------------------------

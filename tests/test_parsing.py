@@ -8,6 +8,7 @@ line and column, and random formulas must serialize to the same bytes.
 
 import random
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -396,6 +397,15 @@ class TestQbfFormat:
         assert parse_qbf(serialize_qbf(q)) == q
 
 
+@pytest.fixture
+def deep_recursion():
+    """Room for the recursive reference on 3,000 nested groups, six calls each."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 25_000))
+    yield
+    sys.setrecursionlimit(limit)
+
+
 class TestAgainstRecursiveReference:
     def test_random_token_strings_parse_alike(self):
         rng = random.Random(7)
@@ -425,9 +435,26 @@ class TestAgainstRecursiveReference:
             # whitespace absorbed into the next token, and names with '-'
             "   %", "x &\n\n   \u00e9", "x & y   ", "x & y\n\n", "\t", "x\t&\t!\ty\t",
             "x &\r\ny\r\n", "x\r\n%", "a-b->c", "x- > y", "x-", "x--y -> z-",
+            # letters outside ASCII are bad characters, wherever they stand
+            "x & \u00e9", "\u00e9 & x", "x\u00e9", "\u00df", "x & \u03a9y", "x\u00a0&\u2028y",
+            # a bad character, or a grammar error, on line 40 of a long text
+            pytest.param("x &\n" * 39 + "  y %", id="bad-character-on-line-40"),
+            pytest.param("x & & y\n" + "z\n" * 38 + " %", id="grammar-error-then-bad-character"),
+            pytest.param("x &\n" * 39 + "  & y", id="grammar-error-on-line-40"),
+            # what starts no token: a lone '<', '>', '-', '+' or '^', or a digit
+            "<", ">", "-", "+", "^", "x < y", "x > y", "x - y", "x & +y", "x ^ y", "x <- y",
+            "1", "x & 1", "1x", "x1 & 2", "x -> 3y", "x1-2 -> y",
+            # the quantifier keywords in a formula
+            "exists x", "x & exists", "!forall", "(exists)", "exists -> x", "x -> forall y",
+            # errors and a bad character past 3,000 nested '('
+            pytest.param("(" * 3000 + "x", id="deep-unclosed"),
+            pytest.param("(" * 3000 + "x &", id="deep-missing-operand"),
+            pytest.param("(" * 3000 + "x" + ")" * 3001, id="deep-extra-close"),
+            pytest.param("(" * 3000 + "x" + ")" * 3000 + " y", id="deep-trailing-input"),
+            pytest.param("(" * 3000 + "x %" + ")" * 3000, id="deep-bad-character"),
         ],
     )
-    def test_edge_cases_parse_alike(self, text):
+    def test_edge_cases_parse_alike(self, text, deep_recursion):
         assert _outcome(parse_formula, text) == _outcome(reference_parse_formula, text)
         for prefix in ("", ":", "exists x; :", "exists ;", "forall y z;\n: "):
             qbf_text = prefix + text
