@@ -174,8 +174,8 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError as exc:
         # Deeply nested input still overflows the formula walks that recurse:
         # evaluate, the recursive QBF oracle's evaluator qbf._evaluate_reading
-        # (validate), truth_table, substitute and the dataclass __hash__/__eq__.
-        # A traceback's exit status 1 would read as a "no".
+        # (validate), truth_table, substitute and the formula nodes' own
+        # __hash__/__eq__. A traceback's exit status 1 would read as a "no".
         print(f"error[internal]: input nested too deeply: {exc}", file=sys.stderr)
         return 2
 

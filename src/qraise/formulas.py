@@ -5,6 +5,14 @@ Formulas are plain trees; nothing here simplifies. ``substitute`` leaves
 into larger structures and count their nodes, so the shape of a
 substituted formula must stay predictable.
 
+Each node is a small frozen class with slots: ``Const``, ``Var`` and
+``Not`` hold one field, and the four connectives share ``_Binary``'s
+``left`` and ``right``. Nodes compare, hash, print, pickle and match as
+frozen slot dataclasses would, so ``==`` and ``hash`` recurse over the
+whole tree. They are written by hand because a parse builds hundreds of
+them, and each ``__init__`` stores straight into its slots where a
+dataclass's goes through ``object.__setattr__`` once per field.
+
 ``consistent`` and ``entails`` decide by full enumeration of assignments.
 Internally the enumeration is vectorized: a formula's truth table over an
 ordered variable universe is a single big integer whose bit ``j`` is the
@@ -23,7 +31,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -45,52 +53,118 @@ def check_name(name: str) -> str:
 
 
 class Formula:
-    """Base class for AST nodes. Instances are immutable and hashable."""
+    """Base class for AST nodes. Instances are immutable and hashable.
+
+    Each node class lists its fields in ``__match_args__``, which ``repr``
+    and pickling read."""
 
     __slots__ = ()
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-@dataclass(frozen=True, slots=True)
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
+
+
 class Const(Formula):
-    value: bool
+    __slots__ = ("value",)
+    __match_args__ = ("value",)
+
+    def __init__(self, value: bool):
+        _set_value(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Formula):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
 
-    def __post_init__(self):
-        check_name(self.name)
+    def __init__(self, name: str):
+        _set_name(self, check_name(name))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Formula):
-    operand: Formula
+    __slots__ = ("operand",)
+    __match_args__ = ("operand",)
+
+    def __init__(self, operand: Formula):
+        _set_operand(self, operand)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # A tuple compares identical items without calling their __eq__.
+        return (self.operand,) == (other.operand,)
+
+    def __hash__(self):
+        return hash((self.operand,))
 
 
-@dataclass(frozen=True, slots=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    """The fields, comparison and hash shared by the four connectives."""
+
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set_left(self, left)
+        _set_right(self, right)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True, slots=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Implies(_Binary):
+    __slots__ = ()
 
+
+class Iff(_Binary):
+    __slots__ = ()
+
+
+# Each ``__init__`` stores through its slot's own descriptor, since
+# ``Formula.__setattr__`` refuses every assignment.
+_set_value = Const.value.__set__
+_set_name = Var.name.__set__
+_set_operand = Not.operand.__set__
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
 
 TRUE = Const(True)
 FALSE = Const(False)

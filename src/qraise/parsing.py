@@ -39,7 +39,9 @@ one ``Var`` per distinct name and shares it wherever the name occurs;
 ``true`` and ``false`` are ``formulas.TRUE`` and ``FALSE``. Leaves are
 shared within a parse, never across parses: two parses of the same text
 give separate objects, which ``defaults._TheoryTables`` tells apart by
-identity. ``parse_qbf`` takes the matrix's names from that leaf table.
+identity. ``parse_qbf`` takes the matrix's names from that leaf table, and
+since that already rules out duplicate and free names, it builds its
+``Qbf`` without the constructor's own walk over the matrix.
 """
 
 from __future__ import annotations
@@ -203,21 +205,19 @@ def parse_qbf(text: str) -> Qbf:
     free = sorted(leaves.keys() - _CONSTANTS.keys() - seen)
     if free:
         raise _error(text, i, f"free variable {free[0]}")
-    return Qbf(tuple(prefix), matrix)
+    return Qbf._trusted(tuple(prefix), matrix)
 
 
 # --- serialization -----------------------------------------------------------
 
-_SYMBOL = {node: (f" {symbol} ", own) for symbol, (own, node) in _BINARY.items()}
+# Per binary node: its text, and the least strength each child needs to go
+# without parentheses. The arrows associate right, so a left child of the
+# same connective needs them; ``|`` and ``&`` associate left.
+_BINARY_TEXT = {
+    node: (f" {symbol} ", own + (own <= 2), own + (own > 2))
+    for symbol, (own, node) in _BINARY.items()
+}
 _STRENGTH = {node: own for own, node in _BINARY.values()} | {Not: 5}
-
-
-def _push(stack: list[Formula | str], child: Formula, least: int) -> None:
-    """Schedule ``child``, in parentheses if it binds less than ``least``."""
-    if _STRENGTH.get(type(child), 6) < least:
-        stack += (")", child, "(")
-    else:
-        stack.append(child)
 
 
 def serialize_formula(f: Formula) -> str:
@@ -226,21 +226,33 @@ def serialize_formula(f: Formula) -> str:
     stack: list[Formula | str] = [f]  # what is left to render, next piece last
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
+        cls = item.__class__
+        if cls is str:
             out.append(item)
-        elif isinstance(item, Const):
-            out.append("true" if item.value else "false")
-        elif isinstance(item, Var):
+        elif cls is Var:
             out.append(item.name)
-        elif isinstance(item, Not):
+        elif cls is Not:
             out.append("!")
-            _push(stack, item.operand, 5)
+            child = item.operand
+            if _STRENGTH.get(child.__class__, 6) < 5:
+                stack += (")", child, "(")
+            else:
+                stack.append(child)
+        elif cls is Const:
+            out.append("true" if item.value else "false")
         else:
-            symbol, own = _SYMBOL[type(item)]
-            right_assoc = own <= 2
-            _push(stack, item.right, own + (not right_assoc))
+            symbol, left_least, right_least = _BINARY_TEXT[cls]
+            child = item.right
+            if _STRENGTH.get(child.__class__, 6) < right_least:
+                stack += (")", child, "(")
+            else:
+                stack.append(child)
             stack.append(symbol)
-            _push(stack, item.left, own + right_assoc)
+            child = item.left
+            if _STRENGTH.get(child.__class__, 6) < left_least:
+                stack += (")", child, "(")
+            else:
+                stack.append(child)
     return "".join(out)
 
 

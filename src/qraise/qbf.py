@@ -64,6 +64,17 @@ class Qbf:
         if free:
             raise ContractError(f"free matrix variable: {', '.join(sorted(free))}")
 
+    @classmethod
+    def _trusted(cls, prefix: Prefix, matrix: Formula) -> Qbf:
+        """A ``Qbf`` built without ``__post_init__``'s walk over the matrix.
+        Only for a caller that has itself made sure that the prefix names
+        are distinct and cover every matrix variable, as
+        ``parsing.parse_qbf`` does from its leaf table."""
+        q = object.__new__(cls)
+        object.__setattr__(q, "prefix", prefix)
+        object.__setattr__(q, "matrix", matrix)
+        return q
+
 
 def _check_cap(q: Qbf) -> None:
     if len(q.prefix) > QBF_VAR_CAP:

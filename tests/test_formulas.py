@@ -1,6 +1,9 @@
 """Formula AST, substitution, evaluation, and the exact semantic checks."""
 
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError, make_dataclass
 from itertools import product
 
 import pytest
@@ -19,8 +22,10 @@ from qraise.formulas import (
     Or,
     TRUE,
     Var,
+    _BINARY,
     _insert,
     _remove,
+    check_name,
     conjunction,
     consistent,
     entails,
@@ -168,6 +173,80 @@ class TestNames:
         for name in ("", "1x", "x y", "x|", "+x"):
             with pytest.raises(ContractError):
                 Var(name)
+
+
+# The nodes as frozen slot dataclasses, the form they had before they were
+# written by hand: the reference for what the hand-written classes must keep.
+_REFERENCE_NODES = {
+    Const: make_dataclass("Const", [("value", bool)], frozen=True, slots=True),
+    Var: make_dataclass(
+        "Var", [("name", str)], frozen=True, slots=True,
+        namespace={"__post_init__": lambda self: check_name(self.name)},
+    ),
+    Not: make_dataclass("Not", [("operand", object)], frozen=True, slots=True),
+} | {
+    node: make_dataclass(node.__name__, [("left", object), ("right", object)], frozen=True, slots=True)
+    for node in _BINARY
+}
+
+
+def _reference(f):
+    """``f`` rebuilt from the reference dataclasses."""
+    fields = (getattr(f, name) for name in f.__match_args__)
+    return _REFERENCE_NODES[f.__class__](
+        *(_reference(v) if v.__class__ in _REFERENCE_NODES else v for v in fields)
+    )
+
+
+class TestNodes:
+    def test_nodes_behave_like_the_frozen_dataclasses(self):
+        rng = random.Random(13)
+        for _ in range(3_000):
+            # Shallow trees over two names, so that many pairs are equal.
+            f, g = (_random_theory_formula(rng, ["x", "y"], rng.randint(0, 3)) for _ in range(2))
+            ref_f, ref_g = _reference(f), _reference(g)
+            assert (f == g) is (ref_f == ref_g)
+            assert (f != g) is (ref_f != ref_g)
+            assert (f.__eq__(g) is NotImplemented) is (ref_f.__eq__(ref_g) is NotImplemented)
+            assert f.__eq__(ref_f) is NotImplemented
+            assert hash(f) == hash(ref_f)
+            assert repr(f) == repr(ref_f)
+            assert f.__match_args__ == ref_f.__match_args__
+            for name in f.__match_args__:
+                for change, args in ((setattr, (name, TRUE)), (delattr, (name,))):
+                    with pytest.raises(FrozenInstanceError) as err:
+                        change(f, *args)
+                    with pytest.raises(FrozenInstanceError) as ref_err:
+                        change(ref_f, *args)
+                    assert str(err.value) == str(ref_err.value)
+            # Here the slot dataclasses raise a TypeError from inside their
+            # generated __setattr__, so the message is fixed on its own.
+            with pytest.raises(FrozenInstanceError, match="cannot assign to field 'other'"):
+                f.other = TRUE
+            with pytest.raises(FrozenInstanceError, match="cannot delete field 'other'"):
+                del f.other
+
+    def test_pickle_and_copies_round_trip(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            f = _random_theory_formula(rng, ["x", "y+", "_p1"], 6)
+            copies = [copy.copy(f), copy.deepcopy(f)] + [
+                pickle.loads(pickle.dumps(f, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+            ]
+            for copied in copies:
+                assert copied == f and hash(copied) == hash(f) and repr(copied) == repr(f)
+
+    def test_match_and_rebuild_by_class(self):
+        f = Implies(Not(X), Iff(Y, TRUE))
+        match f:
+            case Implies(Not(Var(name)), Iff(right, Const(value))):
+                assert (name, right, value) == ("x", Y, True)
+            case _:
+                pytest.fail("no match")
+        assert isinstance(f, _BINARY) and not isinstance(f.left, _BINARY)
+        assert type(f)(f.right, f.left) == Implies(Iff(Y, TRUE), Not(X))
+        assert f.left.operand.__class__ is Var
 
 
 def test_size_counts_nodes():

@@ -6,6 +6,7 @@ token strings must parse to the same AST or fail with the same message,
 line and column, and random formulas must serialize to the same bytes.
 """
 
+import pickle
 import random
 import re
 import sys
@@ -27,7 +28,7 @@ from qraise.parsing import (
 )
 from qraise.qbf import Qbf, Quantifier
 
-from test_formulas import formulas
+from test_formulas import _random_theory_formula, formulas
 
 # --- reference implementations: the recursive text layer ----------------------
 
@@ -388,6 +389,37 @@ class TestQbfFormat:
         q = parse_qbf("exists x; forall y; : x <-> y")
         assert parse_qbf(serialize_qbf_compact(q)) == q
 
+    # parse_qbf finds duplicate, reserved and free names itself, from its
+    # prefix and its leaf table; the checked Qbf constructor never sees them.
+    @pytest.mark.parametrize(
+        "text, outcome",
+        [
+            ("exists x;\nforall y x;\n: x", ("duplicate prefix variable 'x'", 2, 10)),
+            ("forall y;\n  exists y; : y", ("duplicate prefix variable 'y'", 2, 10)),
+            ("forall y;\nexists _p1; : _p1", ("variable '_p1' uses the reserved '_' prefix", 2, 8)),
+            ("exists x; forall true; : x", ("keyword 'true' cannot be quantified", 1, 18)),
+            ("exists x;\n: x &\n  y", ("free variable y", 3, 4)),
+            ("exists x;\n: (x &\n  zz) | y", ("free variable y", 3, 10)),
+            ("exists b a; : a & (c | d)", ("free variable c", 1, 26)),
+        ],
+    )
+    def test_name_errors_keep_message_and_position(self, text, outcome):
+        message, line, column = outcome
+        assert _outcome(parse_qbf, text) == (f"{message} (line {line}, column {column})", line, column)
+
+    def test_parse_equals_the_checked_constructor(self):
+        rng = random.Random(19)
+        names = ["x", "y", "z", "a+", "x-y"]
+        for _ in range(2_000):
+            picked = rng.sample(names, rng.randint(1, len(names)))
+            matrix = _random_theory_formula(rng, picked, rng.randint(0, 6))
+            prefix = tuple((rng.choice(list(Quantifier)), name) for name in picked)
+            text = rng.choice([serialize_qbf, serialize_qbf_compact])(Qbf(prefix, matrix))
+            q = parse_qbf(text)
+            assert q == Qbf(q.prefix, q.matrix) == Qbf(prefix, matrix)
+            assert type(q.prefix) is tuple and all(type(entry) is tuple for entry in q.prefix)
+            assert pickle.loads(pickle.dumps(q)) == q
+
     @given(st.permutations(["x", "y", "z"]), st.tuples(st.booleans(), st.booleans(), st.booleans()))
     def test_prefix_round_trip(self, names, quants):
         prefix = tuple(
@@ -464,7 +496,7 @@ class TestAgainstRecursiveReference:
 class TestDeepInput:
     def test_deep_mix_of_negation_and_conjunction_round_trips(self):
         # Built as text in canonical form; strings are compared because the
-        # dataclass == on a 10^4-deep AST recurses.
+        # nodes' == on a 10^4-deep AST recurses.
         rng = random.Random(3)
         prefixes, suffixes, top = [], [], "x"
         for _ in range(10_000):

@@ -94,12 +94,12 @@ class TestSplitPrefix:
 
 class TestConstruction:
     def test_free_matrix_variable_rejected(self):
-        with pytest.raises(ContractError, match="free matrix variable"):
-            Qbf(((A, "y"),), Var("x"))
+        with pytest.raises(ContractError, match="^free matrix variable: x, z$"):
+            Qbf(((A, "y"),), And(Var("z"), Or(Var("x"), Var("y"))))
 
     def test_duplicate_prefix_variable_rejected(self):
-        with pytest.raises(ContractError, match="duplicate"):
-            Qbf(((A, "x"), (E, "x")), Var("x"))
+        with pytest.raises(ContractError, match="^duplicate prefix variable: x, y$"):
+            Qbf(((A, "y"), (A, "x"), (E, "x"), (E, "y")), Var("x"))
 
     def test_prefix_cap(self):
         names = [f"v{i}" for i in range(QBF_VAR_CAP + 1)]
