@@ -131,7 +131,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report = check_equivalence(
         args.target, spec, fixture_dir=args.fixture_dir, collect_cases=args.per_case
     )
-    print(report.render(include_cases=args.per_case))
+    print(report.render())
     if report.counterexamples:
         return 1
     if report.resource_errors:
@@ -173,8 +173,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except RecursionError as exc:
         # Deeply nested input still overflows the formula walks that recurse:
-        # evaluate, the recursive QBF oracle's evaluator qbf._evaluate_reading
-        # (validate), truth_table, substitute and the formula nodes' own
+        # formulas.evaluate_reading (plan replay and the recursive QBF oracle
+        # of validate), truth_table, substitute and the formula nodes' own
         # __hash__/__eq__. A traceback's exit status 1 would read as a "no".
         print(f"error[internal]: input nested too deeply: {exc}", file=sys.stderr)
         return 2

@@ -226,23 +226,31 @@ def substitute(f: Formula, name: str, value: bool) -> Formula:
 
 def evaluate(f: Formula, assignment: Mapping[str, bool]) -> bool:
     """Truth value of ``f`` under a (total enough) assignment."""
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, Var):
+    return evaluate_reading(f, assignment, set())
+
+
+def evaluate_reading(f: Formula, assignment: Mapping[str, bool], read: set[str]) -> bool:
+    """``evaluate`` that also adds each name it reads to ``read``;
+    short-circuited operands are not read."""
+    cls = f.__class__
+    if cls is Var:
+        read.add(f.name)
         try:
             return assignment[f.name]
         except KeyError:
             raise EvaluationError(f"unbound variable: {f.name}") from None
-    if isinstance(f, Not):
-        return not evaluate(f.operand, assignment)
-    if isinstance(f, And):
-        return evaluate(f.left, assignment) and evaluate(f.right, assignment)
-    if isinstance(f, Or):
-        return evaluate(f.left, assignment) or evaluate(f.right, assignment)
-    if isinstance(f, Implies):
-        return (not evaluate(f.left, assignment)) or evaluate(f.right, assignment)
-    if isinstance(f, Iff):
-        return evaluate(f.left, assignment) == evaluate(f.right, assignment)
+    if cls is Not:
+        return not evaluate_reading(f.operand, assignment, read)
+    if cls is And:
+        return evaluate_reading(f.left, assignment, read) and evaluate_reading(f.right, assignment, read)
+    if cls is Or:
+        return evaluate_reading(f.left, assignment, read) or evaluate_reading(f.right, assignment, read)
+    if cls is Implies:
+        return not evaluate_reading(f.left, assignment, read) or evaluate_reading(f.right, assignment, read)
+    if cls is Iff:
+        return evaluate_reading(f.left, assignment, read) == evaluate_reading(f.right, assignment, read)
+    if cls is Const:
+        return f.value
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -345,15 +353,13 @@ class Universe:
     full: int
 
 
-def universe(
-    names: Iterable[str], cap: int = ENTAILMENT_VAR_CAP, what: str = "variables"
-) -> Universe:
+def universe(names: Iterable[str], what: str = "variables") -> Universe:
     """Lay ``names`` out in the order given, since the order decides which
     names take the low bits; callers sort for a canonical layout. More than
-    ``cap`` names raise ResourceLimitError."""
+    ``ENTAILMENT_VAR_CAP`` names raise ResourceLimitError."""
     order = {name: i for i, name in enumerate(dict.fromkeys(names))}
-    if len(order) > cap:
-        raise ResourceLimitError(f"{len(order)} {what} exceed the cap of {cap}")
+    if len(order) > ENTAILMENT_VAR_CAP:
+        raise ResourceLimitError(f"{len(order)} {what} exceed the cap of {ENTAILMENT_VAR_CAP}")
     return Universe(order, len(order), (1 << (1 << len(order))) - 1)
 
 

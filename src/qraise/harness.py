@@ -97,10 +97,8 @@ class CheckReport:
     def ok(self) -> bool:
         return not self.counterexamples and not self.resource_errors
 
-    def render(self, include_cases: bool = False) -> str:
-        lines = [f"target={self.target} mode={self.mode}"]
-        if include_cases:
-            lines.extend(self.case_lines)
+    def render(self) -> str:
+        lines = [f"target={self.target} mode={self.mode}", *self.case_lines]
         for ce in self.counterexamples:
             reproduce = f" qbf={serialize_qbf_compact(ce.qbf)}" if ce.qbf else ""
             lines.append(

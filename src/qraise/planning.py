@@ -3,26 +3,29 @@
 Actions are pairs of an arbitrary precondition formula and a literal list
 of effects. ``plan_exists`` does breadth-first search from the initial
 state and visits only the states it reaches, so answers are exact and
-returned plans are shortest. Each precondition is compiled once into two
-literal masks and a truth table over its remaining variables; the fluent
-count stays bounded by ``FLUENT_CAP``, since up to ``2^|fluents|`` states
-may be reachable.
+returned plans are shortest. A state is an integer with one bit per
+fluent, in the instance's fluent order. Each precondition is compiled once
+into two literal masks and a truth table over its remaining variables.
+``plan_exists`` holds the fluent count to ``FLUENT_CAP``, since up to
+``2^|fluents|`` states may be reachable.
 
 ``base_reduction`` turns a matrix into a single action that sets the goal
-when the matrix holds. ``raise_existential`` adds a one-shot chooser for a
-variable and latches it with a guard fluent. ``raise_universal`` adds a
-three-action gadget: enter the true branch, flip to the false branch once
-the current goal is reached, and finish once it is reached again. The flip
-action also clears every control fluent introduced so far; without that,
-stale goal flags from the first branch let later gadgets fire without
-re-verification, and inner choosers stay latched, so nested quantifiers
-would decide the wrong QBF. ``reduce_qbf`` folds ``RAISES`` over the whole
-prefix with ``qbf.raise_prefix``.
+when the matrix holds; every raise keeps that action first.
+``raise_existential`` adds a one-shot chooser for a variable and latches it
+with a guard fluent. ``raise_universal`` adds a three-action gadget: enter
+the true branch, flip to the false branch once the current goal is
+reached, and finish once it is reached again. The flip action also clears
+every control fluent introduced so far; without that, stale goal flags
+from the first branch let later gadgets fire without re-verification, and
+inner choosers stay latched, so nested quantifiers would decide the wrong
+QBF. ``reduce_qbf`` folds ``RAISES`` over the whole prefix with
+``qbf.raise_prefix``.
 
 Building an instance checks nothing. ``check_instance`` rejects one whose
 names do not fit together, and ``plan_exists`` and ``validate_plan`` call it
 first, so a chain of raises is checked once per decision, not once per raise.
-``solve`` replays a found plan without checking the instance again.
+``solve`` replays a found plan on dict states with ``formulas.evaluate``,
+without checking the instance again.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import ContractError, ParseError, QraiseError
+from .errors import ContractError, ParseError, QraiseError, ResourceLimitError
 from .formulas import And, Formula, Not, Var, conjunction, evaluate, substitute, truth_table
 from .formulas import universe, variables
 from .parsing import parse_formula, serialize_formula
@@ -66,7 +69,6 @@ class PlanningInstance:
     initial: frozenset[str]  # fluents that start true; all others start false
     goal: str
     actions: tuple[Action, ...]
-    matrix_action: str
 
 
 def check_instance(instance: PlanningInstance) -> None:
@@ -81,8 +83,6 @@ def check_instance(instance: PlanningInstance) -> None:
     names = [act.name for act in instance.actions]
     if len(set(names)) != len(names):
         raise ContractError("duplicate action names")
-    if instance.matrix_action not in names:
-        raise ContractError(f"unknown matrix action {instance.matrix_action!r}")
     for act in instance.actions:
         loose = (variables(act.precondition) | {n for n, _ in act.effects}) - fluent_set
         if loose:
@@ -158,7 +158,9 @@ def plan_exists(instance: PlanningInstance) -> tuple[bool, tuple[str, ...] | Non
     """Breadth-first search over the states reachable from the initial one;
     plans are shortest."""
     check_instance(instance)
-    order = universe(instance.fluents, FLUENT_CAP, "fluents").order
+    order = {name: i for i, name in enumerate(instance.fluents)}
+    if len(order) > FLUENT_CAP:
+        raise ResourceLimitError(f"{len(order)} fluents exceed the cap of {FLUENT_CAP}")
     goal_bit = 1 << order[instance.goal]
     compiled = []
     for idx, act in enumerate(instance.actions):
@@ -253,7 +255,6 @@ def substitute_fluent(instance: PlanningInstance, name: str, value: bool) -> Pla
             Action(act.name, substitute(act.precondition, name, value), act.effects)
             for act in instance.actions
         ),
-        matrix_action=instance.matrix_action,
     )
 
 
@@ -267,7 +268,6 @@ def base_instance(matrix: Formula, fluents: Sequence[str]) -> PlanningInstance:
         initial=frozenset(),
         goal=GOAL_VAR,
         actions=(Action(MATRIX_ACTION, matrix, ((GOAL_VAR, True),)),),
-        matrix_action=MATRIX_ACTION,
     )
 
 
@@ -309,7 +309,6 @@ def raise_existential(instance: PlanningInstance, name: str, index: int) -> Plan
             Action(f"choose-{name}-true", choose, ((name, True), (guard, True))),
             Action(f"choose-{name}-false", choose, ((name, False), (guard, True))),
         ),
-        matrix_action=instance.matrix_action,
     )
 
 
@@ -346,7 +345,6 @@ def raise_universal(instance: PlanningInstance, name: str, index: int) -> Planni
             Action(f"flip-{name}", And(old_goal, Var(name)), flip_effects),
             Action(f"finish-{name}", And(old_goal, Not(Var(name))), ((done, True),)),
         ),
-        matrix_action=instance.matrix_action,
     )
 
 
@@ -369,16 +367,13 @@ def reduce_qbf(q: Qbf) -> PlanningInstance:
 # --- instance text format ----------------------------------------------------
 
 def serialize_instance(instance: PlanningInstance) -> str:
-    """Render the instance; the matrix action is always the first action line."""
-    ordered = [a for a in instance.actions if a.name == instance.matrix_action] + [
-        a for a in instance.actions if a.name != instance.matrix_action
-    ]
+    """Render the instance, its actions in order (the matrix action first)."""
     lines = [
         f"fluents: {' '.join(instance.fluents)}",
         "init: " + " ".join(f"{f}={int(f in instance.initial)}" for f in instance.fluents),
         f"goal: {instance.goal}",
     ]
-    for act in ordered:
+    for act in instance.actions:
         effects = " ".join(f"{n}" if v else f"!{n}" for n, v in act.effects)
         lines.append(f"action {act.name}: {serialize_formula(act.precondition)} => {effects}")
     return "\n".join(lines) + "\n"
@@ -427,7 +422,6 @@ def parse_instance(text: str) -> PlanningInstance:
         initial=frozenset(initial),
         goal=goal,
         actions=tuple(actions),
-        matrix_action=actions[0].name,
     )
 
 

@@ -4,14 +4,17 @@ and the prefix handling every reduction shares.
 ``qbf_valid`` recurses on the prefix with one assignment: it sets the
 outermost variable to true, then to false, stops at the value that decides
 its quantifier (true for exists, false for forall), and evaluates the
-unchanged matrix at each leaf. Each leaf evaluation records the names it
+unchanged matrix at each leaf with ``formulas.evaluate_reading``, the
+evaluator plan replay uses too. Each leaf evaluation records the names it
 reads, and a variable whose true branch neither decides nor reads it is
 not tried at false: the evaluation is deterministic, so a branch that never
 reads the variable takes the same path, and gives the same result, under
 either value (a simple form of the backjumping of QBF solvers; Cadoli,
 Giovanardi & Schaerf 1998). ``qbf_valid_by_table`` builds no assignment:
-it tabulates the matrix over all prefix assignments and folds the table one
-quantifier level at a time. The two must always agree; each guards the other.
+it tabulates the matrix over all prefix assignments with
+``formulas.truth_table``, in its own bit order (prefix order, outermost
+variable lowest), and folds the table one quantifier level at a time. The
+two must always agree; each guards the other.
 
 A reduction is a base instance followed by one raise per quantifier.
 ``split_prefix`` cuts a prefix into the outer and inner block of a target's
@@ -25,7 +28,7 @@ from enum import Enum
 from typing import Callable, Mapping, Sequence, TypeVar
 
 from .errors import ContractError, ResourceLimitError, UnsupportedShapeError
-from .formulas import And, Const, Formula, Iff, Implies, Not, Or, Var, truth_table, variables
+from .formulas import Formula, evaluate_reading, truth_table, variables
 
 # Hard cap on the prefix length for both deciders.
 QBF_VAR_CAP = 17
@@ -101,7 +104,7 @@ def _valid_rec(
     prefix: Prefix, depth: int, matrix: Formula, assignment: dict[str, bool], read: set[str]
 ) -> bool:
     if depth == len(prefix):
-        return _evaluate_reading(matrix, assignment, read)
+        return evaluate_reading(matrix, assignment, read)
     quant, name = prefix[depth]
     deciding = quant is Quantifier.EXISTS
     read.discard(name)
@@ -111,28 +114,6 @@ def _valid_rec(
         return result
     assignment[name] = False
     return _valid_rec(prefix, depth + 1, matrix, assignment, read)
-
-
-def _evaluate_reading(f: Formula, values: dict[str, bool], read: set[str]) -> bool:
-    """``formulas.evaluate`` on a closed matrix that also adds each name it
-    reads to ``read``; short-circuited operands are not read."""
-    cls = f.__class__
-    if cls is Var:
-        read.add(f.name)
-        return values[f.name]
-    if cls is Not:
-        return not _evaluate_reading(f.operand, values, read)
-    if cls is And:
-        return _evaluate_reading(f.left, values, read) and _evaluate_reading(f.right, values, read)
-    if cls is Or:
-        return _evaluate_reading(f.left, values, read) or _evaluate_reading(f.right, values, read)
-    if cls is Implies:
-        return not _evaluate_reading(f.left, values, read) or _evaluate_reading(f.right, values, read)
-    if cls is Iff:
-        return _evaluate_reading(f.left, values, read) == _evaluate_reading(f.right, values, read)
-    if cls is Const:
-        return f.value
-    raise TypeError(f"not a formula node: {f!r}")
 
 
 def qbf_valid_by_table(q: Qbf) -> bool:

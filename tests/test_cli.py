@@ -159,8 +159,8 @@ class TestInternalErrors:
 class TestDeepInput:
     """The three deep inputs decide like ``exists x; : x`` or give one
     ``error[internal]`` line: the parser and serializer take any depth, but
-    ``evaluate``, the QBF oracle's ``qbf._evaluate_reading`` (``validate``),
-    ``truth_table`` and ``substitute`` still recurse."""
+    ``formulas.evaluate_reading`` (plan replay and the QBF oracle of
+    ``validate``), ``truth_table`` and ``substitute`` still recurse."""
 
     DEEP = {
         "conjunction": "exists x; : " + " & ".join(["x"] * 5000),
@@ -284,6 +284,7 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "qraise.cli", "growth", "--target", "default", "--raises", "2"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(qraise.__file__).parents[1])),
     )
     assert result.returncode == 0
     assert "PASS" in result.stdout

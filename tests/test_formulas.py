@@ -30,6 +30,7 @@ from qraise.formulas import (
     consistent,
     entails,
     evaluate,
+    evaluate_reading,
     project,
     size,
     substitute,
@@ -125,6 +126,36 @@ class TestEvaluate:
     def test_matches_naive_oracle(self, f, vx, vy, vz):
         assignment = {"x": vx, "y": vy, "z": vz}
         assert evaluate(f, assignment) == naive_eval(f, assignment)
+
+
+class TestEvaluateReading:
+    """The names ``evaluate_reading`` records are exactly those it reads: the
+    recursive QBF oracle skips a branch on any variable left out."""
+
+    def test_short_circuited_operand_is_not_read(self):
+        assignment = {"x": True, "y": False}
+        for f, value in [(Or(X, Y), True), (And(Not(X), Y), False), (Implies(Not(X), Y), True)]:
+            read = set()
+            assert evaluate_reading(f, assignment, read) is value
+            assert read == {"x"}
+
+    def test_iff_reads_both_sides(self):
+        read = set()
+        assert evaluate_reading(Iff(X, Y), {"x": False, "y": False}, read) is True
+        assert read == {"x", "y"}
+
+    def test_constants_read_nothing(self):
+        read = set()
+        assert evaluate_reading(Or(FALSE, Not(TRUE)), {}, read) is False
+        assert read == set()
+
+    def test_unbound_variable_is_named(self):
+        with pytest.raises(EvaluationError, match="^unbound variable: y$"):
+            evaluate_reading(And(X, Y), {"x": True}, set())
+
+    def test_non_node_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^not a formula node: 'x'$"):
+            evaluate_reading(Not("x"), {"x": True}, set())
 
 
 class TestConsistentEntails:

@@ -67,7 +67,7 @@ class TestPlanExists:
         assert found is False and plan is None
 
     def test_goal_true_initially_gives_empty_plan(self):
-        inst = PlanningInstance(("a",), frozenset({"a"}), "a", (Action("noop", TRUE, ()),), "noop")
+        inst = PlanningInstance(("a",), frozenset({"a"}), "a", (Action("noop", TRUE, ()),))
         found, plan = plan_exists(inst)
         assert found is True and plan == ()
 
@@ -79,8 +79,8 @@ class TestPlanExists:
 
     def test_fluent_cap(self):
         fluents = tuple(f"f{i}" for i in range(19))
-        inst = PlanningInstance(fluents, frozenset(), "f0", (Action("m", TRUE, (("f0", True),)),), "m")
-        with pytest.raises(ResourceLimitError):
+        inst = PlanningInstance(fluents, frozenset(), "f0", (Action("m", TRUE, (("f0", True),)),))
+        with pytest.raises(ResourceLimitError, match="^19 fluents exceed the cap of 18$"):
             plan_exists(inst)
 
 
@@ -119,22 +119,12 @@ class TestCheckInstance:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error[contract]: {message}\n")
 
-    def test_unknown_matrix_action(self):
-        # The text format makes the first action the matrix action, so only a
-        # hand-built instance can name a missing one.
-        inst = PlanningInstance(("x", "a"), frozenset(), "a", (Action("m", X, (("a", True),)),), "n")
-        with pytest.raises(ContractError, match="^unknown matrix action 'n'$"):
-            plan_exists(inst)
-        with pytest.raises(ContractError, match="^unknown matrix action 'n'$"):
-            validate_plan(inst, ())
-
     def test_raise_onto_a_taken_action_name(self):
         inst = PlanningInstance(
             ("x", "a"),
             frozenset(),
             "a",
             (Action("m", X, (("a", True),)), Action("enter-x", TRUE, ())),
-            "m",
         )
         raised = raise_universal(inst, "x", 1)
         with pytest.raises(ContractError, match="^duplicate action names$"):
@@ -157,7 +147,7 @@ class TestBaseReduction:
         assert inst.fluents == ("x", "y", "a")
         assert inst.initial == frozenset()
         assert inst.goal == "a"
-        assert inst.matrix_action == "apply-matrix"
+        assert inst.actions[0].name == "apply-matrix"
 
     def test_reserved_names_rejected(self):
         with pytest.raises(ContractError):
@@ -219,7 +209,6 @@ class TestRaiseUniversal:
             frozenset(),
             "a",
             (Action("m1", X, (("a", True),)), Action("m2", Not(X), (("a", True),))),
-            "m1",
         )
         with pytest.raises(ContractError, match="exactly one"):
             raise_universal(inst, "x", 1)
@@ -356,7 +345,7 @@ def _table_plan_exists(instance):
     """The table-based search that compiled preconditions replaced: one
     2^|fluents|-bit truth table per action, looked up at every state."""
     planning.check_instance(instance)
-    u = universe(instance.fluents, FLUENT_CAP, "fluents")
+    u = universe(instance.fluents)
     order = u.order
     goal_bit = 1 << order[instance.goal]
     compiled = []
@@ -496,7 +485,7 @@ def _random_instance(rng, width):
         wide = Or(_and_tree(rng, [_literal(rng, [f]) for f in fluents]), Var(fluents[0]))
         actions[-1] = Action(actions[-1].name, wide, actions[-1].effects)
     initial = initial | {goal} if rng.random() < 0.1 else initial - {goal}
-    return PlanningInstance(fluents, frozenset(initial), goal, tuple(actions), "act0")
+    return PlanningInstance(fluents, frozenset(initial), goal, tuple(actions))
 
 
 def test_search_matches_table_reference_on_the_exhaustive_sweep():

@@ -203,7 +203,7 @@ class TestSkip:
     def matrix_evaluations(monkeypatch, q):
         """The assignments under which ``qbf_valid`` evaluates the whole
         matrix of ``q``, in order."""
-        evaluate_reading = qbf_module._evaluate_reading
+        evaluate_reading = qbf_module.evaluate_reading
         calls = []
 
         def counting(f, assignment, read):
@@ -211,7 +211,7 @@ class TestSkip:
                 calls.append(dict(assignment))
             return evaluate_reading(f, assignment, read)
 
-        monkeypatch.setattr(qbf_module, "_evaluate_reading", counting)
+        monkeypatch.setattr(qbf_module, "evaluate_reading", counting)
         qbf_valid(q)
         return calls
 
