@@ -5,9 +5,13 @@ of effects. ``plan_exists`` does breadth-first search from the initial
 state and visits only the states it reaches, so answers are exact and
 returned plans are shortest. A state is an integer with one bit per
 fluent, in the instance's fluent order. Each precondition is compiled once
-into two literal masks and a truth table over its remaining variables.
-``plan_exists`` holds the fluent count to ``FLUENT_CAP``, since up to
-``2^|fluents|`` states may be reachable.
+into a literal test, ``state & care == want``, and a truth table over its
+remaining variables. The literal tests are memoized: states that agree on
+the bits any literal test reads pass the same actions, so the list of
+passing actions is made once per such key and reused, and only the actions
+with a remainder then look up their table. ``plan_exists`` holds the
+fluent count to ``FLUENT_CAP``, since up to ``2^|fluents|`` states may be
+reachable.
 
 ``base_reduction`` turns a matrix into a single action that sets the goal
 when the matrix holds; every raise keeps that action first.
@@ -18,14 +22,17 @@ reached, and finish once it is reached again. The flip action also clears
 every control fluent introduced so far; without that, stale goal flags
 from the first branch let later gadgets fire without re-verification, and
 inner choosers stay latched, so nested quantifiers would decide the wrong
-QBF. ``reduce_qbf`` folds ``RAISES`` over the whole prefix with
-``qbf.raise_prefix``.
+QBF. Each raise wraps every older precondition in its guard.
+``reduce_qbf`` builds the same instance as folding ``RAISES`` over the
+prefix, in one pass: it writes each gadget once, with the raise that added
+it, and wraps each precondition in the guards of the later raises at the
+end, so it builds every ``Action`` once.
 
 Building an instance checks nothing. ``check_instance`` rejects one whose
 names do not fit together, and ``plan_exists`` and ``validate_plan`` call it
 first, so a chain of raises is checked once per decision, not once per raise.
-``solve`` replays a found plan on dict states with ``formulas.evaluate``,
-without checking the instance again.
+It walks all preconditions in one pass. ``solve`` replays a found plan on
+dict states with ``formulas.evaluate``, without checking the instance again.
 """
 
 from __future__ import annotations
@@ -35,10 +42,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import ContractError, ParseError, QraiseError, ResourceLimitError
-from .formulas import And, Formula, Not, Var, conjunction, evaluate, substitute, truth_table
+from .formulas import And, Const, Formula, Not, Var, conjunction, evaluate, substitute, truth_table
 from .formulas import universe, variables
 from .parsing import parse_formula, serialize_formula
-from .qbf import Qbf, Quantifier, raise_prefix, split_prefix
+from .qbf import Qbf, Quantifier, split_prefix
 
 # Target interface (see harness.TARGETS): name, fixture suffix, prefix shape.
 NAME, SUFFIX, SHAPE = "planning", "plan", "any"
@@ -72,7 +79,11 @@ class PlanningInstance:
 
 
 def check_instance(instance: PlanningInstance) -> None:
-    """Reject an instance whose fluent and action names do not fit together."""
+    """Reject an instance whose fluent and action names do not fit together.
+
+    All preconditions are walked once, with one stack; only when some name
+    is loose does the per-action loop run, to name the first action at fault.
+    """
     fluent_set = set(instance.fluents)
     if len(fluent_set) != len(instance.fluents):
         raise ContractError("duplicate fluent names")
@@ -83,6 +94,24 @@ def check_instance(instance: PlanningInstance) -> None:
     names = [act.name for act in instance.actions]
     if len(set(names)) != len(names):
         raise ContractError("duplicate action names")
+    mentioned = set()
+    stack = []
+    for act in instance.actions:
+        stack.append(act.precondition)
+        for name, _ in act.effects:
+            mentioned.add(name)
+    while stack:
+        node = stack.pop()
+        cls = node.__class__
+        if cls is Var:
+            mentioned.add(node.name)
+        elif cls is Not:
+            stack.append(node.operand)
+        elif cls is not Const:
+            stack.append(node.left)
+            stack.append(node.right)
+    if mentioned <= fluent_set:
+        return
     for act in instance.actions:
         loose = (variables(act.precondition) | {n for n, _ in act.effects}) - fluent_set
         if loose:
@@ -156,14 +185,29 @@ def _precondition_test(
 
 def plan_exists(instance: PlanningInstance) -> tuple[bool, tuple[str, ...] | None]:
     """Breadth-first search over the states reachable from the initial one;
-    plans are shortest."""
+    plans are shortest.
+
+    Each action's literal test is ``state & care == want``, and every
+    ``care`` lies within ``lit_mask``, so states that agree on ``lit_mask``
+    pass the same literal tests: the actions passing them are listed once
+    per ``state & lit_mask`` and reused. Only those actions with a
+    remainder then test their truth table. An action that can never fire
+    is dropped up front. Kept, it could fire: with ``x & !x`` it passes
+    ``care``/``want`` wherever ``x`` is set, and a remainder without
+    variables (``true & false``) has an empty ``gather``, so its table of
+    0 is never looked up.
+    """
     check_instance(instance)
     order = {name: i for i, name in enumerate(instance.fluents)}
     if len(order) > FLUENT_CAP:
         raise ResourceLimitError(f"{len(order)} fluents exceed the cap of {FLUENT_CAP}")
     goal_bit = 1 << order[instance.goal]
     compiled = []
+    lit_mask = 0
     for idx, act in enumerate(instance.actions):
+        must_set, must_clear, gather, table = _precondition_test(act.precondition, order)
+        if must_set & must_clear or not table:
+            continue
         set_mask = 0
         clear_mask = 0
         for name, value in act.effects:
@@ -171,25 +215,35 @@ def plan_exists(instance: PlanningInstance) -> tuple[bool, tuple[str, ...] | Non
                 set_mask |= 1 << order[name]
             else:
                 clear_mask |= 1 << order[name]
-        compiled.append((idx, *_precondition_test(act.precondition, order), set_mask, clear_mask))
+        care = must_set | must_clear
+        lit_mask |= care
+        compiled.append((care, must_set, (idx, gather, table, set_mask, ~clear_mask)))
     start = 0
     for name in instance.initial:
         start |= 1 << order[name]
+    # state & lit_mask -> (idx, gather, table, set_mask, keep_mask) of the
+    # actions whose literal test passes, in action order
+    passing: dict[int, list[tuple[int, tuple[tuple[int, int], ...], int, int, int]]] = {}
     parents: dict[int, tuple[int, int]] = {}
     seen = {start}
     frontier = deque([start])
     goal_state = start if start & goal_bit else None
     while frontier and goal_state is None:
         state = frontier.popleft()
-        for idx, must_set, must_clear, gather, table, set_mask, clear_mask in compiled:
-            if state & must_set != must_set or state & must_clear:
-                continue
-            index = 0
-            for i, position in gather:
-                index |= (state >> position & 1) << i
-            if not table >> index & 1:
-                continue
-            successor = (state | set_mask) & ~clear_mask
+        key = state & lit_mask
+        candidates = passing.get(key)
+        if candidates is None:
+            candidates = passing[key] = [
+                entry for care, want, entry in compiled if key & care == want
+            ]
+        for idx, gather, table, set_mask, keep_mask in candidates:
+            if gather:
+                index = 0
+                for i, position in gather:
+                    index |= (state >> position & 1) << i
+                if not table >> index & 1:
+                    continue
+            successor = (state | set_mask) & keep_mask
             if successor in seen:
                 continue
             seen.add(successor)
@@ -293,23 +347,53 @@ def _check_fresh(instance: PlanningInstance, names: Sequence[str]) -> None:
             raise ContractError(f"fresh name {fresh!r} already occurs in the instance")
 
 
+# An action before it is built: (name, precondition, effects).
+_ActionParts = tuple[str, Formula, tuple[tuple[str, bool], ...]]
+
+
+def _gadget(
+    quant: Quantifier, name: str, index: int, goal: str, resets: Sequence[str]
+) -> tuple[tuple[str, ...], str, tuple[_ActionParts, ...]]:
+    """Raise ``index`` of ``name`` without its guard on the older actions:
+    the fluents it adds, the goal after it, and the parts of its new
+    actions. ``goal`` is the goal before it, and ``resets`` are the control
+    fluents a universal flip clears."""
+    guard = f"_p{index}"
+    if quant is Quantifier.EXISTS:
+        choose = Not(Var(guard))
+        return (guard,), goal, (
+            (f"choose-{name}-true", choose, ((name, True), (guard, True))),
+            (f"choose-{name}-false", choose, ((name, False), (guard, True))),
+        )
+    done = f"_b{index}"
+    flip_effects = ((name, False), (goal, False)) + tuple((f, False) for f in resets)
+    old_goal = Var(goal)
+    return (done, guard), done, (
+        (f"enter-{name}", Not(Var(guard)), ((name, True), (guard, True))),
+        (f"flip-{name}", And(old_goal, Var(name)), flip_effects),
+        (f"finish-{name}", And(old_goal, Not(Var(name))), ((done, True),)),
+    )
+
+
+def _raised(
+    instance: PlanningInstance, quant: Quantifier, name: str, index: int, resets: Sequence[str]
+) -> PlanningInstance:
+    """A checked public raise: every older action under the new guard, then the gadget."""
+    fresh, goal, parts = _gadget(quant, name, index, instance.goal, resets)
+    return PlanningInstance(
+        fluents=instance.fluents + fresh,
+        initial=instance.initial,
+        goal=goal,
+        actions=_guard_all(instance.actions, f"_p{index}") + tuple(Action(*p) for p in parts),
+    )
+
+
 def raise_existential(instance: PlanningInstance, name: str, index: int) -> PlanningInstance:
     """Add a one-shot value chooser for ``name`` in front of the instance."""
     if name not in instance.fluents:
         raise ContractError(f"{name!r} is not a fluent of the instance")
-    guard = f"_p{index}"
-    _check_fresh(instance, [guard])
-    choose = Not(Var(guard))
-    return PlanningInstance(
-        fluents=instance.fluents + (guard,),
-        initial=instance.initial,
-        goal=instance.goal,
-        actions=_guard_all(instance.actions, guard)
-        + (
-            Action(f"choose-{name}-true", choose, ((name, True), (guard, True))),
-            Action(f"choose-{name}-false", choose, ((name, False), (guard, True))),
-        ),
-    )
+    _check_fresh(instance, [f"_p{index}"])
+    return _raised(instance, Quantifier.EXISTS, name, index, ())
 
 
 def raise_universal(instance: PlanningInstance, name: str, index: int) -> PlanningInstance:
@@ -330,22 +414,9 @@ def raise_universal(instance: PlanningInstance, name: str, index: int) -> Planni
         raise ContractError(
             f"goal {instance.goal!r} must be set by exactly one action, found {len(setters)}"
         )
-    guard, done = f"_p{index}", f"_b{index}"
-    _check_fresh(instance, [guard, done])
+    _check_fresh(instance, [f"_p{index}", f"_b{index}"])
     resets = sorted(control_fluents(instance) - {instance.goal})
-    flip_effects = ((name, False), (instance.goal, False)) + tuple((f, False) for f in resets)
-    old_goal = Var(instance.goal)
-    return PlanningInstance(
-        fluents=instance.fluents + (done, guard),
-        initial=instance.initial,
-        goal=done,
-        actions=_guard_all(instance.actions, guard)
-        + (
-            Action(f"enter-{name}", Not(Var(guard)), ((name, True), (guard, True))),
-            Action(f"flip-{name}", And(old_goal, Var(name)), flip_effects),
-            Action(f"finish-{name}", And(old_goal, Not(Var(name))), ((done, True),)),
-        ),
-    )
+    return _raised(instance, Quantifier.FORALL, name, index, resets)
 
 
 # The raise for each quantifier; every prefix shape is supported.
@@ -353,7 +424,17 @@ RAISES = {Quantifier.EXISTS: raise_existential, Quantifier.FORALL: raise_univers
 
 
 def reduce_qbf(q: Qbf) -> PlanningInstance:
-    """Equivalid plan-existence instance for any closed QBF."""
+    """Equivalid plan-existence instance for any closed QBF.
+
+    Equal to ``raise_prefix(base_instance(...), prefix, RAISES)``, built in
+    one pass. Once no prefix name is reserved, the checks of the public
+    raises always hold: every prefix name is a fluent, every guard and done
+    flag is new, exactly one action sets each goal, and the control fluents
+    are the goal ``a`` and the fluents the raises so far added. So each
+    gadget is made once, each action remembers the raise that added it,
+    and at the end its precondition is wrapped in the guards of the later
+    raises, innermost first.
+    """
     prefix, _ = split_prefix(q, SHAPE)
     prefix_names = [name for _, name in prefix]
     if GOAL_VAR in prefix_names:
@@ -361,7 +442,23 @@ def reduce_qbf(q: Qbf) -> PlanningInstance:
     reserved = [n for n in prefix_names if n.startswith("_")]
     if reserved:
         raise ContractError(f"prefix uses reserved names: {', '.join(sorted(reserved))}")
-    return raise_prefix(base_instance(q.matrix, prefix_names + [GOAL_VAR]), prefix, RAISES)
+    fluents = prefix_names + [GOAL_VAR]
+    goal = GOAL_VAR
+    controls = [GOAL_VAR]
+    parts = [(0, MATRIX_ACTION, q.matrix, ((GOAL_VAR, True),))]
+    for index, (quant, name) in enumerate(reversed(prefix), start=1):
+        resets = sorted(c for c in controls if c != goal) if quant is Quantifier.FORALL else ()
+        fresh, goal, gadget = _gadget(quant, name, index, goal, resets)
+        fluents += fresh
+        controls += fresh
+        parts += [(index, *part) for part in gadget]
+    guards = [Var(f"_p{index}") for index in range(1, len(prefix) + 1)]
+    actions = []
+    for raised_at, act_name, precondition, effects in parts:
+        for guard in guards[raised_at:]:
+            precondition = And(guard, precondition)
+        actions.append(Action(act_name, precondition, effects))
+    return PlanningInstance(tuple(fluents), frozenset(), goal, tuple(actions))
 
 
 # --- instance text format ----------------------------------------------------

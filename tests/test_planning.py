@@ -14,9 +14,11 @@ from qraise.harness import exhaustive_qbfs
 from qraise.parsing import parse_qbf
 from qraise.planning import (
     FLUENT_CAP,
+    GOAL_VAR,
     Action,
     PlanningInstance,
     apply_action,
+    base_instance,
     base_reduction,
     executable,
     initial_state,
@@ -29,7 +31,7 @@ from qraise.planning import (
     substitute_fluent,
     validate_plan,
 )
-from qraise.qbf import qbf_valid
+from qraise.qbf import Qbf, Quantifier, qbf_valid, raise_prefix
 
 A, X, Y = Var("a"), Var("x"), Var("y")
 
@@ -118,6 +120,32 @@ class TestCheckInstance:
         assert main(["solve", "--target", "planning", str(path)]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error[contract]: {message}\n")
+
+    def test_loose_names_are_listed_sorted_for_the_first_action_at_fault(self):
+        inst = PlanningInstance(
+            ("x", "a"),
+            frozenset(),
+            "a",
+            (
+                Action("m1", X, (("a", True),)),
+                Action("m2", Or(Var("z"), And(X, Var("y"))), (("a", True),)),
+                Action("m3", Var("w"), (("a", True),)),
+            ),
+        )
+        with pytest.raises(ContractError) as caught:
+            planning.check_instance(inst)
+        assert str(caught.value) == "action 'm2' mentions unknown fluents: y, z"
+
+    def test_an_effect_on_an_unknown_fluent_is_named(self):
+        inst = PlanningInstance(
+            ("x", "a"),
+            frozenset(),
+            "a",
+            (Action("m1", X, (("a", True),)), Action("m2", Not(X), (("a", True), ("w", False)))),
+        )
+        with pytest.raises(ContractError) as caught:
+            planning.check_instance(inst)
+        assert str(caught.value) == "action 'm2' mentions unknown fluents: w"
 
     def test_raise_onto_a_taken_action_name(self):
         inst = PlanningInstance(
@@ -237,6 +265,59 @@ class TestNestedRegressions:
         inst = reduce_qbf(q)
         assert "x" in inst.fluents
         assert plan_exists(inst)[0] is False
+
+
+def _prefixes(rng, n):
+    """All-exists, all-forall, alternating and random prefixes over n names."""
+    names = [f"x{i + 1}" for i in range(n)]
+    both = (Quantifier.EXISTS, Quantifier.FORALL)
+    shapes = [
+        [both[0]] * n,
+        [both[1]] * n,
+        [both[i % 2] for i in range(n)],
+        [both[1 - i % 2] for i in range(n)],
+        [rng.choice(both) for _ in range(n)],
+    ]
+    return names, [tuple(zip(quants, names)) for quants in shapes]
+
+
+class TestOnePassReduction:
+    """``reduce_qbf`` builds in one pass what the public raises build one at a time."""
+
+    def test_equals_the_fold_of_the_public_raises(self):
+        rng = random.Random(8)
+        for n in range(9):
+            for _ in range(6):
+                names, prefixes = _prefixes(rng, n)
+                matrix = _random_matrix(rng, names, 3) if names else rng.choice([TRUE, FALSE])
+                for prefix in prefixes:
+                    q = Qbf(prefix, matrix)
+                    fold = raise_prefix(
+                        base_instance(matrix, names + [GOAL_VAR]), prefix, planning.RAISES
+                    )
+                    reduced = reduce_qbf(q)
+                    assert reduced == fold
+                    assert serialize_instance(reduced) == serialize_instance(fold)
+
+    @pytest.mark.parametrize(
+        "names,message",
+        [
+            (["a"], "prefix uses the reserved goal name 'a'"),
+            (["x", "a"], "prefix uses the reserved goal name 'a'"),
+            (["_p1", "x"], "prefix uses reserved names: _p1"),
+            (["_z", "x", "_b2"], "prefix uses reserved names: _b2, _z"),
+        ],
+    )
+    def test_reserved_prefix_names(self, names, message):
+        # the parser refuses '_' names, so the QBFs are built directly
+        quants = (Quantifier.FORALL, Quantifier.EXISTS)
+        prefix = tuple((quants[i % 2], name) for i, name in enumerate(names))
+        matrix = Var(names[0])
+        for name in names[1:]:
+            matrix = Or(matrix, Var(name))
+        with pytest.raises(ContractError) as caught:
+            reduce_qbf(Qbf(prefix, matrix))
+        assert str(caught.value) == message
 
 
 def test_merge_properties_on_random_prefixes():
@@ -390,6 +471,61 @@ def _table_plan_exists(instance):
     return True, tuple(reversed(steps))
 
 
+def _mask_plan_exists(instance):
+    """The search that memoized literal tests replaced: every action's two
+    literal masks and remainder table, tested at every popped state."""
+    planning.check_instance(instance)
+    order = {name: i for i, name in enumerate(instance.fluents)}
+    if len(order) > FLUENT_CAP:
+        raise ResourceLimitError(f"{len(order)} fluents exceed the cap of {FLUENT_CAP}")
+    goal_bit = 1 << order[instance.goal]
+    compiled = []
+    for idx, act in enumerate(instance.actions):
+        set_mask = 0
+        clear_mask = 0
+        for name, value in act.effects:
+            if value:
+                set_mask |= 1 << order[name]
+            else:
+                clear_mask |= 1 << order[name]
+        test = planning._precondition_test(act.precondition, order)
+        compiled.append((idx, *test, set_mask, clear_mask))
+    start = 0
+    for name in instance.initial:
+        start |= 1 << order[name]
+    parents = {}
+    seen = {start}
+    frontier = deque([start])
+    goal_state = start if start & goal_bit else None
+    while frontier and goal_state is None:
+        state = frontier.popleft()
+        for idx, must_set, must_clear, gather, table, set_mask, clear_mask in compiled:
+            if state & must_set != must_set or state & must_clear:
+                continue
+            index = 0
+            for i, position in gather:
+                index |= (state >> position & 1) << i
+            if not table >> index & 1:
+                continue
+            successor = (state | set_mask) & ~clear_mask
+            if successor in seen:
+                continue
+            seen.add(successor)
+            parents[successor] = (state, idx)
+            if successor & goal_bit:
+                goal_state = successor
+                break
+            frontier.append(successor)
+    if goal_state is None:
+        return False, None
+    steps = []
+    cursor = goal_state
+    while cursor != start:
+        cursor, idx = parents[cursor]
+        steps.append(instance.actions[idx].name)
+    return True, tuple(reversed(steps))
+
+
 def _assert_matches_table_reference(instance):
     found, plan = plan_exists(instance)
     assert (found, plan) == _table_plan_exists(instance)
@@ -511,6 +647,72 @@ def test_search_matches_table_reference_on_general_instances():
             seen["no literal"] += not literals and act.precondition != TRUE
             seen["x & !x"] += any(Not(c) in literals for c in literals)
     assert min(seen.values()) >= 15, sorted(seen.items())
+
+
+def _cap_shape_reduction(rng):
+    """A 7-variable alternating prefix (18 fluents) over a random matrix."""
+    names = [f"x{i + 1}" for i in range(7)]
+    prefix = tuple(
+        (Quantifier.EXISTS if i % 2 == 0 else Quantifier.FORALL, name)
+        for i, name in enumerate(names)
+    )
+    instance = reduce_qbf(Qbf(prefix, _random_matrix(rng, names, 4)))
+    assert len(instance.fluents) == FLUENT_CAP
+    return instance
+
+
+def _matches_mask_reference(instance):
+    found, plan = plan_exists(instance)
+    assert (found, plan) == _mask_plan_exists(instance)
+    return found
+
+
+class TestMemoizedLiteralTests:
+    """``plan_exists`` reuses each literal test per ``state & lit_mask``; the
+    per-state search is its reference and must give the same plans."""
+
+    def test_matches_the_mask_reference_on_the_exhaustive_sweep(self):
+        found = [_matches_mask_reference(reduce_qbf(q)) for q in exhaustive_qbfs(3, 3, "any")]
+        assert 0 < sum(found) < len(found)
+
+    def test_matches_the_mask_reference_on_general_instances(self):
+        rng = random.Random(2024)
+        for n in range(320):
+            _matches_mask_reference(
+                _random_instance(rng, FLUENT_CAP if n % 40 == 0 else rng.randint(1, 7))
+            )
+
+    def test_matches_the_mask_reference_on_cap_shape_reductions(self):
+        rng = random.Random(4243)
+        found = [_matches_mask_reference(_cap_shape_reduction(rng)) for _ in range(200)]
+        assert 20 <= sum(found) <= 180
+
+    def test_contradictory_actions_never_fire(self):
+        inst = PlanningInstance(
+            ("x", "a"),
+            frozenset({"x"}),
+            "a",
+            (
+                Action("x-and-not-x", And(X, Not(X)), (("a", True),)),
+                Action("true-and-false", And(TRUE, FALSE), (("a", True),)),
+            ),
+        )
+        assert plan_exists(inst) == (False, None) == _mask_plan_exists(inst)
+
+    def test_an_action_sharing_a_dropped_actions_memo_key_still_fires(self):
+        # each live action has the same literal test as the dead one before it
+        inst = PlanningInstance(
+            ("x", "y", "a"),
+            frozenset({"x"}),
+            "a",
+            (
+                Action("x-and-not-x", And(X, Not(X)), (("y", True),)),
+                Action("x", X, (("y", True),)),
+                Action("true-and-false", And(Y, And(TRUE, FALSE)), (("a", True),)),
+                Action("y-or-x", And(Y, Or(X, Y)), (("a", True),)),
+            ),
+        )
+        assert plan_exists(inst) == (True, ("x", "y-or-x")) == _mask_plan_exists(inst)
 
 
 def test_solve_checks_the_instance_once(monkeypatch):
