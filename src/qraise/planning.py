@@ -31,8 +31,9 @@ end, so it builds every ``Action`` once.
 Building an instance checks nothing. ``check_instance`` rejects one whose
 names do not fit together, and ``plan_exists`` and ``validate_plan`` call it
 first, so a chain of raises is checked once per decision, not once per raise.
-It walks all preconditions in one pass. ``solve`` replays a found plan on
-dict states with ``formulas.evaluate``, without checking the instance again.
+It walks each precondition once, with one stack. ``solve`` replays a found
+plan on dict states with ``formulas.evaluate``, without checking the
+instance again.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ class PlanningInstance:
 def check_instance(instance: PlanningInstance) -> None:
     """Reject an instance whose fluent and action names do not fit together.
 
-    All preconditions are walked once, with one stack; only when some name
-    is loose does the per-action loop run, to name the first action at fault.
+    Each precondition is walked once with an explicit stack; the first
+    action that names a fluent outside the instance is reported.
     """
     fluent_set = set(instance.fluents)
     if len(fluent_set) != len(instance.fluents):
@@ -94,26 +95,20 @@ def check_instance(instance: PlanningInstance) -> None:
     names = [act.name for act in instance.actions]
     if len(set(names)) != len(names):
         raise ContractError("duplicate action names")
-    mentioned = set()
-    stack = []
     for act in instance.actions:
-        stack.append(act.precondition)
-        for name, _ in act.effects:
-            mentioned.add(name)
-    while stack:
-        node = stack.pop()
-        cls = node.__class__
-        if cls is Var:
-            mentioned.add(node.name)
-        elif cls is Not:
-            stack.append(node.operand)
-        elif cls is not Const:
-            stack.append(node.left)
-            stack.append(node.right)
-    if mentioned <= fluent_set:
-        return
-    for act in instance.actions:
-        loose = (variables(act.precondition) | {n for n, _ in act.effects}) - fluent_set
+        loose = {name for name, _ in act.effects if name not in fluent_set}
+        stack = [act.precondition]
+        while stack:
+            node = stack.pop()
+            cls = node.__class__
+            if cls is Var:
+                if node.name not in fluent_set:
+                    loose.add(node.name)
+            elif cls is Not:
+                stack.append(node.operand)
+            elif cls is not Const:
+                stack.append(node.left)
+                stack.append(node.right)
         if loose:
             raise ContractError(
                 f"action {act.name!r} mentions unknown fluents: {', '.join(sorted(loose))}"
@@ -195,7 +190,8 @@ def plan_exists(instance: PlanningInstance) -> tuple[bool, tuple[str, ...] | Non
     is dropped up front. Kept, it could fire: with ``x & !x`` it passes
     ``care``/``want`` wherever ``x`` is set, and a remainder without
     variables (``true & false``) has an empty ``gather``, so its table of
-    0 is never looked up.
+    0 is never looked up. The memo holds one list per distinct key, so
+    where the literal tests read every fluent it holds one per popped state.
     """
     check_instance(instance)
     order = {name: i for i, name in enumerate(instance.fluents)}
