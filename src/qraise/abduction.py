@@ -18,11 +18,13 @@ any exists*-forall* QBF into an equivalid instance.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ContractError, ParseError, ResourceLimitError
 from .formulas import (
+    And,
     Formula,
     Implies,
     Not,
@@ -32,12 +34,13 @@ from .formulas import (
     consistent,
     entails,
     project,
+    size,
     substitute,
     truth_table,
     variables,
 )
-from .parsing import parse_formula, serialize_formula
-from .qbf import Qbf, Quantifier, raise_prefix, split_prefix
+from .parsing import instance_lines, parse_formula, serialize_formula
+from .qbf import Qbf, Quantifier, raise_prefix, random_matrix, split_prefix
 
 # Target interface (see harness.TARGETS): name, fixture suffix, prefix shape.
 NAME, SUFFIX, SHAPE = "abduction", "abd", "ea"
@@ -242,6 +245,65 @@ def reduce_qbf(q: Qbf) -> AbductionInstance:
     return raise_prefix(_base_instance(q.matrix), existential, {Quantifier.EXISTS: step})
 
 
+# --- lemma check and growth (see harness.check_lemma, measure_growth) ---------
+
+def sample_merge(
+    rng: random.Random, num_vars: int, depth: int
+) -> tuple[AbductionInstance, str, Qbf | None]:
+    """Draw an instance over pivot ``x`` and up to ``num_vars - 1`` other
+    variables, and test the existential merge on ``x``: the raised
+    instance's explanations must be the tagged union of the two branches'.
+    Returns the instance, ``""`` or what broke, and no QBF."""
+    pivot = "x"
+    pool = [pivot] + [f"v{i + 1}" for i in range(rng.randint(1, max(1, num_vars - 1)))]
+    side = pool[1:]
+    rng.shuffle(side)
+    h_count = rng.randint(0, min(2, len(side)))
+    m_pool = side[h_count:]
+    manifestations = frozenset(m_pool[: rng.randint(0, min(2, len(m_pool)))])
+    theory = frozenset(random_matrix(rng, pool, depth) for _ in range(rng.randint(0, 3)))
+    instance = AbductionInstance(frozenset(side[:h_count]), manifestations, theory)
+    merged = enumerate_explanations(raise_existential(instance, pivot, 1))
+    on_true = enumerate_explanations(substitute_theory(instance, pivot, True))
+    on_false = enumerate_explanations(substitute_theory(instance, pivot, False))
+    expected = frozenset(s | {f"{pivot}+"} for s in on_true) | frozenset(
+        s | {f"{pivot}-"} for s in on_false
+    )
+    if merged == expected:
+        return instance, "", None
+    return instance, (
+        f"expected={sorted(map(sorted, expected))} actual={sorted(map(sorted, merged))}"
+        f" instance={serialize_instance(instance)!r}"
+    ), None
+
+
+def growth(n_raises: int) -> tuple[int, list[tuple[int, ...]], tuple[tuple[str, bool], ...]]:
+    """Raise ``n_raises`` times over a tiny base. Returns the matrix size,
+    one row (raises, variables, theory formulas, total size) per step, and
+    the verdicts on the bound: the same constant growth on every raise."""
+    # The matrix mentions every variable about to be raised, as a real
+    # reduction would, so each raise adds only its three gadget names.
+    names = [f"e{k}" for k in range(1, n_raises + 1)]
+    matrix: Formula = Or(Var("u"), Not(Var("u")))
+    for name in names:
+        matrix = And(matrix, Or(Var(name), Not(Var(name))))
+    instance = base_instance(matrix)
+    rows = []
+    for k in range(n_raises + 1):
+        if k:
+            instance = raise_existential(instance, names[k - 1], k)
+        theory = instance.theory
+        rows.append((k, len(instance.all_variables()), len(theory), sum(map(size, theory))))
+    deltas = [
+        tuple(new - old for old, new in zip(before[1:], after[1:]))
+        for before, after in zip(rows, rows[1:])
+    ]
+    return size(matrix), rows, (
+        ("per-raise deltas identical", len(set(deltas)) <= 1),
+        ("each raise adds 3 variables and 5 formulas", not deltas or deltas[0] == (3, 5, 18)),
+    )
+
+
 # --- instance text format ----------------------------------------------------
 
 def serialize_instance(instance: AbductionInstance) -> str:
@@ -258,20 +320,17 @@ def parse_instance(text: str) -> AbductionInstance:
     manifestations: list[str] = []
     theory: list[Formula] = []
     seen_h = seen_m = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("H:"):
-            hypotheses.extend(line[2:].split())
+    for keyword, body, line, column in instance_lines(text, ("H:", "M:", "T:")):
+        if keyword == "H:":
+            hypotheses.extend(body.split())
             seen_h = True
-        elif line.startswith("M:"):
-            manifestations.extend(line[2:].split())
+        elif keyword == "M:":
+            manifestations.extend(body.split())
             seen_m = True
-        elif line.startswith("T:"):
-            theory.append(parse_formula(line[2:]))
+        elif keyword == "T:":
+            theory.append(parse_formula(body, line, column))
         else:
-            raise ParseError("expected an 'H:', 'M:', or 'T:' line", lineno, 1)
+            raise ParseError("expected an 'H:', 'M:', or 'T:' line", line, column)
     if not (seen_h and seen_m):
         raise ParseError("instance needs both an 'H:' and an 'M:' line", 1, 1)
     return AbductionInstance(frozenset(hypotheses), frozenset(manifestations), frozenset(theory))

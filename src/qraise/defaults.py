@@ -34,6 +34,7 @@ skeptical entailment becomes the conjunction of the branch answers.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -45,13 +46,14 @@ from .formulas import (
     TRUE,
     Var,
     _eliminate,
+    size,
     substitute,
     truth_table,
     universe,
     variables,
 )
-from .parsing import parse_formula, serialize_formula
-from .qbf import Qbf, Quantifier, raise_prefix, split_prefix
+from .parsing import instance_lines, parse_formula, serialize_formula
+from .qbf import Qbf, Quantifier, raise_prefix, random_matrix, split_prefix
 
 # Target interface (see harness.TARGETS): name, fixture suffix, prefix shape.
 NAME, SUFFIX, SHAPE = "default", "dlt", "ae"
@@ -321,15 +323,20 @@ def raise_universal(theory: DefaultTheory, name: str, index: int) -> DefaultTheo
     """
     if theory.background:
         raise ContractError("universal raise requires an empty background")
-    guard = f"_p{index}"
+    guard = _guard(index)
     if guard in theory.all_variables() or guard == name:
         raise ContractError(f"fresh name {guard!r} already occurs in the theory")
     return _raise_universal(theory, name, index)
 
 
+def _guard(index: int) -> str:
+    """The fresh guard variable of raise ``index``."""
+    return f"_p{index}"
+
+
 def _raise_universal(theory: DefaultTheory, name: str, index: int) -> DefaultTheory:
     """``raise_universal`` without its checks."""
-    guard = f"_p{index}"
+    guard = _guard(index)
     pick_true = And(Var(name), Var(guard))
     pick_false = And(Not(Var(name)), Var(guard))
     guarded = tuple(
@@ -356,10 +363,88 @@ def reduce_qbf(q: Qbf) -> tuple[DefaultTheory, str]:
     names = {name for _, name in q.prefix}
     if QUERY_VAR in names:
         raise ContractError(f"prefix uses the reserved query name {QUERY_VAR!r}")
-    guards = {f"_p{index}" for index in range(1, len(universal) + 1)}
+    guards = {_guard(index) for index in range(1, len(universal) + 1)}
     step = raise_universal if names & guards else _raise_universal
     theory, query = _base_theory(q.matrix)
     return raise_prefix(theory, universal, {Quantifier.FORALL: step}), query
+
+
+# --- lemma check and growth (see harness.check_lemma, measure_growth) ---------
+
+def sample_merge(
+    rng: random.Random, num_vars: int, depth: int
+) -> tuple[tuple[DefaultTheory, str], str, Qbf | None]:
+    """Draw a theory of one to five defaults over pivot ``x``, query ``q0``
+    and up to ``num_vars - 2`` other variables, and test the universal merge
+    on ``x``: the raised theory's extensions must be the branch extensions
+    with the branch literal and the guard added, and its skeptical answer
+    the AND of the branches'. Returns the instance, ``""`` or what broke,
+    and no QBF."""
+    pivot, query = "x", "q0"
+    pool = [pivot, query] + [f"v{i + 1}" for i in range(rng.randint(0, max(0, num_vars - 2)))]
+    made = []
+    for _ in range(rng.randint(1, 5)):
+        prerequisite = TRUE if rng.random() < 0.6 else random_matrix(rng, pool, 1)
+        justification = random_matrix(rng, pool, depth)
+        made.append(Default(prerequisite, justification, random_matrix(rng, pool, depth)))
+    theory = DefaultTheory(tuple(made))
+    failure = _merge_failure(theory, pivot, query)
+    if failure:
+        failure += f" theory={serialize_theory(theory, query)!r}"
+    return (theory, query), failure, None
+
+
+def _merge_failure(theory: DefaultTheory, pivot: str, query: str) -> str:
+    raised = raise_universal(theory, pivot, 1)
+    guard = Var(_guard(1))
+    u = universe(sorted(raised.all_variables() | {pivot, guard.name, query}))
+
+    def signature(formulas: Iterable[Formula], *tags: Formula) -> int:
+        table = u.full
+        for f in [*sorted(formulas, key=serialize_formula), *tags]:
+            table &= truth_table(f, u.order, u.width)
+        return table
+
+    raised_sigs = sorted(signature(e.consequences) for e in extensions(raised))
+    expected_sigs = sorted(
+        signature(e.consequences, tag, guard)
+        for value, tag in ((True, Var(pivot)), (False, Not(Var(pivot))))
+        for e in extensions(substitute_theory(theory, pivot, value))
+    )
+    if raised_sigs != expected_sigs:
+        return f"extension signatures differ: {raised_sigs} vs {expected_sigs}"
+    merged = bool(skeptically_entails(raised, Var(query)))
+    branch_true, branch_false = (
+        bool(skeptically_entails(substitute_theory(theory, pivot, value), Var(query)))
+        for value in (True, False)
+    )
+    if merged != (branch_true and branch_false):
+        return f"skeptical merge broke: merged={merged} branches=({branch_true},{branch_false})"
+    return ""
+
+
+def growth(n_raises: int) -> tuple[int, list[tuple[int, ...]], tuple[tuple[str, bool], ...]]:
+    """Raise ``n_raises`` times over a one-variable base. Returns the matrix
+    size, one row (raises, variables, defaults, total size) per step, and
+    the verdicts on the bound: two defaults per raise, quadratic total."""
+    matrix = Var("y")
+    theory, _ = base_reduction(matrix, ["y"])
+    rows = []
+    for k in range(n_raises + 1):
+        if k:
+            theory = raise_universal(theory, f"u{k}", k)
+        total = sum(
+            size(d.prerequisite) + size(d.justification) + size(d.consequence)
+            for d in theory.defaults
+        )
+        rows.append((k, len(theory.all_variables()), len(theory.defaults), total))
+    steps = list(zip(rows, rows[1:]))
+    first = [after[3] - before[3] for before, after in steps]
+    second = [after - before for before, after in zip(first, first[1:])]
+    return size(matrix), rows, (
+        ("each raise adds exactly 2 defaults", all(a[2] - b[2] == 2 for b, a in steps)),
+        ("total size grows exactly quadratically", len(set(second)) <= 1),
+    )
 
 
 # --- theory text format ------------------------------------------------------
@@ -383,28 +468,26 @@ def parse_theory(text: str) -> tuple[DefaultTheory, str | None]:
     defaults: list[Default] = []
     background: list[Formula] = []
     query: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+    for keyword, body, line, column in instance_lines(text, ("W:", "query:")):
+        if keyword == "W:":
+            background.append(parse_formula(body, line, column))
             continue
-        if line.startswith("W:"):
-            background.append(parse_formula(line[2:]))
+        if keyword:
+            query = body.strip()
             continue
-        if line.startswith("query:"):
-            query = line[len("query:"):].strip()
-            continue
-        if ":" not in line or "/" not in line:
-            raise ParseError("expected 'alpha : beta / gamma', 'W:', or 'query:'", lineno, 1)
-        head, _, rest = line.partition(":")
+        if ":" not in body or "/" not in body:
+            raise ParseError("expected 'alpha : beta / gamma', 'W:', or 'query:'", line, column)
+        head, _, rest = body.partition(":")
         justification_text, _, consequence_text = rest.partition("/")
-        prerequisite = TRUE if not head.strip() else parse_formula(head)
-        justification = parse_formula(justification_text)
+        prerequisite = TRUE if not head.strip() else parse_formula(head, line, column)
+        at = column + len(head) + 1  # where the justification starts
+        justification = parse_formula(justification_text, line, at)
         # One object for both, as in a reduced theory: _TheoryTables projects
         # a variable out only when a single object holds it.
         if consequence_text.strip() == justification_text.strip():
             consequence = justification
         else:
-            consequence = parse_formula(consequence_text)
+            consequence = parse_formula(consequence_text, line, at + len(justification_text) + 1)
         defaults.append(Default(prerequisite, justification, consequence))
     return DefaultTheory(tuple(defaults), frozenset(background)), query
 

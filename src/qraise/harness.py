@@ -1,18 +1,19 @@
 """Empirical verification of the constructions.
 
-Three kinds of checks, all exact at desk scale:
+Three kinds of checks, all exact at desk scale. Each runs on any target in
+``TARGETS`` through the target interface, so the harness holds only the
+loops and the reports:
 
 * ``check_equivalence`` — generate QBFs (exhaustively over a template set or
-  pseudo-randomly), push each through a target construction, and compare the
-  target's yes/no answer against QBF validity. Before any comparison the two
-  validity deciders are cross-checked against each other.
-* ``check_lemma`` — sample instances directly and assert the per-raise merge
-  properties: explanation-set equality for the existential abduction raise,
-  extension correspondence and the AND-merge for the universal default
-  raise, and the OR/AND plan merges for planning.
-* ``measure_growth`` — raise repeatedly and tabulate per-step size deltas
-  against the expected bound class (constant per raise for abduction,
-  quadratic total for default theories, a linear action count for planning).
+  pseudo-randomly), push each through the target's ``reduce_qbf`` and
+  ``solve``, and compare the answer against QBF validity. Before any
+  comparison the two validity deciders are cross-checked against each other.
+* ``check_lemma`` — the target's ``sample_merge`` draws instances directly
+  from one seeded generator and tests the merge property of one raise on
+  each.
+* ``measure_growth`` — the target's ``growth`` raises repeatedly over a tiny
+  base and gives the size per step, with its verdicts against the bound
+  class it expects.
 
 Every report is deterministic for a fixed spec; disagreements carry enough
 text to replay them, and can be dumped as fixture files.
@@ -24,18 +25,27 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from types import ModuleType
+from typing import Iterator, Sequence
 
 from . import abduction, defaults, planning
 from .errors import ResourceLimitError, UnsupportedShapeError
-from .formulas import And, Const, Formula, Iff, Implies, Not, Or, Var, size, truth_table
-from .formulas import Universe, universe
-from .parsing import serialize_formula, serialize_qbf, serialize_qbf_compact
-from .qbf import SHAPE_BLOCKS, Prefix, Qbf, Quantifier, qbf_valid, qbf_valid_by_table, raise_prefix
+from .formulas import Const, Formula, Not, Var
+from .parsing import serialize_qbf, serialize_qbf_compact
+from .qbf import CONNECTIVES, SHAPE_BLOCKS, Prefix, Qbf, Quantifier, qbf_valid, qbf_valid_by_table
+from .qbf import random_matrix, random_prefix, two_blocks
 
-# Target modules export NAME, SUFFIX, SHAPE, reduce_qbf, solve, serialize and parse.
-# Call them as module attributes, so a function rebound on the module is the one run.
+# Target modules export NAME, SUFFIX, SHAPE, reduce_qbf, solve, serialize, parse,
+# sample_merge and growth. Call them as module attributes, so a function rebound on
+# the module is the one run.
 TARGETS = {m.NAME: m for m in (abduction, defaults, planning)}
+
+
+def _target(name: str) -> ModuleType:
+    """The target module called ``name``."""
+    if name not in TARGETS:
+        raise ValueError(f"unknown target {name!r}")
+    return TARGETS[name]
 
 
 class PrefixPattern(Enum):
@@ -118,9 +128,6 @@ class CheckReport:
 
 # --- matrix templates and QBF generation -------------------------------------
 
-_BINARY: tuple[Callable[[Formula, Formula], Formula], ...] = (And, Or, Implies, Iff)
-
-
 def template_matrices(names: Sequence[str], depth: int) -> list[Formula]:
     """The exhaustive matrix template set over ``names``.
 
@@ -140,28 +147,22 @@ def template_matrices(names: Sequence[str], depth: int) -> list[Formula]:
     if depth >= 1:
         out.extend(Not(Var(n)) for n in names)
     if depth >= 2:
-        pairs = [conn(l1, l2) for l1 in literals for l2 in literals for conn in _BINARY]
+        pairs = [conn(l1, l2) for l1 in literals for l2 in literals for conn in CONNECTIVES]
         out.extend(pairs)
         if depth >= 3:
             out.extend(Not(p) for p in pairs)
             plain_pairs = [
-                conn(Var(u), Var(v)) for u in names for v in names for conn in _BINARY
+                conn(Var(u), Var(v)) for u in names for v in names for conn in CONNECTIVES
             ]
             for pair in plain_pairs:
                 for lit in literals:
-                    for conn in _BINARY:
+                    for conn in CONNECTIVES:
                         out.append(conn(pair, lit))
                         out.append(conn(lit, pair))
     unique: dict[Formula, None] = {}
     for f in out:
         unique.setdefault(f)
     return list(unique)
-
-
-def _two_blocks(names: Sequence[str], split: int, shape: str) -> Prefix:
-    """The first ``split`` names in the outer block of ``shape``, the rest in the inner."""
-    outer, inner = SHAPE_BLOCKS[shape]
-    return tuple((outer if i < split else inner, name) for i, name in enumerate(names))
 
 
 def _prefixes(names: Sequence[str], shapes: str) -> Iterator[Prefix]:
@@ -174,7 +175,7 @@ def _prefixes(names: Sequence[str], shapes: str) -> Iterator[Prefix]:
             )
     elif shapes in SHAPE_BLOCKS:
         for split in range(n, -1, -1):
-            yield _two_blocks(names, split, shapes)
+            yield two_blocks(names, split, shapes)
     else:
         raise ValueError(f"unknown shape class {shapes!r}")
 
@@ -187,36 +188,6 @@ def exhaustive_qbfs(num_vars: int, depth: int, shapes: str) -> Iterator[Qbf]:
         for prefix in _prefixes(names, shapes):
             for matrix in matrices:
                 yield Qbf(prefix, matrix)
-
-
-def _random_matrix(rng: random.Random, names: Sequence[str], depth: int) -> Formula:
-    if depth == 0 or rng.random() < 0.22:
-        if not names or rng.random() < 0.12:
-            return Const(rng.random() < 0.5)
-        return Var(rng.choice(list(names)))
-    # Occasionally splice in a tautology or contradiction fragment so deep
-    # universal prefixes are not almost always invalid.
-    if names and rng.random() < 0.15:
-        v = Var(rng.choice(list(names)))
-        fragment = Or(v, Not(v)) if rng.random() < 0.5 else And(v, Not(v))
-        other = _random_matrix(rng, names, depth - 1)
-        conn = rng.choice(_BINARY)
-        return conn(fragment, other) if rng.random() < 0.5 else conn(other, fragment)
-    if rng.random() < 0.25:
-        return Not(_random_matrix(rng, names, depth - 1))
-    conn = rng.choice(_BINARY)
-    return conn(
-        _random_matrix(rng, names, depth - 1), _random_matrix(rng, names, depth - 1)
-    )
-
-
-def _random_prefix(rng: random.Random, names: Sequence[str], shape: str) -> Prefix:
-    if shape in SHAPE_BLOCKS:
-        return _two_blocks(names, rng.randint(0, len(names)), shape)
-    return tuple(
-        ((Quantifier.EXISTS if rng.random() < 0.5 else Quantifier.FORALL), name)
-        for name in names
-    )
 
 
 def generate_qbfs(spec: QbfGenSpec) -> Iterator[Qbf]:
@@ -233,8 +204,8 @@ def generate_qbfs(spec: QbfGenSpec) -> Iterator[Qbf]:
             n = rng.randint(1, max(1, spec.num_vars))
             names = tuple(f"x{i + 1}" for i in range(n))
             candidate = Qbf(
-                _random_prefix(rng, names, shape),
-                _random_matrix(rng, names, spec.matrix_depth),
+                random_prefix(rng, names, shape),
+                random_matrix(rng, names, spec.matrix_depth),
             )
             valid = qbf_valid_by_table(candidate)
             if valid == want_valid:
@@ -264,7 +235,7 @@ def check_equivalence(
     collect_cases: bool = False,
 ) -> CheckReport:
     """Compare the target's answer with QBF validity on every generated case."""
-    module = TARGETS[target]
+    module = _target(target)
     mode = (
         f"pattern={spec.prefix_pattern.value} vars={spec.num_vars} depth={spec.matrix_depth}"
         + ("" if spec.prefix_pattern is PrefixPattern.EXHAUSTIVE else f" seed={spec.seed} count={spec.count}")
@@ -328,161 +299,24 @@ def _write_fixture(directory: Path, target: str, ce: Counterexample, instance_te
 
 # --- lemma-level checks --------------------------------------------------------
 
-def _random_abduction_instance(
-    rng: random.Random, spec: SampleSpec
-) -> tuple[abduction.AbductionInstance, str]:
-    pivot = "x"
-    pool = [pivot] + [f"v{i + 1}" for i in range(rng.randint(1, max(1, spec.num_vars - 1)))]
-    side = [n for n in pool if n != pivot]
-    rng.shuffle(side)
-    h_count = rng.randint(0, min(2, len(side)))
-    hypotheses = frozenset(side[:h_count])
-    m_pool = side[h_count:]
-    manifestations = frozenset(m_pool[: rng.randint(0, min(2, len(m_pool)))])
-    theory = frozenset(
-        _random_matrix(rng, pool, spec.matrix_depth) for _ in range(rng.randint(0, 3))
-    )
-    return abduction.AbductionInstance(hypotheses, manifestations, theory), pivot
-
-
-def _check_abduction_lemma(
-    instance: abduction.AbductionInstance, pivot: str
-) -> tuple[bool, str]:
-    raised = abduction.raise_existential(instance, pivot, 1)
-    merged = abduction.enumerate_explanations(raised)
-    on_true = abduction.enumerate_explanations(
-        abduction.substitute_theory(instance, pivot, True)
-    )
-    on_false = abduction.enumerate_explanations(
-        abduction.substitute_theory(instance, pivot, False)
-    )
-    expected = frozenset(s | {f"{pivot}+"} for s in on_true) | frozenset(
-        s | {f"{pivot}-"} for s in on_false
-    )
-    return merged == expected, f"expected={sorted(map(sorted, expected))} actual={sorted(map(sorted, merged))}"
-
-
-def _random_default_theory(
-    rng: random.Random, spec: SampleSpec
-) -> tuple[defaults.DefaultTheory, str, str]:
-    pivot = "x"
-    query = "q0"
-    pool = [pivot, query] + [f"v{i + 1}" for i in range(rng.randint(0, max(0, spec.num_vars - 2)))]
-    count = rng.randint(1, 5)
-    made = []
-    for _ in range(count):
-        prerequisite = (
-            Const(True) if rng.random() < 0.6 else _random_matrix(rng, pool, 1)
-        )
-        justification = _random_matrix(rng, pool, spec.matrix_depth)
-        consequence = _random_matrix(rng, pool, spec.matrix_depth)
-        made.append(defaults.Default(prerequisite, justification, consequence))
-    return defaults.DefaultTheory(tuple(made), frozenset()), pivot, query
-
-
-def _signature(formulas: Sequence[Formula], u: Universe) -> int:
-    table = u.full
-    for f in formulas:
-        table &= truth_table(f, u.order, u.width)
-    return table
-
-
-def _check_default_lemma(
-    theory: defaults.DefaultTheory, pivot: str, query: str
-) -> tuple[bool, str]:
-    raised = defaults.raise_universal(theory, pivot, 1)
-    guard = "_p1"
-    u = universe(sorted(raised.all_variables() | {pivot, guard, query}))
-
-    raised_sigs = sorted(
-        _signature(sorted(e.consequences, key=serialize_formula), u)
-        for e in defaults.extensions(raised)
-    )
-    expected_sigs: list[int] = []
-    for value, tag in ((True, Var(pivot)), (False, Not(Var(pivot)))):
-        branch = defaults.substitute_theory(theory, pivot, value)
-        for e in defaults.extensions(branch):
-            expected_sigs.append(
-                _signature(sorted(e.consequences, key=serialize_formula) + [tag, Var(guard)], u)
-            )
-    expected_sigs.sort()
-    if raised_sigs != expected_sigs:
-        return False, f"extension signatures differ: {raised_sigs} vs {expected_sigs}"
-
-    merged = bool(defaults.skeptically_entails(raised, Var(query)))
-    branch_true = bool(
-        defaults.skeptically_entails(defaults.substitute_theory(theory, pivot, True), Var(query))
-    )
-    branch_false = bool(
-        defaults.skeptically_entails(defaults.substitute_theory(theory, pivot, False), Var(query))
-    )
-    if merged != (branch_true and branch_false):
-        return False, (
-            f"skeptical merge broke: merged={merged} branches=({branch_true},{branch_false})"
-        )
-    return True, ""
-
-
-def _check_planning_merge(rng: random.Random, spec: SampleSpec) -> tuple[bool, str, Qbf]:
-    n = rng.randint(1, spec.num_vars)
-    names = tuple(f"x{i + 1}" for i in range(n))
-    prefix = _random_prefix(rng, names, "any")
-    matrix = _random_matrix(rng, names, spec.matrix_depth)
-    q = Qbf(prefix, matrix)
-    # raise everything except the outermost variable, then test its merge
-    instance = raise_prefix(
-        planning.base_instance(matrix, list(names) + [planning.GOAL_VAR]),
-        prefix[1:],
-        planning.RAISES,
-    )
-    quant, name = prefix[0]
-    on_true = planning.plan_exists(planning.substitute_fluent(instance, name, True))[0]
-    on_false = planning.plan_exists(planning.substitute_fluent(instance, name, False))[0]
-    exists = quant is Quantifier.EXISTS
-    expected = (on_true or on_false) if exists else (on_true and on_false)
-    actual = planning.plan_exists(planning.RAISES[quant](instance, name, len(prefix)))[0]
-    return (
-        actual == expected,
-        f"{'OR' if exists else 'AND'}-merge on {name}: branches=({on_true},{on_false})"
-        f" merged={actual}",
-        q,
-    )
-
-
 def check_lemma(target: str, spec: SampleSpec) -> CheckReport:
-    """Assert the per-raise merge property on ``spec.count`` sampled instances."""
+    """Assert the per-raise merge property on ``spec.count`` instances, each
+    drawn and tested by the target's ``sample_merge``."""
+    module = _target(target)
     rng = random.Random(spec.seed)
-    total = agreements = 0
-    counterexamples: list[Counterexample] = []
+    counterexamples = []
     for index in range(spec.count):
-        if target == abduction.NAME:
-            instance, pivot = _random_abduction_instance(rng, spec)
-            ok, note = _check_abduction_lemma(instance, pivot)
-            q = None
-            if not ok:
-                note = f"{note} instance={abduction.serialize_instance(instance)!r}"
-        elif target == defaults.NAME:
-            theory, pivot, query = _random_default_theory(rng, spec)
-            ok, note = _check_default_lemma(theory, pivot, query)
-            q = None
-            if not ok:
-                note = f"{note} theory={defaults.serialize_theory(theory, query)!r}"
-        elif target == planning.NAME:
-            ok, note, q = _check_planning_merge(rng, spec)
-        else:
-            raise ValueError(f"unknown target {target!r}")
-        total += 1
-        if ok:
-            agreements += 1
-        else:
+        _, failure, q = module.sample_merge(rng, spec.num_vars, spec.matrix_depth)
+        if failure:
             counterexamples.append(
-                Counterexample(index, note, q, expected="merge-property", actual="violated")
+                Counterexample(index, failure, q, expected="merge-property", actual="violated")
             )
+    total = max(spec.count, 0)
     return CheckReport(
         target=target,
         mode=f"lemma seed={spec.seed} count={spec.count}",
         total=total,
-        agreements=agreements,
+        agreements=total - len(counterexamples),
         counterexamples=tuple(counterexamples),
     )
 
@@ -493,9 +327,9 @@ def check_lemma(target: str, spec: SampleSpec) -> CheckReport:
 class GrowthRow:
     raises: int
     variables: int
-    items: int  # theory formulas / defaults / actions
-    total_size: int  # AST nodes plus, for planning, effect literals
-    max_action_size: int = 0  # planning only
+    items: int  # theory formulas, defaults or actions
+    total_size: int  # AST nodes, plus effect literals where the items are actions
+    max_action_size: int = 0  # where the items are actions
 
 
 @dataclass(frozen=True, slots=True)
@@ -523,137 +357,7 @@ class GrowthTable:
 
 
 def measure_growth(target: str, n_raises: int) -> GrowthTable:
-    """Raise ``n_raises`` times over a tiny base and tabulate sizes per step."""
-    if target == abduction.NAME:
-        return _growth_abduction(n_raises)
-    if target == defaults.NAME:
-        return _growth_default(n_raises)
-    if target == planning.NAME:
-        return _growth_planning(n_raises)
-    raise ValueError(f"unknown target {target!r}")
-
-
-def _growth_abduction(n_raises: int) -> GrowthTable:
-    # The matrix mentions every variable about to be raised, as a real
-    # reduction would, so each raise adds only its three gadget names.
-    names = [f"e{k}" for k in range(1, n_raises + 1)]
-    matrix: Formula = Or(Var("u"), Not(Var("u")))
-    for name in names:
-        matrix = And(matrix, Or(Var(name), Not(Var(name))))
-    instance = abduction.base_instance(matrix)
-    rows = [_abduction_row(0, instance)]
-    for k, name in enumerate(names, start=1):
-        instance = abduction.raise_existential(instance, name, k)
-        rows.append(_abduction_row(k, instance))
-    deltas = [
-        (
-            rows[i].variables - rows[i - 1].variables,
-            rows[i].items - rows[i - 1].items,
-            rows[i].total_size - rows[i - 1].total_size,
-        )
-        for i in range(1, len(rows))
-    ]
-    constant = len(set(deltas)) <= 1
-    per_raise_shape = deltas[0] == (3, 5, 18) if deltas else True
-    return GrowthTable(
-        target=abduction.NAME,
-        matrix_size=size(matrix),
-        rows=tuple(rows),
-        verdicts=(
-            ("per-raise deltas identical", constant),
-            ("each raise adds 3 variables and 5 formulas", per_raise_shape),
-        ),
-    )
-
-
-def _abduction_row(k: int, instance: abduction.AbductionInstance) -> GrowthRow:
-    return GrowthRow(
-        raises=k,
-        variables=len(instance.all_variables()),
-        items=len(instance.theory),
-        total_size=sum(size(f) for f in instance.theory),
-    )
-
-
-def _growth_default(n_raises: int) -> GrowthTable:
-    matrix = Var("y")
-    theory, _ = defaults.base_reduction(matrix, ["y"])
-    rows = [_default_row(0, theory)]
-    for k in range(1, n_raises + 1):
-        theory = defaults.raise_universal(theory, f"u{k}", k)
-        rows.append(_default_row(k, theory))
-    totals = [row.total_size for row in rows]
-    first = [totals[i + 1] - totals[i] for i in range(len(totals) - 1)]
-    second = [first[i + 1] - first[i] for i in range(len(first) - 1)]
-    quadratic = len(set(second)) <= 1
-    two_defaults = all(
-        rows[i].items - rows[i - 1].items == 2 for i in range(1, len(rows))
-    )
-    return GrowthTable(
-        target=defaults.NAME,
-        matrix_size=size(matrix),
-        rows=tuple(rows),
-        verdicts=(
-            ("each raise adds exactly 2 defaults", two_defaults),
-            ("total size grows exactly quadratically", quadratic),
-        ),
-    )
-
-
-def _default_row(k: int, theory: defaults.DefaultTheory) -> GrowthRow:
-    total = sum(
-        size(d.prerequisite) + size(d.justification) + size(d.consequence)
-        for d in theory.defaults
-    )
-    return GrowthRow(
-        raises=k,
-        variables=len(theory.all_variables()),
-        items=len(theory.defaults),
-        total_size=total,
-    )
-
-
-def _growth_planning(n_raises: int) -> GrowthTable:
-    matrix = Or(Var("x1"), Not(Var("x1")))
-    names = [f"x{i + 1}" for i in range(max(1, n_raises))]
-    instance = planning.base_instance(matrix, names + [planning.GOAL_VAR])
-    chain = [instance]
-    for k in range(1, n_raises + 1):
-        name = names[k - 1]
-        if k % 2 == 1:
-            instance = planning.raise_universal(instance, name, k)
-        else:
-            instance = planning.raise_existential(instance, name, k)
-        chain.append(instance)
-    rows = tuple(_planning_row(k, inst) for k, inst in enumerate(chain))
-    m = size(matrix)
-    action_bound = all(row.items <= 3 * row.raises + 1 for row in rows)
-    # Each raise conjoins one guard (2 nodes) onto every earlier precondition,
-    # so after k raises no precondition should exceed matrix + 2k + constant.
-    precondition_bound = all(
-        size(act.precondition) <= m + 2 * k + 3
-        for k, inst in enumerate(chain)
-        for act in inst.actions
-    )
-    return GrowthTable(
-        target=planning.NAME,
-        matrix_size=m,
-        rows=rows,
-        verdicts=(
-            ("actions <= 3n+1", action_bound),
-            ("precondition size <= matrix + 2n + 3", precondition_bound),
-        ),
-    )
-
-
-def _planning_row(k: int, instance: planning.PlanningInstance) -> GrowthRow:
-    sizes = [
-        size(act.precondition) + len(act.effects) for act in instance.actions
-    ]
-    return GrowthRow(
-        raises=k,
-        variables=len(instance.fluents),
-        items=len(instance.actions),
-        total_size=sum(sizes),
-        max_action_size=max(sizes),
-    )
+    """Raise ``n_raises`` times over a tiny base and tabulate sizes per step,
+    with the target's ``growth``."""
+    matrix_size, rows, verdicts = _target(target).growth(n_raises)
+    return GrowthTable(target, matrix_size, tuple(GrowthRow(*row) for row in rows), verdicts)

@@ -42,12 +42,22 @@ give separate objects, which ``defaults._TheoryTables`` tells apart by
 identity. ``parse_qbf`` takes the matrix's names from that leaf table, and
 since that already rules out duplicate and free names, it builds its
 ``Qbf`` without the constructor's own walk over the matrix.
+
+The three instance formats are line oriented, and one reader serves them
+all: ``instance_lines`` skips blank lines and indents and splits each line
+into the first of the target's keywords it starts with (exactly, as
+``str.startswith`` does, so ``W : x / x`` is no ``W:`` line) and the body
+after it, with the line and column where the body starts. The targets hand
+those to ``parse_formula``, so a formula error names its place in the file,
+not in the formula's text. As for a QBF, the place is worked out only when
+the error is raised.
 """
 
 from __future__ import annotations
 
 import re
 import string
+from typing import Iterator
 
 from .errors import ParseError
 from .formulas import FALSE, TRUE, And, Const, Formula, Iff, Implies, Not, Or, Var
@@ -166,12 +176,37 @@ def _expect_end(text: str, tokens: list[str], i: int) -> None:
         raise _error(text, i, f"unexpected trailing input {tokens[i]!r}")
 
 
-def parse_formula(text: str) -> Formula:
-    """Parse a bare formula; trailing garbage is an error."""
+def parse_formula(text: str, line: int = 1, column: int = 1) -> Formula:
+    """Parse a bare formula; trailing garbage is an error. ``text`` starts
+    at ``line`` and ``column`` of its file, and an error says where in the
+    file it is."""
     tokens = _tokenize(text)
-    result, i = _formula(text, tokens, 0, dict(_CONSTANTS))
-    _expect_end(text, tokens, i)
+    try:
+        result, i = _formula(text, tokens, 0, dict(_CONSTANTS))
+        _expect_end(text, tokens, i)
+    except ParseError as exc:
+        shift = column - 1 if exc.line == 1 else 0
+        raise ParseError(exc.message, exc.line + line - 1, exc.column + shift) from None
     return result
+
+
+def instance_lines(
+    text: str, keywords: tuple[str, ...]
+) -> Iterator[tuple[str | None, str, int, int]]:
+    """The non-blank lines of an instance file, each as ``(keyword, body,
+    line, column)``. ``keyword`` is the first of ``keywords`` that the line
+    starts with once its indent is skipped, or ``None``; ``body`` is the rest
+    of the line after it, and starts at ``column``."""
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.lstrip()
+        if line:
+            column = len(raw) - len(line) + 1
+            for keyword in keywords:
+                if line.startswith(keyword):
+                    yield keyword, line[len(keyword):], number, column + len(keyword)
+                    break
+            else:
+                yield None, line, number, column
 
 
 def parse_qbf(text: str) -> Qbf:

@@ -38,15 +38,17 @@ instance again.
 
 from __future__ import annotations
 
+import random
+import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import ContractError, ParseError, QraiseError, ResourceLimitError
-from .formulas import And, Const, Formula, Not, Var, conjunction, evaluate, substitute, truth_table
-from .formulas import universe, variables
-from .parsing import parse_formula, serialize_formula
-from .qbf import Qbf, Quantifier, split_prefix
+from .formulas import And, Const, Formula, Not, Or, Var, conjunction, evaluate, size, substitute
+from .formulas import truth_table, universe, variables
+from .parsing import instance_lines, parse_formula, serialize_formula
+from .qbf import Qbf, Quantifier, raise_prefix, random_matrix, random_prefix, split_prefix
 
 # Target interface (see harness.TARGETS): name, fixture suffix, prefix shape.
 NAME, SUFFIX, SHAPE = "planning", "plan", "any"
@@ -457,6 +459,60 @@ def reduce_qbf(q: Qbf) -> PlanningInstance:
     return PlanningInstance(tuple(fluents), frozenset(), goal, tuple(actions))
 
 
+# --- lemma check and growth (see harness.check_lemma, measure_growth) ---------
+
+def sample_merge(
+    rng: random.Random, num_vars: int, depth: int
+) -> tuple[PlanningInstance, str, Qbf | None]:
+    """Draw a QBF of one to ``num_vars`` variables, raise all but its
+    outermost variable, and test that variable's merge: a plan must exist
+    after the last raise exactly when one exists in the OR (existential) or
+    the AND (universal) of the two branches. Returns the instance before
+    the last raise, ``""`` or what broke, and the QBF."""
+    names = tuple(f"x{i + 1}" for i in range(rng.randint(1, num_vars)))
+    prefix = random_prefix(rng, names, "any")
+    matrix = random_matrix(rng, names, depth)
+    instance = raise_prefix(base_instance(matrix, [*names, GOAL_VAR]), prefix[1:], RAISES)
+    quant, name = prefix[0]
+    on_true = plan_exists(substitute_fluent(instance, name, True))[0]
+    on_false = plan_exists(substitute_fluent(instance, name, False))[0]
+    exists = quant is Quantifier.EXISTS
+    expected = (on_true or on_false) if exists else (on_true and on_false)
+    actual = plan_exists(RAISES[quant](instance, name, len(prefix)))[0]
+    failure = (
+        f"{'OR' if exists else 'AND'}-merge on {name}: branches=({on_true},{on_false})"
+        f" merged={actual}"
+    )
+    return instance, "" if actual == expected else failure, Qbf(prefix, matrix)
+
+
+def growth(n_raises: int) -> tuple[int, list[tuple[int, ...]], tuple[tuple[str, bool], ...]]:
+    """Raise ``n_raises`` times, universal and existential in turn, over a
+    tautology. Returns the matrix size, one row (raises, fluents, actions,
+    total size, largest action) per step, where an action's size is its
+    precondition's plus its effect count, and the verdicts on the bound: a
+    linear action count, and each raise adds one guard to a precondition."""
+    matrix = Or(Var("x1"), Not(Var("x1")))
+    names = [f"x{i + 1}" for i in range(max(1, n_raises))]
+    instance = base_instance(matrix, names + [GOAL_VAR])
+    m = size(matrix)
+    rows = []
+    # Each raise conjoins one guard (2 nodes) onto every earlier precondition,
+    # so after k raises no precondition should exceed matrix + 2k + constant.
+    precondition_bound = True
+    for k in range(n_raises + 1):
+        if k:
+            instance = (raise_universal if k % 2 else raise_existential)(instance, names[k - 1], k)
+        pre_sizes = [size(act.precondition) for act in instance.actions]
+        sizes = [s + len(act.effects) for s, act in zip(pre_sizes, instance.actions)]
+        rows.append((k, len(instance.fluents), len(instance.actions), sum(sizes), max(sizes)))
+        precondition_bound &= max(pre_sizes) <= m + 2 * k + 3
+    return m, rows, (
+        ("actions <= 3n+1", all(row[2] <= 3 * row[0] + 1 for row in rows)),
+        ("precondition size <= matrix + 2n + 3", precondition_bound),
+    )
+
+
 # --- instance text format ----------------------------------------------------
 
 def serialize_instance(instance: PlanningInstance) -> str:
@@ -477,37 +533,38 @@ def parse_instance(text: str) -> PlanningInstance:
     initial: set[str] = set()
     goal: str | None = None
     actions: list[Action] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("fluents:"):
-            fluents = tuple(line[len("fluents:"):].split())
-        elif line.startswith("init:"):
-            for item in line[len("init:"):].split():
+    keywords = ("fluents:", "init:", "goal:", "action ")
+    for keyword, body, line, column in instance_lines(text, keywords):
+        if keyword == "fluents:":
+            fluents = tuple(body.split())
+        elif keyword == "init:":
+            for item in body.split():
                 name, _, bit = item.partition("=")
                 if bit not in ("0", "1"):
-                    raise ParseError(f"bad init entry {item!r}", lineno, 1)
+                    entry = next(m for m in re.finditer(r"\S+", body) if m[0] == item)
+                    raise ParseError(f"bad init entry {item!r}", line, column + entry.start())
                 if bit == "1":
                     initial.add(name)
-        elif line.startswith("goal:"):
-            goal = line[len("goal:"):].strip()
-        elif line.startswith("action "):
-            header, _, body = line[len("action "):].partition(":")
-            if not _:
-                raise ParseError("action line needs a ':'", lineno, 1)
-            pre_text, sep, eff_text = body.partition("=>")
-            if not sep:
-                raise ParseError("action line needs '=>'", lineno, 1)
+        elif keyword == "goal:":
+            goal = body.strip()
+        elif keyword:
+            header, colon, rest = body.partition(":")
+            pre_text, arrow, eff_text = rest.partition("=>")
+            if not (colon and arrow):
+                message = "action line needs '=>'" if colon else "action line needs a ':'"
+                raise ParseError(message, line, column - len(keyword))
             effects = []
             for lit in eff_text.split():
                 if lit.startswith("!"):
                     effects.append((lit[1:], False))
                 else:
                     effects.append((lit, True))
-            actions.append(Action(header.strip(), parse_formula(pre_text), tuple(effects)))
+            precondition = parse_formula(pre_text, line, column + len(header) + 1)
+            actions.append(Action(header.strip(), precondition, tuple(effects)))
         else:
-            raise ParseError("expected 'fluents:', 'init:', 'goal:', or 'action' line", lineno, 1)
+            raise ParseError(
+                "expected 'fluents:', 'init:', 'goal:', or 'action' line", line, column
+            )
     if fluents is None or goal is None or not actions:
         raise ParseError("instance needs fluents, a goal, and at least one action", 1, 1)
     return PlanningInstance(

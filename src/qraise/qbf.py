@@ -19,16 +19,20 @@ two must always agree; each guards the other.
 A reduction is a base instance followed by one raise per quantifier.
 ``split_prefix`` cuts a prefix into the outer and inner block of a target's
 shape, and ``raise_prefix`` applies the raises, innermost variable first.
+``random_prefix`` and ``random_matrix`` draw the random QBFs of the harness
+and the random instances of each target's ``sample_merge``.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping, Sequence, TypeVar
 
 from .errors import ContractError, ResourceLimitError, UnsupportedShapeError
-from .formulas import Formula, evaluate_reading, truth_table, variables
+from .formulas import And, Const, Formula, Iff, Implies, Not, Or, Var
+from .formulas import evaluate_reading, truth_table, variables
 
 # Hard cap on the prefix length for both deciders.
 QBF_VAR_CAP = 17
@@ -49,6 +53,45 @@ SHAPE_BLOCKS = {
 }
 
 _ADJECTIVE = {Quantifier.EXISTS: "existential", Quantifier.FORALL: "universal"}
+
+# The binary connectives the generators draw from.
+CONNECTIVES: tuple[Callable[[Formula, Formula], Formula], ...] = (And, Or, Implies, Iff)
+
+
+def two_blocks(names: Sequence[str], split: int, shape: str) -> Prefix:
+    """The first ``split`` names in the outer block of ``shape``, the rest in the inner."""
+    outer, inner = SHAPE_BLOCKS[shape]
+    return tuple((outer if i < split else inner, name) for i, name in enumerate(names))
+
+
+def random_prefix(rng: random.Random, names: Sequence[str], shape: str) -> Prefix:
+    """A prefix of ``shape`` over ``names``, drawn from ``rng``."""
+    if shape in SHAPE_BLOCKS:
+        return two_blocks(names, rng.randint(0, len(names)), shape)
+    return tuple(
+        ((Quantifier.EXISTS if rng.random() < 0.5 else Quantifier.FORALL), name)
+        for name in names
+    )
+
+
+def random_matrix(rng: random.Random, names: Sequence[str], depth: int) -> Formula:
+    """A random formula over ``names``, nested about ``depth`` connectives deep."""
+    if depth == 0 or rng.random() < 0.22:
+        if not names or rng.random() < 0.12:
+            return Const(rng.random() < 0.5)
+        return Var(rng.choice(list(names)))
+    # Occasionally splice in a tautology or contradiction fragment so deep
+    # universal prefixes are not almost always invalid.
+    if names and rng.random() < 0.15:
+        v = Var(rng.choice(list(names)))
+        fragment = Or(v, Not(v)) if rng.random() < 0.5 else And(v, Not(v))
+        other = random_matrix(rng, names, depth - 1)
+        conn = rng.choice(CONNECTIVES)
+        return conn(fragment, other) if rng.random() < 0.5 else conn(other, fragment)
+    if rng.random() < 0.25:
+        return Not(random_matrix(rng, names, depth - 1))
+    conn = rng.choice(CONNECTIVES)
+    return conn(random_matrix(rng, names, depth - 1), random_matrix(rng, names, depth - 1))
 
 
 @dataclass(frozen=True, slots=True)

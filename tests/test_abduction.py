@@ -16,6 +16,7 @@ from qraise.abduction import (
     parse_instance,
     raise_existential,
     reduce_qbf,
+    sample_merge,
     serialize_instance,
     solve,
     substitute_theory,
@@ -37,7 +38,7 @@ from qraise.formulas import (
     universe,
     variables,
 )
-from qraise.harness import SampleSpec, _random_abduction_instance, exhaustive_qbfs
+from qraise.harness import exhaustive_qbfs
 from qraise.parsing import parse_formula, parse_qbf
 from qraise.qbf import Qbf, Quantifier, qbf_valid, raise_prefix, split_prefix
 
@@ -430,8 +431,8 @@ def test_projection_matches_full_table_on_lemma_draws():
     rng = random.Random(31)
     counts = []
     for _ in range(1500):
-        spec = SampleSpec(num_vars=rng.randint(2, 6), matrix_depth=rng.randint(1, 3))
-        instance, _ = _random_abduction_instance(rng, spec)
+        instance, failure, _ = sample_merge(rng, rng.randint(2, 6), rng.randint(1, 3))
+        assert not failure
         counts.append(_assert_matches_full_table(instance))
     assert 0 < sum(1 for c in counts if c) < len(counts)
 

@@ -137,6 +137,45 @@ class TestReduceSolve:
         assert err.startswith("error[io]:")
 
 
+# Instance files with an error, and the position `solve` must report: the
+# file's line and column, not the place within the formula's own text.
+PLAN_HEAD = "fluents: a b\ninit: a=0 b=0\ngoal: a\n"
+POSITIONS = [
+    (
+        "abduction",
+        "H: h\nM: a\nT: h -> a\nT: x & & a\n",
+        "expected a formula, found '&' (line 4, column 8)",
+    ),
+    (
+        "planning",
+        PLAN_HEAD + "action apply-matrix: b & ) => a\n",
+        "expected a formula, found ')' (line 4, column 26)",
+    ),
+    ("default", "true : y / y\n: y / (y\nquery: y\n", "expected ')', found 'end of input' (line 2, column 9)"),
+    # An indent shifts the column by its width.
+    (
+        "abduction",
+        "H: h\nM: a\nT: h -> a\n    T: x & & a\n",
+        "expected a formula, found '&' (line 4, column 12)",
+    ),
+    # Errors about a whole line point at its first character, or at the bad entry.
+    ("abduction", "H: h\n  M: a\n\n   T a\n", "expected an 'H:', 'M:', or 'T:' line (line 4, column 4)"),
+    ("planning", "fluents: a b\ninit: a=0  b=2\n", "bad init entry 'b=2' (line 2, column 12)"),
+    ("planning", PLAN_HEAD + "  action apply-matrix b => a\n", "action line needs a ':' (line 4, column 3)"),
+]
+
+
+@pytest.mark.parametrize("target,text,message", POSITIONS)
+def test_solve_reports_the_position_in_the_file(capsys, tmp_path, target, text, message):
+    path = tmp_path / "instance.txt"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, "solve", "--target", target, str(path)) == (
+        2,
+        "",
+        f"error[parse]: {message}\n",
+    )
+
+
 class TestInternalErrors:
     def test_deep_nesting_is_one_error_line(self, capsys, qbf_file):
         deep = qbf_file("exists x; : " + "!" * 5000 + "x")

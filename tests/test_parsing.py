@@ -17,9 +17,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qraise.defaults import Default, DefaultTheory, parse_theory, serialize_theory
 from qraise.errors import ParseError
 from qraise.formulas import And, Const, FALSE, Formula, Iff, Implies, Not, Or, TRUE, Var, variables
 from qraise.parsing import (
+    instance_lines,
     parse_formula,
     parse_qbf,
     serialize_formula,
@@ -316,6 +318,21 @@ class TestFormulaGrammar:
         assert err.value.line == 2
         assert err.value.column == 1
 
+    @pytest.mark.parametrize(
+        "text, line, column, outcome",
+        [
+            (" x & & a", 4, 3, (4, 8)),  # the error is on the first line: both shift
+            ("x &\n& y", 4, 3, (5, 1)),  # on a later line: only the line shifts
+            ("x % y", 2, 10, (2, 12)),
+            ("(x", 7, 5, (7, 7)),  # end of input
+        ],
+    )
+    def test_error_position_starts_where_the_text_starts(self, text, line, column, outcome):
+        with pytest.raises(ParseError) as err:
+            parse_formula(text, line, column)
+        assert (err.value.line, err.value.column) == outcome
+        assert str(err.value) == f"{err.value.message} (line {outcome[0]}, column {outcome[1]})"
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError, match="trailing"):
             parse_formula("x y")
@@ -327,6 +344,39 @@ class TestFormulaGrammar:
     @given(formulas())
     def test_round_trip_is_identity(self, f):
         assert parse_formula(serialize_formula(f)) == f
+
+
+class TestInstanceLines:
+    def test_blank_lines_and_indents_are_skipped(self):
+        text = "\n  H: a b\n\t\n   \nT:x\n\tother line \n"
+        assert list(instance_lines(text, ("H:", "T:"))) == [
+            ("H:", " a b", 2, 5),
+            ("T:", "x", 5, 3),
+            (None, "other line ", 6, 2),
+        ]
+
+    def test_keywords_match_exactly_and_in_order(self):
+        lines = instance_lines("W : x / x\nquery : y / y\nqueryx: z\nW:w\n", ("W:", "query:"))
+        assert [(keyword, body) for keyword, body, _, _ in lines] == [
+            (None, "W : x / x"),
+            (None, "query : y / y"),
+            (None, "queryx: z"),
+            ("W:", "w"),
+        ]
+        # The first keyword that matches wins, so a longer one goes first.
+        assert next(instance_lines("action x", ("action ", "act"))) == ("action ", "x", 1, 8)
+        assert next(instance_lines("action x", ("act", "action "))) == ("act", "ion x", 1, 4)
+
+    def test_defaults_named_like_keywords_round_trip(self):
+        theory = DefaultTheory(
+            (
+                Default(Var("W"), Var("x"), Var("x")),
+                Default(Var("query"), Var("y"), Var("y")),
+            )
+        )
+        text = serialize_theory(theory, "W")
+        assert text == "W : x / x\nquery : y / y\nquery: W\n"
+        assert parse_theory(text) == (theory, "W")
 
 
 class TestSharedLeaves:

@@ -6,11 +6,22 @@ import pytest
 from qraise.cli import main
 from qraise.errors import ContractError, ResourceLimitError
 from qraise.formulas import ENTAILMENT_VAR_CAP, universe
-from qraise.harness import TARGETS
+from qraise.harness import TARGETS, QbfGenSpec, SampleSpec, check_equivalence, check_lemma
+from qraise.harness import measure_growth
 from qraise.parsing import parse_qbf
 from qraise.qbf import qbf_valid
 
-INTERFACE = ("NAME", "SUFFIX", "SHAPE", "reduce_qbf", "solve", "serialize", "parse")
+INTERFACE = (
+    "NAME",
+    "SUFFIX",
+    "SHAPE",
+    "reduce_qbf",
+    "solve",
+    "serialize",
+    "parse",
+    "sample_merge",
+    "growth",
+)
 
 # Valid and invalid QBFs of each target shape.
 QBFS = {
@@ -122,6 +133,20 @@ def test_text_round_trip_decides_validity(name):
         q = parse_qbf(text)
         answer, _ = module.solve(module.parse(module.serialize(module.reduce_qbf(q))))
         assert answer == qbf_valid(q), text
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda target: check_equivalence(target, QbfGenSpec(count=0)),
+        lambda target: check_lemma(target, SampleSpec(count=0)),
+        lambda target: measure_growth(target, 0),
+    ],
+    ids=["check_equivalence", "check_lemma", "measure_growth"],
+)
+def test_unknown_target_is_rejected_alike(check):
+    with pytest.raises(ValueError, match="^unknown target 'sat'$"):
+        check("sat")
 
 
 def test_default_parse_needs_a_query():
