@@ -39,7 +39,7 @@ from .formulas import (
     truth_table,
     variables,
 )
-from .parsing import instance_lines, parse_formula, serialize_formula
+from .parsing import instance_lines, parse_formula, parse_names, serialize_formula
 from .qbf import Qbf, Quantifier, raise_prefix, random_matrix, split_prefix
 
 # Target interface (see harness.TARGETS): name, fixture suffix, prefix shape.
@@ -322,10 +322,10 @@ def parse_instance(text: str) -> AbductionInstance:
     seen_h = seen_m = False
     for keyword, body, line, column in instance_lines(text, ("H:", "M:", "T:")):
         if keyword == "H:":
-            hypotheses.extend(body.split())
+            hypotheses += parse_names(body, line, column)
             seen_h = True
         elif keyword == "M:":
-            manifestations.extend(body.split())
+            manifestations += parse_names(body, line, column)
             seen_m = True
         elif keyword == "T:":
             theory.append(parse_formula(body, line, column))

@@ -2,18 +2,29 @@
 
 A default ``alpha : beta / gamma`` concludes ``gamma`` once ``alpha`` is
 derivable, provided ``beta`` stays consistent with the final belief set.
-Extensions are found by a depth-first walk over generating sets (Reiter
-1980) that decides defaults from the highest index down, carrying the
-candidate's consequence table ``c``. As ``c`` only shrinks, an include
-branch is dropped once ``c`` contradicts a chosen justification. A complete
-candidate is an extension when (a) its belief set is consistent, (b) every
-chosen justification is compatible with ``c``, (c) no excluded default is
-applicable against ``c`` and (d) the chosen defaults alone, applied from the
-background until nothing changes, reach all of it. The staged construction's
-table contains ``c`` while it stays inside the candidate, so it reproduces
-the candidate exactly when (c) and (d) hold. The include prune is (b) on
-the final table of every candidate the walk completes, so ``_accepts``
-tests only (a), (c) and (d); ``verify_extension`` tests (b) itself.
+A generating set is an extension's when (a) its belief set is consistent,
+(b) every chosen justification is compatible with the final consequence
+table ``c``, (c) no other default is applicable against ``c`` with a
+justification compatible with it and (d) the chosen defaults alone, applied
+from the background until nothing changes, reach all of it (Reiter 1980).
+
+Extensions are found by a depth-first search that branches only on defaults
+that can fire. A node holds the undecided, chosen and excluded defaults and
+the chosen ones' table ``c``. It picks the lowest-index undecided default
+that is applicable against ``c`` and whose justification meets ``c``, and
+branches on excluding it, then on including it. As ``c`` only shrinks, an
+include is dropped once ``c`` contradicts a chosen justification: that is
+(b), and (a) follows from it. A node with no such default is a leaf, and an
+extension iff no excluded default's justification still meets ``c``: an
+excluded default was applicable when excluded and stays so, and no
+undecided one can fire, so that is (c). Every default is chosen only once
+applicable, so (d) holds by construction. Each extension is reached once:
+along its path the next member of its generating set in grounded order
+stays applicable, so a member never chosen would fail the leaf test, and
+two leaves differ on some picked default. On a k-universal reduction the
+search visits a few nodes per extension where deciding every default in or
+out reached 2·3^k leaves. ``verify_extension`` checks one generating set
+by (b) and ``_accepts``, which tests (a), (c) and (d).
 
 The tables leave out every private variable: one that occurs in a single
 formula object, used only as a background formula, a justification or a
@@ -52,7 +63,7 @@ from .formulas import (
     universe,
     variables,
 )
-from .parsing import instance_lines, parse_formula, serialize_formula
+from .parsing import instance_lines, parse_formula, parse_one_name, serialize_formula
 from .qbf import Qbf, Quantifier, raise_prefix, random_matrix, split_prefix
 
 # Target interface (see harness.TARGETS): name, fixture suffix, prefix shape.
@@ -60,7 +71,7 @@ NAME, SUFFIX, SHAPE = "default", "dlt", "ae"
 
 QUERY_VAR = "a"
 
-# Cap on |D| for extension enumeration (2^|D| candidate generating sets).
+# Cap on |D| for extension enumeration (up to 2^|D| search leaves).
 DEFAULT_COUNT_CAP = 12
 
 
@@ -120,7 +131,7 @@ class _TheoryTables:
     them projected out (``formulas.project``'s elimination step).
 
     This is sound because every test on these tables (``_accepts``, the
-    prune in ``_extensions``, ``skeptically_entails``) asks whether some
+    tests in ``_extensions``, ``skeptically_entails``) asks whether some
     positive tables, with at most one negated prerequisite or goal, have a
     common satisfying assignment. A private variable ``v`` occurs in one
     conjunct ``F`` only (``F`` may repeat, and ``F & F = F``), and if ``v``
@@ -177,8 +188,9 @@ class _TheoryTables:
 
 def _accepts(tables: _TheoryTables, mask: int, consequence: int) -> bool:
     """Is the candidate ``mask``, whose consequence table is ``consequence``,
-    an extension? The caller has tested (b): ``_extensions`` by its include
-    prune, ``verify_extension`` itself."""
+    an extension? Tests (a), (c) and (d); ``verify_extension``, the only
+    caller, has tested (b). ``_extensions`` needs none of these tests: its
+    search meets all four by construction and at its leaves."""
     count = len(tables.cons)
     # (a) Only an inconsistent background, with no default chosen, is an inconsistent extension.
     if mask and not consequence:
@@ -226,33 +238,53 @@ def _enumeration_tables(theory: DefaultTheory, extra: Iterable[Formula] = ()) ->
 
 
 def _extensions(tables: _TheoryTables) -> Iterator[tuple[int, int]]:
-    """Every extension as (generating-set bitmask, consequence table), masks ascending."""
-    # Entries are (undecided defaults, chosen mask, table, the chosen defaults'
-    # justification tables); the exclude branch is pushed last, so it pops first
-    # and masks ascend. A self-calling closure would form a reference cycle that
-    # keeps every table alive until a collection.
-    stack = [(len(tables.cons), 0, tables.background, ())]
+    """Every extension as (generating-set bitmask, consequence table), each
+    once, in no fixed order."""
+    not_pre, just, cons = tables.not_pre, tables.just, tables.cons
+    # Entries are (undecided, chosen and excluded masks, table, the chosen
+    # defaults' justification tables, the lowest index that may fire). Only an
+    # include shrinks the table, so an exclude child skips the undecided
+    # defaults its parent already found unable to fire. A self-calling closure
+    # would form a reference cycle that keeps every table alive until a
+    # collection.
+    stack = [((1 << len(cons)) - 1, 0, 0, tables.background, (), 0)]
     while stack:
-        undecided, mask, consequence, justifications = stack.pop()
-        if not undecided:
-            if _accepts(tables, mask, consequence):
+        undecided, mask, excluded, consequence, justifications, start = stack.pop()
+        rest = undecided >> start << start
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            if consequence & not_pre[i] == 0 and consequence & just[i]:
+                break
+            rest ^= low
+        else:
+            # A leaf: no undecided default can fire. An excluded one stays
+            # applicable, as the table only shrinks, so (c) asks only whether
+            # its justification still meets the table.
+            while excluded:
+                low = excluded & -excluded
+                if consequence & just[low.bit_length() - 1]:
+                    break
+                excluded ^= low
+            else:
                 yield mask, consequence
             continue
-        i = undecided - 1
-        narrowed = consequence & tables.cons[i]
-        chosen = (tables.just[i],) + justifications
-        for just in chosen:
-            if not narrowed & just:
+        # Include (pruned by (b)), then exclude, which pops first.
+        undecided ^= low
+        narrowed = consequence & cons[i]
+        chosen = (just[i],) + justifications
+        for table in chosen:
+            if not narrowed & table:
                 break
         else:
-            stack.append((i, mask | 1 << i, narrowed, chosen))
-        stack.append((i, mask, consequence, justifications))
+            stack.append((undecided, mask | low, excluded, narrowed, chosen, 0))
+        stack.append((undecided, mask, excluded | low, consequence, justifications, i + 1))
 
 
 def extensions(theory: DefaultTheory) -> tuple[ExtensionDescriptor, ...]:
-    """All extensions, by enumeration of generating subsets."""
+    """All extensions, ordered by generating-set bitmask."""
     found = []
-    for mask, _ in _extensions(_enumeration_tables(theory)):
+    for mask, _ in sorted(_extensions(_enumeration_tables(theory))):
         generating = frozenset(i for i in range(len(theory.defaults)) if mask >> i & 1)
         consequences = theory.background | {theory.defaults[i].consequence for i in generating}
         found.append(ExtensionDescriptor(generating, consequences))
@@ -473,7 +505,7 @@ def parse_theory(text: str) -> tuple[DefaultTheory, str | None]:
             background.append(parse_formula(body, line, column))
             continue
         if keyword:
-            query = body.strip()
+            query = parse_one_name(body, line, column)
             continue
         if ":" not in body or "/" not in body:
             raise ParseError("expected 'alpha : beta / gamma', 'W:', or 'query:'", line, column)

@@ -42,12 +42,13 @@ from .errors import ContractError, EvaluationError, ResourceLimitError
 # ResourceLimitError rather than silently sampling.
 ENTAILMENT_VAR_CAP = 22
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_+^-]*\Z")
+NAME = r"[A-Za-z_][A-Za-z0-9_+^-]*"
+NAME_RE = re.compile(NAME + r"\Z")
 
 
 def check_name(name: str) -> str:
     """Validate a variable name, returning it unchanged."""
-    if not _NAME_RE.match(name):
+    if not NAME_RE.match(name):
         raise ContractError(f"invalid variable name: {name!r}")
     return name
 

@@ -50,7 +50,9 @@ into the first of the target's keywords it starts with (exactly, as
 after it, with the line and column where the body starts. The targets hand
 those to ``parse_formula``, so a formula error names its place in the file,
 not in the formula's text. As for a QBF, the place is worked out only when
-the error is raised.
+the error is raised. The names on a line (a query, fluents, hypotheses,
+effect literals) are held to ``formulas.check_name``'s pattern by one match
+of the whole line, and a bad name's place, too, is found only for the error.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import string
 from typing import Iterator
 
 from .errors import ParseError
-from .formulas import FALSE, TRUE, And, Const, Formula, Iff, Implies, Not, Or, Var
+from .formulas import FALSE, NAME, NAME_RE, TRUE, And, Const, Formula, Iff, Implies, Not, Or, Var
 from .qbf import Qbf, Quantifier
 
 # One match per token: an identifier, an operator, or any other single
@@ -72,6 +74,12 @@ _OPERATOR = r"<->|->|[()!&|;:]"
 _TOKEN_RE = re.compile(rf"{_IDENT}|{_OPERATOR}|\S")
 _SCAN_RE = re.compile(rf"{_IDENT}|{_OPERATOR}|(\S)")
 _IDENT_START = frozenset(string.ascii_letters + "_")
+# The words of an instance line, and whole lines of names or of literals (a
+# name or ``!`` and a name). Each name is followed by a space or the end, so
+# a failed match cannot backtrack into ways of cutting a name in two.
+_WORD_RE = re.compile(r"\S+")
+_NAMES_RE = re.compile(rf"\s*(?:{NAME}(?:\s+|\Z))*\Z")
+_LITERALS_RE = re.compile(rf"\s*(?:!?{NAME}(?:\s+|\Z))*\Z")
 
 _KEYWORDS = {"true", "false", "exists", "forall"}
 
@@ -207,6 +215,42 @@ def instance_lines(
                     break
             else:
                 yield None, line, number, column
+
+
+def parse_names(body: str, line: int, column: int) -> list[str]:
+    """The names on an instance line: ``body``, which starts at ``column``,
+    split at whitespace. Each must match ``formulas.check_name``'s pattern."""
+    if not _NAMES_RE.match(body):
+        raise _name_error(body, line, column)
+    return body.split()
+
+
+def parse_literals(body: str, line: int, column: int) -> list[tuple[str, bool]]:
+    """The literals ``x`` and ``!x`` on an instance line, as (name, value)."""
+    if not _LITERALS_RE.match(body):
+        raise _name_error(body, line, column, "!")
+    return [(lit[1:], False) if lit.startswith("!") else (lit, True) for lit in body.split()]
+
+
+def parse_one_name(body: str, line: int, column: int) -> str:
+    """The one name an instance line's ``body`` holds."""
+    names = parse_names(body, line, column)
+    if not names:
+        raise ParseError("expected a variable name", line, column)
+    if len(names) > 1:
+        at = column + list(_WORD_RE.finditer(body))[1].start()
+        raise ParseError(f"expected one variable name, found {names[1]!r}", line, at)
+    return names[0]
+
+
+def _name_error(body: str, line: int, column: int, sign: str = "") -> ParseError:
+    """The error at the first word of ``body`` that is no name once ``sign`` is taken off."""
+    for word in _WORD_RE.finditer(body):
+        name = word[0].removeprefix(sign)
+        if not NAME_RE.match(name):
+            message = f"invalid variable name {name!r}" if name else "expected a variable name"
+            return ParseError(message, line, column + word.end() - len(name))
+    raise ValueError(f"every word of {body!r} is a name")
 
 
 def parse_qbf(text: str) -> Qbf:

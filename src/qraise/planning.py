@@ -45,9 +45,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import ContractError, ParseError, QraiseError, ResourceLimitError
-from .formulas import And, Const, Formula, Not, Or, Var, conjunction, evaluate, size, substitute
-from .formulas import truth_table, universe, variables
-from .parsing import instance_lines, parse_formula, serialize_formula
+from .formulas import NAME_RE, And, Const, Formula, Not, Or, Var, conjunction, evaluate, size
+from .formulas import substitute, truth_table, universe, variables
+from .parsing import instance_lines, parse_formula, parse_literals, parse_names, parse_one_name
+from .parsing import serialize_formula
 from .qbf import Qbf, Quantifier, raise_prefix, random_matrix, random_prefix, split_prefix
 
 # Target interface (see harness.TARGETS): name, fixture suffix, prefix shape.
@@ -536,30 +537,26 @@ def parse_instance(text: str) -> PlanningInstance:
     keywords = ("fluents:", "init:", "goal:", "action ")
     for keyword, body, line, column in instance_lines(text, keywords):
         if keyword == "fluents:":
-            fluents = tuple(body.split())
+            fluents = tuple(parse_names(body, line, column))
         elif keyword == "init:":
             for item in body.split():
                 name, _, bit = item.partition("=")
-                if bit not in ("0", "1"):
+                if bit not in ("0", "1") or not NAME_RE.match(name):
                     entry = next(m for m in re.finditer(r"\S+", body) if m[0] == item)
                     raise ParseError(f"bad init entry {item!r}", line, column + entry.start())
                 if bit == "1":
                     initial.add(name)
         elif keyword == "goal:":
-            goal = body.strip()
+            goal = parse_one_name(body, line, column)
         elif keyword:
             header, colon, rest = body.partition(":")
             pre_text, arrow, eff_text = rest.partition("=>")
             if not (colon and arrow):
                 message = "action line needs '=>'" if colon else "action line needs a ':'"
                 raise ParseError(message, line, column - len(keyword))
-            effects = []
-            for lit in eff_text.split():
-                if lit.startswith("!"):
-                    effects.append((lit[1:], False))
-                else:
-                    effects.append((lit, True))
-            precondition = parse_formula(pre_text, line, column + len(header) + 1)
+            at = column + len(header) + 1  # where the precondition starts
+            precondition = parse_formula(pre_text, line, at)
+            effects = parse_literals(eff_text, line, at + len(pre_text) + 2)
             actions.append(Action(header.strip(), precondition, tuple(effects)))
         else:
             raise ParseError(

@@ -162,6 +162,14 @@ POSITIONS = [
     ("abduction", "H: h\n  M: a\n\n   T a\n", "expected an 'H:', 'M:', or 'T:' line (line 4, column 4)"),
     ("planning", "fluents: a b\ninit: a=0  b=2\n", "bad init entry 'b=2' (line 2, column 12)"),
     ("planning", PLAN_HEAD + "  action apply-matrix b => a\n", "action line needs a ':' (line 4, column 3)"),
+    # Names are checked where they are read, against formulas.check_name's pattern.
+    ("default", ": y / y\nquery:\n", "expected a variable name (line 2, column 7)"),
+    ("default", ": y / y\nquery: x y\n", "expected one variable name, found 'y' (line 2, column 10)"),
+    ("planning", PLAN_HEAD + "action s: b => !\n", "expected a variable name (line 4, column 17)"),
+    ("planning", "fluents: a b\ninit: a=0 b=0\ngoal:\n", "expected a variable name (line 3, column 6)"),
+    ("planning", "fluents: a b!\n", "invalid variable name 'b!' (line 1, column 12)"),
+    ("planning", "fluents: a b\ninit: a=0 x!=1\n", "bad init entry 'x!=1' (line 2, column 11)"),
+    ("abduction", "H: h h!\nM: a\n", "invalid variable name 'h!' (line 1, column 6)"),
 ]
 
 

@@ -38,7 +38,15 @@ from qraise.formulas import (
     variables,
 )
 from qraise.parsing import parse_formula, parse_qbf, serialize_formula
-from qraise.qbf import Qbf, Quantifier, qbf_valid, raise_prefix, split_prefix
+from qraise.qbf import (
+    Qbf,
+    Quantifier,
+    qbf_valid,
+    qbf_valid_by_table,
+    raise_prefix,
+    random_matrix,
+    split_prefix,
+)
 
 A, X, Y, P = Var("a"), Var("x"), Var("y"), Var("p")
 
@@ -312,8 +320,8 @@ def _random_theory(rng, pool):
 
 
 def test_depth_first_walk_matches_exhaustive_oracle():
-    """Same (mask, table) list in the same order, and verify_extension agrees
-    with the oracle on every subset."""
+    """Same sorted (mask, table) list, and verify_extension agrees with the
+    oracle on every subset."""
     rng = random.Random(404)
     pool = ["x", "y", "q0"]
     several = 0
@@ -321,7 +329,7 @@ def test_depth_first_walk_matches_exhaustive_oracle():
         theory = _random_theory(rng, pool)
         tables = defaults._enumeration_tables(theory)
         expected = _oracle_extensions(theory, tables)
-        assert list(defaults._extensions(tables)) == expected
+        assert sorted(defaults._extensions(tables)) == expected
         accepted = {mask for mask, _ in expected}
         n = len(theory.defaults)
         for mask in range(1 << n):
@@ -547,14 +555,14 @@ def _full_skeptical(theory, goal):
 
 
 def _assert_matches_full_tables(theory, goal):
-    """Same extension masks in the same order as the reference, each
+    """Same sorted extension masks as the reference, each
     consequence table the projection of the background and the chosen
     consequences, and the same skeptical answer. Returns (variables projected
     out, extension count)."""
     tables = defaults._enumeration_tables(theory, [goal])
     reference = _FullTables(theory, [goal])
-    got = list(defaults._extensions(tables))
-    want = list(_full_extensions(reference))
+    got = sorted(defaults._extensions(tables))
+    want = sorted(_full_extensions(reference))
     assert [mask for mask, _ in got] == [mask for mask, _ in want]
     for mask, table in got:
         chosen = [d.consequence for i, d in enumerate(theory.defaults) if mask >> i & 1]
@@ -645,6 +653,79 @@ def test_each_table_is_its_formulas_projection():
             assert tables.table(f) == project([f], kept)[1]
             projected += not variables(f) <= kept.keys()
     assert projected > 500
+
+
+# --- the walk against the walk it replaced -------------------------------------------
+
+def _reference_extensions(tables):
+    """The walk ``_extensions`` replaced, kept as its reference: it decides
+    every default in or out, from the highest index down, drops an include
+    that contradicts a chosen justification (b), and sends each complete
+    candidate through ``_accepts`` for (a), (c) and (d). Masks ascend."""
+    stack = [(len(tables.cons), 0, tables.background, ())]
+    while stack:
+        undecided, mask, consequence, justifications = stack.pop()
+        if not undecided:
+            if defaults._accepts(tables, mask, consequence):
+                yield mask, consequence
+            continue
+        i = undecided - 1
+        narrowed = consequence & tables.cons[i]
+        chosen = (tables.just[i],) + justifications
+        if all(narrowed & just for just in chosen):
+            stack.append((i, mask | 1 << i, narrowed, chosen))
+        stack.append((i, mask, consequence, justifications))
+
+
+def test_walk_matches_the_reference_on_random_theories():
+    """Each extension once, with its table, on general theories: non-normal
+    defaults, shared formula objects, backgrounds and an inconsistent one."""
+    rng = random.Random(811)
+    several = inconsistent = 0
+    for draw in range(2400):
+        if draw % 2:
+            theory, goal = _pooled_theory(rng)
+        else:
+            theory, goal = _random_theory(rng, ["x", "y", "q0"]), Var("q0")
+        tables = defaults._enumeration_tables(theory, [goal])
+        want = list(_reference_extensions(tables))
+        assert sorted(defaults._extensions(tables)) == want
+        several += len(want) > 1
+        inconsistent += tables.background == 0
+    assert several > 500 and inconsistent > 100
+
+
+def _seeded_reduction(rng, universal, existential, valid):
+    while True:
+        names = [f"x{i + 1}" for i in range(universal)]
+        names += [f"y{i + 1}" for i in range(existential)]
+        prefix = tuple(
+            (Quantifier.FORALL if i < universal else Quantifier.EXISTS, n)
+            for i, n in enumerate(names)
+        )
+        q = Qbf(prefix, random_matrix(rng, names, 5))
+        if qbf_valid_by_table(q) == valid:
+            return q
+
+
+@pytest.mark.parametrize("universal", [6, 7])
+def test_walk_decides_reductions_past_the_cap(universal):
+    """``_TheoryTables`` takes no count cap, so the walk runs on 6 and 7
+    universals (13 and 15 defaults): one extension per branch, the skeptical
+    answer is the QBF's validity, and at 6 universals the masks are the
+    reference's."""
+    rng = random.Random(812 + universal)
+    for valid in (True, False, True, False):
+        theory, query = reduce_qbf(_seeded_reduction(rng, universal, 6, valid))
+        assert len(theory.defaults) > defaults.DEFAULT_COUNT_CAP
+        goal = Var(query)
+        tables = defaults._TheoryTables(theory, [goal])
+        found = sorted(defaults._extensions(tables))
+        if universal == 6:
+            assert found == list(_reference_extensions(tables))
+        assert len(found) == 2**universal
+        goal_gap = tables.full ^ tables.table(goal)
+        assert all(consequence & goal_gap == 0 for _, consequence in found) == valid
 
 
 class TestPrivateVariables:

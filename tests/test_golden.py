@@ -32,6 +32,8 @@ from pathlib import Path
 import pytest
 
 from qraise.cli import main
+from qraise.parsing import serialize_qbf
+from qraise.qbf import Qbf, qbf_valid_by_table, random_matrix, two_blocks
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -64,9 +66,6 @@ DEFAULT_THEORIES = {
 def _default_qbfs() -> dict[str, str]:
     """Seeded forall*-exists* QBFs, four valid and four invalid at each of
     1-5 universals, and one at 6 universals, past the default-count cap."""
-    from qraise.parsing import serialize_qbf
-    from qraise.qbf import Qbf, qbf_valid_by_table, random_matrix, two_blocks
-
     drawn = [(u, valid, draw) for u in range(1, 6) for valid in (True, False) for draw in range(4)]
     made = {}
     for universal, valid, draw in drawn + [(6, False, 0)]:
