@@ -27,6 +27,7 @@ import json
 import random
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,62 @@ from qraise.parsing import serialize_qbf
 from qraise.qbf import Qbf, qbf_valid_by_table, random_matrix, two_blocks
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# --- how a slice is made ------------------------------------------------------
+
+def _seeded_qbfs(
+    target: str, shape: str, letter: str, outer: range, past_cap: int, inner_max: int
+) -> dict[str, str]:
+    """Seeded QBFs of ``shape``, four valid and four invalid for each outer
+    block size in ``outer``, and one invalid one with ``past_cap`` outer
+    variables; each inner block has 1 to ``inner_max`` variables."""
+    drawn = [(n, valid, draw) for n in outer for valid in (True, False) for draw in range(4)]
+    made = {}
+    for count, valid, draw in drawn + [(past_cap, False, 0)]:
+        rng = random.Random(f"{target} {count} {valid} {draw}")
+        while True:
+            inner = rng.randint(1, inner_max)
+            names = [f"x{i + 1}" for i in range(count)]
+            names += [f"y{i + 1}" for i in range(inner)]
+            q = Qbf(two_blocks(names, count, shape), random_matrix(rng, names, 4))
+            if qbf_valid_by_table(q) == valid:
+                break
+        label = "valid" if valid else "invalid"
+        made[f"{letter}{count}_{label}_{draw}.qbf"] = serialize_qbf(q)
+    return made
+
+
+def _slice_commands(
+    target: str, suffix: str, qbfs, instances: dict[str, str], to_stdout: str,
+    inputs: Path, write: bool,
+) -> list[tuple[str, list[str]]]:
+    """A slice's commands as (id, argv): ``validate``, ``reduce -o`` and
+    ``solve`` on each seeded QBF, one ``reduce`` of ``to_stdout`` to stdout,
+    then ``solve`` on each hand-written instance. With ``write``, missing
+    inputs are made first."""
+    if write:
+        for name, text in {**qbfs(), **instances}.items():
+            if not (inputs / name).exists():
+                (inputs / name).write_text(text, encoding="utf-8")
+    commands = []
+    for path in sorted(inputs.glob("*.qbf")):
+        stem = path.stem
+        reduced = inputs / f"{stem}.{suffix}"
+        if write and not reduced.exists():
+            assert _run(["reduce", "--target", target, str(path), "-o", str(reduced)])[0] == 0
+        qbf, instance = f"{{in}}/{path.name}", f"{{in}}/{reduced.name}"
+        commands += [
+            (f"validate-{stem}", ["validate", qbf]),
+            (f"reduce-{stem}", ["reduce", "--target", target, qbf, "-o", "{out}"]),
+            (f"solve-{stem}", ["solve", "--target", target, instance]),
+        ]
+    commands.append(
+        (f"reduce-{to_stdout}-to-stdout", ["reduce", "--target", target, f"{{in}}/{to_stdout}.qbf"])
+    )
+    for name in sorted(instances):
+        commands.append((f"solve-{name}", ["solve", "--target", target, f"{{in}}/{name}"]))
+    return commands
+
 
 # --- the default-logic slice ------------------------------------------------
 
@@ -63,51 +120,41 @@ DEFAULT_THEORIES = {
 }
 
 
-def _default_qbfs() -> dict[str, str]:
-    """Seeded forall*-exists* QBFs, four valid and four invalid at each of
-    1-5 universals, and one at 6 universals, past the default-count cap."""
-    drawn = [(u, valid, draw) for u in range(1, 6) for valid in (True, False) for draw in range(4)]
-    made = {}
-    for universal, valid, draw in drawn + [(6, False, 0)]:
-        rng = random.Random(f"default {universal} {valid} {draw}")
-        while True:
-            existential = rng.randint(1, 6)
-            names = [f"x{i + 1}" for i in range(universal)]
-            names += [f"y{i + 1}" for i in range(existential)]
-            q = Qbf(two_blocks(names, universal, "ae"), random_matrix(rng, names, 4))
-            if qbf_valid_by_table(q) == valid:
-                break
-        label = "valid" if valid else "invalid"
-        made[f"u{universal}_{label}_{draw}.qbf"] = serialize_qbf(q)
-    return made
+# forall*-exists* QBFs at 1-5 universals, and one at 6, past the default-count cap.
+_default_commands = partial(
+    _slice_commands, "default", "dlt",
+    partial(_seeded_qbfs, "default", "ae", "u", range(1, 6), 6, 6),
+    DEFAULT_THEORIES, "u3_valid_0",
+)
+
+# --- the abduction slice ------------------------------------------------------
+
+# Hand-written instances: name -> text.
+ABDUCTION_INSTANCES = {
+    # Every hypothesis set that entails m contradicts the theory.
+    "no_explanation.abd": "H: h1 h2\nM: m\nT: h1 -> m\nT: !h1\nT: h2 -> !m\n",
+    "two_hypotheses.abd": "H: h1 h2 h3\nM: m\nT: h1 & h2 -> m\nT: h3 -> !m\n",
+    "inconsistent_theory.abd": "H: h\nM: m\nT: h -> m\nT: p & !p\n",
+    # Parse errors.
+    "bad_h_name.abd": "H: h1 2h\nM: m\nT: h1 -> m\n",
+    "no_m_line.abd": "H: h\nT: h -> m\n",
+    # 14 hypotheses (the cap) and 9 manifestations: 23 kept variables.
+    "wide_kept_set.abd": "H: {}\nM: {}\nT: {}\n".format(
+        " ".join(f"h{i}" for i in range(14)),
+        " ".join(f"m{i}" for i in range(9)),
+        " | ".join(f"h{i}" for i in range(14)),
+    ),
+}
+
+# exists*-forall* QBFs at 1-7 existentials, and one at 8, past HYPOTHESIS_CAP.
+_abduction_commands = partial(
+    _slice_commands, "abduction", "abd",
+    partial(_seeded_qbfs, "abduction", "ea", "e", range(1, 8), 8, 3),
+    ABDUCTION_INSTANCES, "e3_valid_0",
+)
 
 
-def _default_commands(inputs: Path, write: bool) -> list[tuple[str, list[str]]]:
-    """The slice's commands as (id, argv); with ``write``, missing inputs are made first."""
-    if write:
-        for name, text in {**_default_qbfs(), **DEFAULT_THEORIES}.items():
-            if not (inputs / name).exists():
-                (inputs / name).write_text(text, encoding="utf-8")
-    commands = []
-    for path in sorted(inputs.glob("*.qbf")):
-        stem = path.stem
-        reduced = inputs / f"{stem}.dlt"
-        if write and not reduced.exists():
-            assert _run(["reduce", "--target", "default", str(path), "-o", str(reduced)])[0] == 0
-        qbf, dlt = f"{{in}}/{path.name}", f"{{in}}/{reduced.name}"
-        commands += [
-            (f"validate-{stem}", ["validate", qbf]),
-            (f"reduce-{stem}", ["reduce", "--target", "default", qbf, "-o", "{out}"]),
-            (f"solve-{stem}", ["solve", "--target", "default", dlt]),
-        ]
-    to_stdout = ["reduce", "--target", "default", "{in}/u3_valid_0.qbf"]
-    commands.append(("reduce-u3_valid_0-to-stdout", to_stdout))
-    for name in sorted(DEFAULT_THEORIES):
-        commands.append((f"solve-{name}", ["solve", "--target", "default", f"{{in}}/{name}"]))
-    return commands
-
-
-SLICES = {"default": _default_commands}
+SLICES = {"default": _default_commands, "abduction": _abduction_commands}
 
 
 # --- running and comparing ----------------------------------------------------
