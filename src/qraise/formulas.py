@@ -18,7 +18,10 @@ Internally the enumeration is vectorized: a formula's truth table over an
 ordered variable universe is a single big integer whose bit ``j`` is the
 formula's value under the assignment encoded by ``j``. All connectives
 then become integer bit operations, which keeps exhaustive checks over
-~20 variables affordable.
+~20 variables affordable. ``truth_table`` builds the all-ones table once
+per call and hands it down its recursion, so a negation, implication or
+equivalence node reuses it instead of allocating a ``2**width``-bit
+integer of its own.
 
 ``project`` keeps tables small when only some variables matter: it
 existentially projects every other variable out by bucket elimination,
@@ -321,27 +324,33 @@ def truth_table(f: Formula, order: Mapping[str, int], width: int) -> int:
     """Truth table of ``f`` as a ``2**width``-bit integer.
 
     ``order`` maps each variable of ``f`` to its bit position in the
-    assignment index.
+    assignment index. The all-ones table is built once per call and handed
+    down, so each node does only its own bit operation.
     """
-    full = (1 << (1 << width)) - 1
-    if isinstance(f, Const):
-        return full if f.value else 0
-    if isinstance(f, Var):
+    return _table(f, order, width, (1 << (1 << width)) - 1)
+
+
+def _table(f: Formula, order: Mapping[str, int], width: int, full: int) -> int:
+    """``truth_table`` with ``full``, the all-ones table, given."""
+    cls = f.__class__
+    if cls is Var:
         try:
             return _wave(order[f.name], width)
         except KeyError:
             raise EvaluationError(f"unbound variable: {f.name}") from None
-    if isinstance(f, Not):
-        return full ^ truth_table(f.operand, order, width)
-    left = truth_table(f.left, order, width)  # type: ignore[union-attr]
-    right = truth_table(f.right, order, width)  # type: ignore[union-attr]
-    if isinstance(f, And):
-        return left & right
-    if isinstance(f, Or):
-        return left | right
-    if isinstance(f, Implies):
-        return (full ^ left) | right
-    return full ^ (left ^ right)  # Iff
+    if cls is Not:
+        return full ^ _table(f.operand, order, width, full)
+    if cls is And:
+        return _table(f.left, order, width, full) & _table(f.right, order, width, full)
+    if cls is Or:
+        return _table(f.left, order, width, full) | _table(f.right, order, width, full)
+    if cls is Implies:
+        return (full ^ _table(f.left, order, width, full)) | _table(f.right, order, width, full)
+    if cls is Iff:
+        return full ^ _table(f.left, order, width, full) ^ _table(f.right, order, width, full)
+    if cls is Const:
+        return full if f.value else 0
+    raise TypeError(f"not a formula node: {f!r}")
 
 
 @dataclass(frozen=True, slots=True)

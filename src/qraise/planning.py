@@ -85,16 +85,18 @@ class PlanningInstance:
 def check_instance(instance: PlanningInstance) -> None:
     """Reject an instance whose fluent and action names do not fit together.
 
-    Each precondition is walked once with an explicit stack; the first
-    action that names a fluent outside the instance is reported.
+    Each precondition is walked once with an explicit stack. Unknown
+    fluents are named, sorted: those of the initial state, or those of the
+    first action that mentions any.
     """
     fluent_set = set(instance.fluents)
     if len(fluent_set) != len(instance.fluents):
         raise ContractError("duplicate fluent names")
     if instance.goal not in fluent_set:
         raise ContractError(f"goal {instance.goal!r} is not a fluent")
-    if not instance.initial <= fluent_set:
-        raise ContractError("initial state mentions unknown fluents")
+    stray = instance.initial - fluent_set
+    if stray:
+        raise ContractError(f"initial state mentions unknown fluents: {', '.join(sorted(stray))}")
     names = [act.name for act in instance.actions]
     if len(set(names)) != len(names):
         raise ContractError("duplicate action names")

@@ -131,6 +131,15 @@ class TestReduceSolve:
         assert code == 3
         assert err.startswith("error[resource]:")
 
+    def test_solve_names_unknown_initial_fluents(self, capsys, tmp_path):
+        path = tmp_path / "stray.plan"
+        path.write_text("fluents: a b\ninit: a=0 c=1\ngoal: a\naction m: b => a\n", encoding="utf-8")
+        assert run_cli(capsys, "solve", "--target", "planning", str(path)) == (
+            2,
+            "",
+            "error[contract]: initial state mentions unknown fluents: c\n",
+        )
+
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate", str(tmp_path / "absent.qbf"))
         assert code == 2

@@ -25,6 +25,7 @@ from qraise.formulas import (
     _BINARY,
     _insert,
     _remove,
+    _wave,
     check_name,
     conjunction,
     consistent,
@@ -193,6 +194,83 @@ class TestConsistentEntails:
             consistent(wide)
         with pytest.raises(ResourceLimitError):
             entails(wide[:-1], wide[-1])
+
+
+def _reference_truth_table(f, order, width):
+    """The truth table as it was built before the all-ones table was
+    hoisted: one ``full`` per node, ``isinstance`` dispatch."""
+    full = (1 << (1 << width)) - 1
+    if isinstance(f, Const):
+        return full if f.value else 0
+    if isinstance(f, Var):
+        try:
+            return _wave(order[f.name], width)
+        except KeyError:
+            raise EvaluationError(f"unbound variable: {f.name}") from None
+    if isinstance(f, Not):
+        return full ^ _reference_truth_table(f.operand, order, width)
+    left = _reference_truth_table(f.left, order, width)
+    right = _reference_truth_table(f.right, order, width)
+    if isinstance(f, And):
+        return left & right
+    if isinstance(f, Or):
+        return left | right
+    if isinstance(f, Implies):
+        return (full ^ left) | right
+    return full ^ (left ^ right)  # Iff
+
+
+def _table_formula(rng, names, depth):
+    """A random formula rich in constants and negations: constant leaves,
+    ``!true``/``!false`` and chains of ``Not`` all come up often."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.2:
+        if not names or rng.random() < 0.25:
+            return Const(rng.random() < 0.5)
+        return Var(rng.choice(names))
+    if roll < 0.45:
+        return Not(_table_formula(rng, names, depth - 1))
+    ctor = rng.choice(_BINARY)
+    return ctor(_table_formula(rng, names, depth - 1), _table_formula(rng, names, depth - 1))
+
+
+class TestTruthTable:
+    def test_matches_the_per_node_reference_bit_for_bit(self):
+        rng = random.Random(18)
+        for width in range(ENTAILMENT_VAR_CAP + 1):
+            draws = 150 if width <= 10 else 20 if width <= 16 else 3
+            for _ in range(draws):
+                # The formula's names sit at some of the positions, so the
+                # others are bits it does not use.
+                positions = rng.sample(range(width), rng.randint(min(width, 1), min(width, 8)))
+                order = {f"v{p}": p for p in positions}
+                f = _table_formula(rng, list(order), rng.randint(2, 6))
+                assert truth_table(f, order, width) == _reference_truth_table(f, order, width), f
+
+    @pytest.mark.parametrize("width", [0, 1, 5])
+    def test_constants_and_negation_chains(self, width):
+        full = (1 << (1 << width)) - 1
+        order = {"x": 0} if width else {}
+        cases = [TRUE, FALSE, Not(TRUE), Not(Not(FALSE)), Iff(Not(TRUE), FALSE)]
+        if width:
+            cases += [Not(Not(Not(X))), Implies(X, Not(Not(X))), Or(Not(TRUE), Not(X))]
+        for f in cases:
+            assert truth_table(f, order, width) == _reference_truth_table(f, order, width)
+        assert truth_table(Not(TRUE), order, width) == 0
+        assert truth_table(Not(Not(Not(FALSE))), order, width) == full
+
+    def test_unbound_variable_is_named(self):
+        f = And(Not(TRUE), Or(X, Var("missing")))
+        with pytest.raises(EvaluationError, match="^unbound variable: missing$"):
+            truth_table(f, {"x": 0}, 1)
+        with pytest.raises(EvaluationError, match="^unbound variable: missing$"):
+            _reference_truth_table(f, {"x": 0}, 1)
+
+    def test_non_formula_node_is_rejected(self):
+        with pytest.raises(TypeError, match="^not a formula node: 5$"):
+            truth_table(5, {}, 0)
+        with pytest.raises(TypeError, match="^not a formula node: 'x'$"):
+            truth_table(And(X, Not("x")), {"x": 0}, 1)
 
 
 class TestNames:

@@ -29,6 +29,7 @@ import sys
 import tempfile
 from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -63,8 +64,8 @@ def _seeded_qbfs(
 
 
 def _slice_commands(
-    target: str, suffix: str, qbfs, instances: dict[str, str], to_stdout: str,
-    inputs: Path, write: bool,
+    target: str, suffix: str, qbfs: Callable[[], dict[str, str]], instances: dict[str, str],
+    to_stdout: str, inputs: Path, write: bool,
 ) -> list[tuple[str, list[str]]]:
     """A slice's commands as (id, argv): ``validate``, ``reduce -o`` and
     ``solve`` on each seeded QBF, one ``reduce`` of ``to_stdout`` to stdout,
@@ -131,9 +132,11 @@ _default_commands = partial(
 
 # Hand-written instances: name -> text.
 ABDUCTION_INSTANCES = {
-    # Every hypothesis set that entails m contradicts the theory.
-    "no_explanation.abd": "H: h1 h2\nM: m\nT: h1 -> m\nT: !h1\nT: h2 -> !m\n",
+    # The least explanation takes two hypotheses; a third would refute m.
     "two_hypotheses.abd": "H: h1 h2 h3\nM: m\nT: h1 & h2 -> m\nT: h3 -> !m\n",
+    # No explanation: a set that entails m contradicts the theory, or the
+    # theory contradicts itself.
+    "no_explanation.abd": "H: h1 h2\nM: m\nT: h1 -> m\nT: !h1\nT: h2 -> !m\n",
     "inconsistent_theory.abd": "H: h\nM: m\nT: h -> m\nT: p & !p\n",
     # Parse errors.
     "bad_h_name.abd": "H: h1 2h\nM: m\nT: h1 -> m\n",

@@ -99,7 +99,7 @@ class TestCheckInstance:
             ("fluents: x a\ngoal: b\naction m: x => a\n", "goal 'b' is not a fluent"),
             (
                 "fluents: x a\ninit: z=1\ngoal: a\naction m: x => a\n",
-                "initial state mentions unknown fluents",
+                "initial state mentions unknown fluents: z",
             ),
             (
                 "fluents: x a\ngoal: a\naction m: x => a\naction m: !x => a\n",
@@ -135,6 +135,14 @@ class TestCheckInstance:
         with pytest.raises(ContractError) as caught:
             planning.check_instance(inst)
         assert str(caught.value) == "action 'm2' mentions unknown fluents: y, z"
+
+    def test_unknown_initial_fluents_are_named_sorted(self):
+        inst = PlanningInstance(
+            ("a", "b"), frozenset({"a", "d", "c"}), "a", (Action("m", Var("b"), (("a", True),)),)
+        )
+        with pytest.raises(ContractError) as caught:
+            planning.check_instance(inst)
+        assert str(caught.value) == "initial state mentions unknown fluents: c, d"
 
     def test_an_effect_on_an_unknown_fluent_is_named(self):
         inst = PlanningInstance(
