@@ -35,32 +35,40 @@ import pytest
 
 from qraise.cli import main
 from qraise.parsing import serialize_qbf
-from qraise.qbf import Qbf, qbf_valid_by_table, random_matrix, two_blocks
+from qraise.planning import FLUENT_CAP
+from qraise.qbf import QBF_VAR_CAP, Prefix, Qbf, Quantifier, qbf_valid_by_table, random_matrix
+from qraise.qbf import random_prefix, two_blocks
 
 GOLDEN = Path(__file__).parent / "golden"
 
 # --- how a slice is made ------------------------------------------------------
 
 def _seeded_qbfs(
-    target: str, shape: str, letter: str, outer: range, past_cap: int, inner_max: int
+    target: str, draw_prefix: Callable[[random.Random, int], Prefix], letter: str,
+    outer: range, past_cap: int,
 ) -> dict[str, str]:
-    """Seeded QBFs of ``shape``, four valid and four invalid for each outer
-    block size in ``outer``, and one invalid one with ``past_cap`` outer
-    variables; each inner block has 1 to ``inner_max`` variables."""
+    """Seeded QBFs, four valid and four invalid for each size in ``outer``,
+    and one invalid one of size ``past_cap``. ``draw_prefix(rng, size)``
+    draws each prefix."""
     drawn = [(n, valid, draw) for n in outer for valid in (True, False) for draw in range(4)]
     made = {}
     for count, valid, draw in drawn + [(past_cap, False, 0)]:
         rng = random.Random(f"{target} {count} {valid} {draw}")
         while True:
-            inner = rng.randint(1, inner_max)
-            names = [f"x{i + 1}" for i in range(count)]
-            names += [f"y{i + 1}" for i in range(inner)]
-            q = Qbf(two_blocks(names, count, shape), random_matrix(rng, names, 4))
+            prefix = draw_prefix(rng, count)
+            q = Qbf(prefix, random_matrix(rng, [name for _, name in prefix], 4))
             if qbf_valid_by_table(q) == valid:
                 break
         label = "valid" if valid else "invalid"
         made[f"{letter}{count}_{label}_{draw}.qbf"] = serialize_qbf(q)
     return made
+
+
+def _two_blocks(shape: str, inner_max: int, rng: random.Random, count: int) -> Prefix:
+    """``count`` outer variables of ``shape`` and 1 to ``inner_max`` inner ones."""
+    inner = rng.randint(1, inner_max)
+    names = [f"x{i + 1}" for i in range(count)] + [f"y{i + 1}" for i in range(inner)]
+    return two_blocks(names, count, shape)
 
 
 def _slice_commands(
@@ -124,7 +132,7 @@ DEFAULT_THEORIES = {
 # forall*-exists* QBFs at 1-5 universals, and one at 6, past the default-count cap.
 _default_commands = partial(
     _slice_commands, "default", "dlt",
-    partial(_seeded_qbfs, "default", "ae", "u", range(1, 6), 6, 6),
+    partial(_seeded_qbfs, "default", partial(_two_blocks, "ae", 6), "u", range(1, 6), 6),
     DEFAULT_THEORIES, "u3_valid_0",
 )
 
@@ -152,12 +160,105 @@ ABDUCTION_INSTANCES = {
 # exists*-forall* QBFs at 1-7 existentials, and one at 8, past HYPOTHESIS_CAP.
 _abduction_commands = partial(
     _slice_commands, "abduction", "abd",
-    partial(_seeded_qbfs, "abduction", "ea", "e", range(1, 8), 8, 3),
+    partial(_seeded_qbfs, "abduction", partial(_two_blocks, "ea", 3), "e", range(1, 8), 8),
     ABDUCTION_INSTANCES, "e3_valid_0",
 )
 
 
-SLICES = {"default": _default_commands, "abduction": _abduction_commands}
+# --- the planning slice -------------------------------------------------------
+
+# Hand-written instances: name -> text.
+PLANNING_INSTANCES = {
+    # The goal holds at the start: the empty plan.
+    "goal_at_start.plan": "fluents: g x\ninit: g=1 x=0\ngoal: g\naction set-x: true => x\n",
+    # Two actions that can never fire, next to a two-step plan.
+    "never_fires.plan": (
+        "fluents: a x\ninit: a=0 x=0\ngoal: a\n"
+        "action contradiction: x & !x => a\naction constant: true & false => a\n"
+        "action set-x: !x => x\naction reach: x | false => a\n"
+    ),
+    "no_plan.plan": "fluents: a x\ninit: a=0 x=0\ngoal: a\naction never: x & !x => a\n",
+    # Contract errors.
+    "duplicate_actions.plan": (
+        "fluents: a\ninit: a=0\ngoal: a\naction m: true => a\naction m: !a => a\n"
+    ),
+    "writes_twice.plan": "fluents: a\ninit: a=0\ngoal: a\naction m: true => a !a\n",
+    # Parse errors, and names that are not fluents.
+    "bad_init.plan": "fluents: a\ninit: a=2\ngoal: a\naction m: true => a\n",
+    "missing_arrow.plan": "fluents: a\ninit: a=0\ngoal: a\naction m: true a\n",
+    "unknown_init.plan": "fluents: a b\ninit: a=0 c=1\ngoal: a\naction m: b => a\n",
+    "unknown_goal.plan": "fluents: a b\ninit: a=0 b=0\ngoal: x\naction m: b => a\n",
+}
+
+
+def _any_prefix(rng: random.Random, count: int) -> Prefix:
+    """A prefix of any shape on ``count`` variables. Its reduction has
+    2 * count + 1 fluents plus one per universal, so a prefix is redrawn
+    until that fits ``FLUENT_CAP`` at up to 7 variables and exceeds it past 7."""
+    names = [f"x{i + 1}" for i in range(count)]
+    while True:
+        prefix = random_prefix(rng, names, "any")
+        fluents = 2 * count + 1 + sum(quant is Quantifier.FORALL for quant, _ in prefix)
+        if (fluents <= FLUENT_CAP) == (count <= 7):
+            return prefix
+
+
+# QBFs of any prefix at 1-7 variables, and one at 8, past FLUENT_CAP.
+_planning_commands = partial(
+    _slice_commands, "planning", "plan",
+    partial(_seeded_qbfs, "planning", _any_prefix, "n", range(1, 8), 8),
+    PLANNING_INSTANCES, "n3_valid_0",
+)
+
+# --- the check and growth slice ----------------------------------------------
+
+# Bulk runs per target, their argument errors, and one QBF past QBF_VAR_CAP.
+_PATTERNS = {"abduction": "ea", "default": "ae", "planning": "any"}
+
+
+def _check_growth_commands(inputs: Path, write: bool) -> list[tuple[str, list[str]]]:
+    wide = inputs / "wide.qbf"
+    if write and not wide.exists():
+        names = [f"v{i}" for i in range(QBF_VAR_CAP + 1)]
+        text = f"forall {' '.join(names)};\n: " + " | ".join(f"{v} | !{v}" for v in names) + "\n"
+        wide.write_text(text, encoding="utf-8")
+    commands = []
+    for target, pattern in _PATTERNS.items():
+        check = ["check", "--target", target]
+        commands += [
+            (f"check-{target}-random", check + ["--pattern", pattern, "--vars", "4", "--seed", "3",
+                                                "--count", "40"]),
+            (f"check-{target}-exhaustive", check + ["--exhaustive", "--vars", "1", "--depth", "2",
+                                                    "--per-case"]),
+            (f"growth-{target}", ["growth", "--target", target, "--raises", "4"]),
+        ]
+    commands += [
+        ("check-default-past-the-count-cap",
+         ["check", "--target", "default", "--pattern", "ae", "--vars", "7", "--seed", "1",
+          "--count", "6"]),
+        ("check-abduction-wrong-pattern", ["check", "--target", "abduction", "--pattern", "ae"]),
+        ("check-without-mode", ["check", "--target", "planning"]),
+        ("check-both-modes", ["check", "--target", "planning", "--exhaustive", "--pattern", "any"]),
+        ("check-count-negative", ["check", "--target", "planning", "--pattern", "any",
+                                  "--count", "-3"]),
+        ("check-count-zero", ["check", "--target", "planning", "--pattern", "any", "--count", "0"]),
+        ("check-vars-negative", ["check", "--target", "default", "--pattern", "ae",
+                                 "--vars", "-1", "--count", "3"]),
+        ("check-depth-negative", ["check", "--target", "abduction", "--exhaustive",
+                                  "--depth", "-1"]),
+        ("growth-raises-negative", ["growth", "--target", "planning", "--raises", "-2"]),
+        ("growth-raises-zero", ["growth", "--target", "default", "--raises", "0"]),
+        ("validate-past-the-prefix-cap", ["validate", "{in}/wide.qbf"]),
+    ]
+    return commands
+
+
+SLICES = {
+    "default": _default_commands,
+    "abduction": _abduction_commands,
+    "planning": _planning_commands,
+    "check_growth": _check_growth_commands,
+}
 
 
 # --- running and comparing ----------------------------------------------------
