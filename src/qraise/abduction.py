@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ContractError, ParseError, ResourceLimitError
+from .errors import ContractError, ParseError, check_cap
 from .formulas import (
     And,
     Formula,
@@ -87,11 +87,7 @@ def is_explanation(instance: AbductionInstance, subset: Iterable[str]) -> bool:
 
 
 def _explanations(instance: AbductionInstance, first_only: bool) -> list[Explanation]:
-    if len(instance.hypotheses) > HYPOTHESIS_CAP:
-        raise ResourceLimitError(
-            f"{len(instance.hypotheses)} hypotheses exceed the enumeration cap of"
-            f" {HYPOTHESIS_CAP}"
-        )
+    check_cap(len(instance.hypotheses), "hypotheses", "HYPOTHESIS_CAP", HYPOTHESIS_CAP)
     # A candidate S and the manifestations mention only H and M, so S with T
     # is consistent and entails M exactly when S with T projected onto H and
     # M is and does: one table over H and M serves every candidate subset.

@@ -4,11 +4,12 @@ Exit codes are part of the interface so shell pipelines can compare
 decisions without parsing output:
 
 * 0 / 1 — yes / no for ``validate``, ``solve``, and ``check``
-* 2 — usage, parse, or contract errors
+* 2 — usage, parse, contract, I/O, or internal errors
 * 3 — a brute-force cap was exceeded
 
 Every error is printed to stderr as one line starting with
-``error[<code>]:`` so scripts can grep for the class of failure.
+``error[<code>]:`` so scripts can grep for the class of failure. Each
+package error class carries its code and exit status (``errors``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import stat
 import sys
 from pathlib import Path
 
-from .errors import ContractError, ParseError, QraiseError, ResourceLimitError
+from .errors import ContractError, QraiseError
 from .harness import SHAPE_PATTERNS, TARGETS, PrefixPattern, QbfGenSpec
 from .harness import check_equivalence, measure_growth
 from .parsing import parse_qbf
@@ -112,6 +113,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0 if answer else 1
 
 
+def _at_least(value: int, least: int, option: str) -> None:
+    """Reject an option value that would make a vacuous run."""
+    if value < least:
+        raise ContractError(f"{option} must be at least {least}, got {value}")
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.exhaustive:
         if args.pattern is not None:
@@ -121,6 +128,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         pattern = SHAPE_PATTERNS[args.pattern]
     else:
         raise ContractError("check needs either --exhaustive or --pattern")
+    _at_least(args.vars, 0, "--vars")
+    _at_least(args.depth, 0, "--depth")
+    if pattern is not PrefixPattern.EXHAUSTIVE:
+        _at_least(args.count, 1, "--count")
     spec = QbfGenSpec(
         seed=args.seed,
         num_vars=args.vars,
@@ -140,6 +151,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_growth(args: argparse.Namespace) -> int:
+    _at_least(args.raises, 0, "--raises")
     print(measure_growth(args.target, args.raises).render())
     return 0
 
@@ -156,18 +168,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ParseError as exc:
-        print(f"error[parse]: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(f"error[resource]: {exc}", file=sys.stderr)
-        return 3
-    except ContractError as exc:
-        print(f"error[contract]: {exc}", file=sys.stderr)
-        return 2
     except QraiseError as exc:
-        print(f"error[internal]: {exc}", file=sys.stderr)
-        return 2
+        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
+        return exc.status
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 2

@@ -49,7 +49,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ContractError, ParseError, ResourceLimitError
+from .errors import ContractError, ParseError, check_cap
 from .formulas import (
     And,
     Formula,
@@ -229,11 +229,7 @@ def verify_extension(theory: DefaultTheory, generating: Iterable[int]) -> bool:
 
 def _enumeration_tables(theory: DefaultTheory, extra: Iterable[Formula] = ()) -> _TheoryTables:
     """Tables for enumerating ``theory``, built after the count cap check."""
-    count = len(theory.defaults)
-    if count > DEFAULT_COUNT_CAP:
-        raise ResourceLimitError(
-            f"{count} defaults exceed the enumeration cap of {DEFAULT_COUNT_CAP}"
-        )
+    check_cap(len(theory.defaults), "defaults", "DEFAULT_COUNT_CAP", DEFAULT_COUNT_CAP)
     return _TheoryTables(theory, extra)
 
 

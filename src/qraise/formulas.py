@@ -38,7 +38,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ContractError, EvaluationError, ResourceLimitError
+from .errors import ContractError, EvaluationError, check_cap
 
 # Hard cap on every assignment universe: the whole one of consistent() and
 # entails(), each bucket and the kept set of project(). Exceeding it raises
@@ -368,8 +368,7 @@ def universe(names: Iterable[str], what: str = "variables") -> Universe:
     names take the low bits; callers sort for a canonical layout. More than
     ``ENTAILMENT_VAR_CAP`` names raise ResourceLimitError."""
     order = {name: i for i, name in enumerate(dict.fromkeys(names))}
-    if len(order) > ENTAILMENT_VAR_CAP:
-        raise ResourceLimitError(f"{len(order)} {what} exceed the cap of {ENTAILMENT_VAR_CAP}")
+    check_cap(len(order), what, "ENTAILMENT_VAR_CAP", ENTAILMENT_VAR_CAP)
     return Universe(order, len(order), (1 << (1 << len(order))) - 1)
 
 

@@ -7,7 +7,8 @@ loops and the reports:
 * ``check_equivalence`` — generate QBFs (exhaustively over a template set or
   pseudo-randomly), push each through the target's ``reduce_qbf`` and
   ``solve``, and compare the answer against QBF validity. Before any
-  comparison the two validity deciders are cross-checked against each other.
+  comparison the two validity deciders are cross-checked against each other;
+  a disagreement is a ``QraiseError``, not a counterexample.
 * ``check_lemma`` — the target's ``sample_merge`` draws instances directly
   from one seeded generator and tests the merge property of one raise on
   each.
@@ -29,7 +30,7 @@ from types import ModuleType
 from typing import Iterator, Sequence
 
 from . import abduction, defaults, planning
-from .errors import ResourceLimitError, UnsupportedShapeError
+from .errors import QraiseError, ResourceLimitError, UnsupportedShapeError
 from .formulas import Const, Formula, Not, Var
 from .parsing import serialize_qbf, serialize_qbf_compact
 from .qbf import CONNECTIVES, SHAPE_BLOCKS, Prefix, Qbf, Quantifier, qbf_valid, qbf_valid_by_table
@@ -249,7 +250,7 @@ def check_equivalence(
         recursive = qbf_valid(q)
         tabled = qbf_valid_by_table(q)
         if recursive != tabled:
-            raise AssertionError(
+            raise QraiseError(
                 f"validity oracles disagree on {serialize_qbf_compact(q)}:"
                 f" recursive={recursive} table={tabled}"
             )

@@ -44,7 +44,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import ContractError, ParseError, QraiseError, ResourceLimitError
+from .errors import ContractError, ParseError, QraiseError, check_cap
 from .formulas import NAME_RE, And, Const, Formula, Not, Or, Var, conjunction, evaluate, size
 from .formulas import substitute, truth_table, universe, variables
 from .parsing import instance_lines, parse_formula, parse_literals, parse_names, parse_one_name
@@ -200,8 +200,7 @@ def plan_exists(instance: PlanningInstance) -> tuple[bool, tuple[str, ...] | Non
     """
     check_instance(instance)
     order = {name: i for i, name in enumerate(instance.fluents)}
-    if len(order) > FLUENT_CAP:
-        raise ResourceLimitError(f"{len(order)} fluents exceed the cap of {FLUENT_CAP}")
+    check_cap(len(order), "fluents", "FLUENT_CAP", FLUENT_CAP)
     goal_bit = 1 << order[instance.goal]
     compiled = []
     lit_mask = 0
@@ -532,10 +531,15 @@ def serialize_instance(instance: PlanningInstance) -> str:
 
 
 def parse_instance(text: str) -> PlanningInstance:
+    """Read an instance; an ``init:`` entry or a ``goal:`` that names no
+    declared fluent is a ``ParseError`` at the first such name."""
     fluents: tuple[str, ...] | None = None
     initial: set[str] = set()
     goal: str | None = None
     actions: list[Action] = []
+    # Every name of the init: and goal: lines, and (line, column, keyword, body) of each such line.
+    named: list[str] = []
+    named_lines: list[tuple[int, int, str, str]] = []
     keywords = ("fluents:", "init:", "goal:", "action ")
     for keyword, body, line, column in instance_lines(text, keywords):
         if keyword == "fluents:":
@@ -546,10 +550,14 @@ def parse_instance(text: str) -> PlanningInstance:
                 if bit not in ("0", "1") or not NAME_RE.match(name):
                     entry = next(m for m in re.finditer(r"\S+", body) if m[0] == item)
                     raise ParseError(f"bad init entry {item!r}", line, column + entry.start())
+                named.append(name)
                 if bit == "1":
                     initial.add(name)
+            named_lines.append((line, column, keyword, body))
         elif keyword == "goal:":
             goal = parse_one_name(body, line, column)
+            named.append(goal)
+            named_lines.append((line, column, keyword, body))
         elif keyword:
             header, colon, rest = body.partition(":")
             pre_text, arrow, eff_text = rest.partition("=>")
@@ -566,12 +574,26 @@ def parse_instance(text: str) -> PlanningInstance:
             )
     if fluents is None or goal is None or not actions:
         raise ParseError("instance needs fluents, a goal, and at least one action", 1, 1)
+    declared = set(fluents)
+    if not declared.issuperset(named):
+        raise _unknown_fluent(declared, named_lines)
     return PlanningInstance(
         fluents=fluents,
         initial=frozenset(initial),
         goal=goal,
         actions=tuple(actions),
     )
+
+
+def _unknown_fluent(fluents: set[str], named_lines: list[tuple[int, int, str, str]]) -> ParseError:
+    """The error at the first name of an ``init:`` or ``goal:`` line that is not in ``fluents``."""
+    for line, column, keyword, body in named_lines:
+        for word in re.finditer(r"\S+", body):
+            name = word[0].partition("=")[0]
+            if name not in fluents:
+                message = f"{keyword} names unknown fluent {name!r}"
+                return ParseError(message, line, column + word.start())
+    raise ValueError("every init: and goal: name is a fluent")
 
 
 serialize = serialize_instance

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping, Sequence, TypeVar
 
-from .errors import ContractError, ResourceLimitError, UnsupportedShapeError
+from .errors import ContractError, UnsupportedShapeError, check_cap
 from .formulas import And, Const, Formula, Iff, Implies, Not, Or, Var
 from .formulas import evaluate_reading, truth_table, variables
 
@@ -122,13 +122,6 @@ class Qbf:
         return q
 
 
-def _check_cap(q: Qbf) -> None:
-    if len(q.prefix) > QBF_VAR_CAP:
-        raise ResourceLimitError(
-            f"QBF with {len(q.prefix)} prefix variables exceeds the cap of {QBF_VAR_CAP}"
-        )
-
-
 def qbf_valid(q: Qbf) -> bool:
     """Decide validity by recursion on the outermost variable, evaluating
     the matrix under each full assignment the recursion reaches.
@@ -139,7 +132,7 @@ def qbf_valid(q: Qbf) -> bool:
     variable, the false branch would repeat the same evaluations with the
     same results, so its result is returned without trying false.
     """
-    _check_cap(q)
+    check_cap(len(q.prefix), "prefix variables", "QBF_VAR_CAP", QBF_VAR_CAP)
     return _valid_rec(q.prefix, 0, q.matrix, {}, set())
 
 
@@ -166,7 +159,7 @@ def qbf_valid_by_table(q: Qbf) -> bool:
     index, so each quantifier, innermost first, combines the table's low
     and high halves: ``|`` for exists, ``&`` for forall.
     """
-    _check_cap(q)
+    check_cap(len(q.prefix), "prefix variables", "QBF_VAR_CAP", QBF_VAR_CAP)
     n = len(q.prefix)
     table = truth_table(q.matrix, {name: i for i, (_, name) in enumerate(q.prefix)}, n)
     for i in range(n - 1, -1, -1):

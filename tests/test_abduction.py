@@ -21,7 +21,7 @@ from qraise.abduction import (
     solve,
     substitute_theory,
 )
-from qraise.errors import ContractError, ResourceLimitError, UnsupportedShapeError
+from qraise.errors import ContractError, ResourceLimitError, UnsupportedShapeError, check_cap
 from qraise.cli import main
 from qraise.formulas import (
     ENTAILMENT_VAR_CAP,
@@ -377,11 +377,7 @@ class TestInstanceFormat:
 def _full_table_explanations(instance, first_only):
     """The decider before projection, kept as the reference: one table set
     over every variable of the instance, walked in the same order."""
-    if len(instance.hypotheses) > HYPOTHESIS_CAP:
-        raise ResourceLimitError(
-            f"{len(instance.hypotheses)} hypotheses exceed the enumeration cap of"
-            f" {HYPOTHESIS_CAP}"
-        )
+    check_cap(len(instance.hypotheses), "hypotheses", "HYPOTHESIS_CAP", HYPOTHESIS_CAP)
     u = universe(sorted(instance.all_variables()))
     theory_mask = u.full
     for f in instance.theory:
@@ -571,7 +567,7 @@ def test_wide_theory_formula_is_one_resource_error(capsys, tmp_path):
     assert out == ""
     assert err.splitlines() == [
         f"error[resource]: {ENTAILMENT_VAR_CAP + 1} variables in one elimination bucket exceed"
-        f" the cap of {ENTAILMENT_VAR_CAP}"
+        f" ENTAILMENT_VAR_CAP={ENTAILMENT_VAR_CAP}"
     ]
 
 
@@ -585,7 +581,7 @@ def test_hypothesis_cap_comes_before_any_table(monkeypatch):
     inst = AbductionInstance(many, frozenset({"a"}), frozenset({wide}))
     with pytest.raises(
         ResourceLimitError,
-        match=f"^{HYPOTHESIS_CAP + 1} hypotheses exceed the enumeration cap of {HYPOTHESIS_CAP}$",
+        match=f"^{HYPOTHESIS_CAP + 1} hypotheses exceed HYPOTHESIS_CAP={HYPOTHESIS_CAP}$",
     ):
         solve(inst)
 
@@ -595,6 +591,6 @@ def test_kept_set_cap_names_the_kept_variables():
     mans = frozenset(f"m{i}" for i in range(ENTAILMENT_VAR_CAP + 1 - HYPOTHESIS_CAP))
     with pytest.raises(
         ResourceLimitError,
-        match=f"^{ENTAILMENT_VAR_CAP + 1} kept variables exceed the cap of {ENTAILMENT_VAR_CAP}$",
+        match=f"^{ENTAILMENT_VAR_CAP + 1} kept variables exceed ENTAILMENT_VAR_CAP={ENTAILMENT_VAR_CAP}$",
     ):
         solve(AbductionInstance(hyps, mans, frozenset()))

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import qraise
-from qraise import cli
+from qraise import cli, harness
 from qraise.cli import main
+from qraise.errors import ContractError, EvaluationError, ParseError, QraiseError
+from qraise.errors import ResourceLimitError, UnsupportedShapeError, check_cap
 from qraise.qbf import QBF_VAR_CAP
 
 
@@ -137,7 +139,7 @@ class TestReduceSolve:
         assert run_cli(capsys, "solve", "--target", "planning", str(path)) == (
             2,
             "",
-            "error[contract]: initial state mentions unknown fluents: c\n",
+            "error[parse]: init: names unknown fluent 'c' (line 2, column 11)\n",
         )
 
     def test_missing_file_exits_two(self, capsys, tmp_path):
@@ -179,6 +181,13 @@ POSITIONS = [
     ("planning", "fluents: a b!\n", "invalid variable name 'b!' (line 1, column 12)"),
     ("planning", "fluents: a b\ninit: a=0 x!=1\n", "bad init entry 'x!=1' (line 2, column 11)"),
     ("abduction", "H: h h!\nM: a\n", "invalid variable name 'h!' (line 1, column 6)"),
+    # init: and goal: names are checked against fluents:, the first unknown one in the file.
+    ("planning", "fluents: a b\ninit: a=0 c=1\ngoal: a\naction m: b => a\n",
+     "init: names unknown fluent 'c' (line 2, column 11)"),
+    ("planning", "fluents: a b\ninit: a=0  d=0 c=1\ngoal: a\naction m: b => a\n",
+     "init: names unknown fluent 'd' (line 2, column 12)"),
+    ("planning", "goal: x\nfluents: a b\ninit: c=1\naction m: b => a\n",
+     "goal: names unknown fluent 'x' (line 1, column 7)"),
 ]
 
 
@@ -210,6 +219,68 @@ class TestInternalErrors:
         code, out, err = run_cli(capsys, "solve", "--target", "planning", str(instance))
         assert code == 2 and out == ""
         assert err.startswith("error[internal]: plan failed replay") and err.count("\n") == 1
+
+
+class TestErrorContract:
+    """Every package error is one ``error[<code>]`` line and its class's exit status."""
+
+    @pytest.mark.parametrize(
+        "error,line,status",
+        [
+            (QraiseError("broken"), "error[internal]: broken", 2),
+            (EvaluationError("unbound"), "error[internal]: unbound", 2),
+            (ParseError("bad", 2, 3), "error[parse]: bad (line 2, column 3)", 2),
+            (ContractError("no"), "error[contract]: no", 2),
+            (UnsupportedShapeError("shape"), "error[contract]: shape", 2),
+            (ResourceLimitError("big"), "error[resource]: big", 3),
+        ],
+    )
+    def test_each_class_has_its_code_and_status(self, capsys, monkeypatch, error, line, status):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "_cmd_growth", fail)
+        assert run_cli(capsys, "growth", "--target", "planning") == (status, "", f"{line}\n")
+
+    def test_check_cap_names_the_constant(self):
+        check_cap(5, "widgets", "WIDGET_CAP", 5)
+        with pytest.raises(ResourceLimitError, match="^6 widgets exceed WIDGET_CAP=5$"):
+            check_cap(6, "widgets", "WIDGET_CAP", 5)
+
+    def test_oracle_disagreement_is_one_internal_line(self, capsys, monkeypatch):
+        table = harness.qbf_valid_by_table
+        monkeypatch.setattr(harness, "qbf_valid_by_table", lambda q: not table(q))
+        code, out, err = run_cli(
+            capsys, "check", "--target", "planning", "--pattern", "any", "--count", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error[internal]: validity oracles disagree on ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["check", "--target", "planning", "--pattern", "any", "--count", "-3"],
+             "--count must be at least 1, got -3"),
+            (["check", "--target", "planning", "--pattern", "any", "--count", "0"],
+             "--count must be at least 1, got 0"),
+            (["check", "--target", "default", "--pattern", "ae", "--vars", "-1"],
+             "--vars must be at least 0, got -1"),
+            (["check", "--target", "abduction", "--exhaustive", "--depth", "-2"],
+             "--depth must be at least 0, got -2"),
+            (["growth", "--target", "default", "--raises", "-2"],
+             "--raises must be at least 0, got -2"),
+        ],
+    )
+    def test_vacuous_runs_are_contract_errors(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error[contract]: {message}\n")
+
+    def test_exhaustive_mode_ignores_the_count(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "--target", "planning", "--exhaustive", "--vars", "1",
+            "--depth", "0", "--count", "0",
+        )
+        assert code == 0 and "verdict=PASS" in out
 
 
 class TestDeepInput:

@@ -795,5 +795,5 @@ def test_too_wide_a_body_is_the_bucket_cap(capsys, tmp_path):
     assert out == ""
     assert err.splitlines() == [
         f"error[resource]: {ENTAILMENT_VAR_CAP + 1} variables in one elimination bucket exceed"
-        f" the cap of {ENTAILMENT_VAR_CAP}"
+        f" ENTAILMENT_VAR_CAP={ENTAILMENT_VAR_CAP}"
     ]

@@ -450,9 +450,9 @@ class TestProject:
         assert table == 0b10
         size, cap = ENTAILMENT_VAR_CAP + 1, ENTAILMENT_VAR_CAP
         wide = conjunction(Var(f"v{i}") for i in range(size))
-        bucket = f"^{size} variables in one elimination bucket exceed the cap of {cap}$"
+        bucket = f"^{size} variables in one elimination bucket exceed ENTAILMENT_VAR_CAP={cap}$"
         with pytest.raises(ResourceLimitError, match=bucket):
             project([wide], ["v0"])
-        kept = f"^{size} kept variables exceed the cap of {cap}$"
+        kept = f"^{size} kept variables exceed ENTAILMENT_VAR_CAP={cap}$"
         with pytest.raises(ResourceLimitError, match=kept):
             project([], [f"k{i}" for i in range(size)])

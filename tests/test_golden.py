@@ -34,6 +34,7 @@ from typing import Callable
 import pytest
 
 from qraise.cli import main
+from qraise.harness import TARGETS
 from qraise.parsing import serialize_qbf
 from qraise.planning import FLUENT_CAP
 from qraise.qbf import QBF_VAR_CAP, Prefix, Qbf, Quantifier, qbf_valid_by_table, random_matrix
@@ -212,22 +213,20 @@ _planning_commands = partial(
 
 # --- the check and growth slice ----------------------------------------------
 
-# Bulk runs per target, their argument errors, and one QBF past QBF_VAR_CAP.
-_PATTERNS = {"abduction": "ea", "default": "ae", "planning": "any"}
-
-
 def _check_growth_commands(inputs: Path, write: bool) -> list[tuple[str, list[str]]]:
+    """``check`` and ``growth`` on each target, their argument errors, and
+    ``validate`` on one QBF past ``QBF_VAR_CAP``, written with ``write``."""
     wide = inputs / "wide.qbf"
     if write and not wide.exists():
         names = [f"v{i}" for i in range(QBF_VAR_CAP + 1)]
         text = f"forall {' '.join(names)};\n: " + " | ".join(f"{v} | !{v}" for v in names) + "\n"
         wide.write_text(text, encoding="utf-8")
     commands = []
-    for target, pattern in _PATTERNS.items():
+    for target, module in TARGETS.items():
         check = ["check", "--target", target]
         commands += [
-            (f"check-{target}-random", check + ["--pattern", pattern, "--vars", "4", "--seed", "3",
-                                                "--count", "40"]),
+            (f"check-{target}-random", check + ["--pattern", module.SHAPE, "--vars", "4",
+                                                "--seed", "3", "--count", "40"]),
             (f"check-{target}-exhaustive", check + ["--exhaustive", "--vars", "1", "--depth", "2",
                                                     "--per-case"]),
             (f"growth-{target}", ["growth", "--target", target, "--raises", "4"]),

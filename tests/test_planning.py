@@ -7,7 +7,7 @@ import pytest
 
 from qraise import planning
 from qraise.cli import main
-from qraise.errors import ContractError, ResourceLimitError
+from qraise.errors import ContractError, ResourceLimitError, check_cap
 from qraise.formulas import And, Const, FALSE, Iff, Implies, Not, Or, TRUE, Var
 from qraise.formulas import truth_table, universe
 from qraise.harness import exhaustive_qbfs
@@ -82,7 +82,7 @@ class TestPlanExists:
     def test_fluent_cap(self):
         fluents = tuple(f"f{i}" for i in range(19))
         inst = PlanningInstance(fluents, frozenset(), "f0", (Action("m", TRUE, (("f0", True),)),))
-        with pytest.raises(ResourceLimitError, match="^19 fluents exceed the cap of 18$"):
+        with pytest.raises(ResourceLimitError, match="^19 fluents exceed FLUENT_CAP=18$"):
             plan_exists(inst)
 
 
@@ -90,16 +90,21 @@ MANY_FLUENTS = " ".join(f"f{i}" for i in range(19))
 
 
 class TestCheckInstance:
-    """Building an instance checks nothing; the deciders check it first."""
+    """Building an instance checks nothing; the deciders check it first. A
+    file names its unknown init: and goal: fluents at their place, as a
+    parse error, before any instance is built."""
 
     @pytest.mark.parametrize(
         "text,message",
         [
             ("fluents: x x a\ngoal: a\naction m: x => a\n", "duplicate fluent names"),
-            ("fluents: x a\ngoal: b\naction m: x => a\n", "goal 'b' is not a fluent"),
+            (
+                "fluents: x a\ngoal: b\naction m: x => a\n",
+                "error[parse]: goal: names unknown fluent 'b' (line 2, column 7)",
+            ),
             (
                 "fluents: x a\ninit: z=1\ngoal: a\naction m: x => a\n",
-                "initial state mentions unknown fluents: z",
+                "error[parse]: init: names unknown fluent 'z' (line 2, column 7)",
             ),
             (
                 "fluents: x a\ngoal: a\naction m: x => a\naction m: !x => a\n",
@@ -119,7 +124,8 @@ class TestCheckInstance:
         path.write_text(text, encoding="utf-8")
         assert main(["solve", "--target", "planning", str(path)]) == 2
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"error[contract]: {message}\n")
+        line = message if message.startswith("error[") else f"error[contract]: {message}"
+        assert (captured.out, captured.err) == ("", f"{line}\n")
 
     def test_loose_names_are_listed_sorted_for_the_first_action_at_fault(self):
         inst = PlanningInstance(
@@ -143,6 +149,11 @@ class TestCheckInstance:
         with pytest.raises(ContractError) as caught:
             planning.check_instance(inst)
         assert str(caught.value) == "initial state mentions unknown fluents: c, d"
+
+    def test_an_unknown_goal_is_named(self):
+        inst = PlanningInstance(("a",), frozenset(), "x", (Action("m", TRUE, (("a", True),)),))
+        with pytest.raises(ContractError, match="^goal 'x' is not a fluent$"):
+            planning.check_instance(inst)
 
     def test_an_effect_on_an_unknown_fluent_is_named(self):
         inst = PlanningInstance(
@@ -484,8 +495,7 @@ def _mask_plan_exists(instance):
     literal masks and remainder table, tested at every popped state."""
     planning.check_instance(instance)
     order = {name: i for i, name in enumerate(instance.fluents)}
-    if len(order) > FLUENT_CAP:
-        raise ResourceLimitError(f"{len(order)} fluents exceed the cap of {FLUENT_CAP}")
+    check_cap(len(order), "fluents", "FLUENT_CAP", FLUENT_CAP)
     goal_bit = 1 << order[instance.goal]
     compiled = []
     for idx, act in enumerate(instance.actions):

@@ -178,6 +178,6 @@ class TestUniverse:
     def test_cap_error_names_size_and_cap(self):
         size = ENTAILMENT_VAR_CAP + 1
         with pytest.raises(
-            ResourceLimitError, match=f"^{size} variables exceed the cap of {ENTAILMENT_VAR_CAP}$"
+            ResourceLimitError, match=f"^{size} variables exceed ENTAILMENT_VAR_CAP={ENTAILMENT_VAR_CAP}$"
         ):
             universe(f"v{i}" for i in range(size))
