@@ -366,7 +366,7 @@ class Universe:
 def universe(names: Iterable[str], what: str = "variables") -> Universe:
     """Lay ``names`` out in the order given, since the order decides which
     names take the low bits; callers sort for a canonical layout. More than
-    ``ENTAILMENT_VAR_CAP`` names raise ResourceLimitError."""
+    ``ENTAILMENT_VAR_CAP`` names are a ``ResourceLimitError`` (``errors.check_cap``)."""
     order = {name: i for i, name in enumerate(dict.fromkeys(names))}
     check_cap(len(order), what, "ENTAILMENT_VAR_CAP", ENTAILMENT_VAR_CAP)
     return Universe(order, len(order), (1 << (1 << len(order))) - 1)
