@@ -11,7 +11,9 @@ Each node is a small frozen class with slots: ``Const``, ``Var`` and
 frozen slot dataclasses would, so ``==`` and ``hash`` recurse over the
 whole tree. They are written by hand because a parse builds hundreds of
 them, and each ``__init__`` stores straight into its slots where a
-dataclass's goes through ``object.__setattr__`` once per field.
+dataclass's goes through ``object.__setattr__`` once per field. Their
+base ``Frozen`` holds the refusal to assign, ``repr`` and pickling;
+``planning.Action`` shares it.
 
 ``consistent`` and ``entails`` decide by full enumeration of assignments.
 Internally the enumeration is vectorized: a formula's truth table over an
@@ -56,11 +58,11 @@ def check_name(name: str) -> str:
     return name
 
 
-class Formula:
-    """Base class for AST nodes. Instances are immutable and hashable.
-
-    Each node class lists its fields in ``__match_args__``, which ``repr``
-    and pickling read."""
+class Frozen:
+    """A frozen slot class, written by hand: it refuses every assignment,
+    and prints and pickles the fields its ``__match_args__`` lists, as a
+    frozen slot dataclass would. Subclasses store through their slots'
+    descriptors and define ``==`` and ``hash`` themselves."""
 
     __slots__ = ()
 
@@ -76,6 +78,12 @@ class Formula:
 
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class Formula(Frozen):
+    """Base class for AST nodes. Instances are immutable and hashable."""
+
+    __slots__ = ()
 
 
 class Const(Formula):
@@ -173,8 +181,6 @@ _set_right = _Binary.right.__set__
 TRUE = Const(True)
 FALSE = Const(False)
 
-_BINARY = (And, Or, Implies, Iff)
-
 
 def variables(f: Formula) -> frozenset[str]:
     """The set of variable names occurring in ``f``."""
@@ -182,11 +188,12 @@ def variables(f: Formula) -> frozenset[str]:
     stack = [f]
     while stack:
         node = stack.pop()
-        if isinstance(node, Var):
+        cls = node.__class__
+        if cls is Var:
             out.add(node.name)
-        elif isinstance(node, Not):
+        elif cls is Not:
             stack.append(node.operand)
-        elif isinstance(node, _BINARY):
+        elif cls is not Const:
             stack.append(node.left)
             stack.append(node.right)
     return frozenset(out)
@@ -199,9 +206,10 @@ def size(f: Formula) -> int:
     while stack:
         node = stack.pop()
         total += 1
-        if isinstance(node, Not):
+        cls = node.__class__
+        if cls is Not:
             stack.append(node.operand)
-        elif isinstance(node, _BINARY):
+        elif cls is not Var and cls is not Const:
             stack.append(node.left)
             stack.append(node.right)
     return total

@@ -6,12 +6,15 @@ state and visits only the states it reaches, so answers are exact and
 returned plans are shortest. A state is an integer with one bit per
 fluent, in the instance's fluent order. Each precondition is compiled once
 into a literal test, ``state & care == want``, and a truth table over its
-remaining variables. The literal tests are memoized: states that agree on
-the bits any literal test reads pass the same actions, so the list of
+remaining variables, whose index is gathered from the state in runs of
+adjacent fluent bits. The literal tests are memoized: states that agree on
+the bits any literal test reads pass the same actions, so the tuple of
 passing actions is made once per such key and reused, and only the actions
-with a remainder then look up their table. ``plan_exists`` holds the
-fluent count to ``FLUENT_CAP``, since up to ``2^|fluents|`` states may be
-reachable.
+with a remainder then look up their table. The search keeps one dict, each
+reached state's parent, and reads the plan back from it. It is held to
+``STATE_CAP`` reached states, a budget on the work done rather than on the
+instance's size: reductions of 16-variable QBFs (41 fluents) decide well
+within it.
 
 ``base_reduction`` turns a matrix into a single action that sets the goal
 when the matrix holds; every raise keeps that action first.
@@ -26,7 +29,8 @@ QBF. Each raise wraps every older precondition in its guard.
 ``reduce_qbf`` builds the same instance as folding ``RAISES`` over the
 prefix, in one pass: it writes each gadget once, with the raise that added
 it, and wraps each precondition in the guards of the later raises at the
-end, so it builds every ``Action`` once.
+end, so it builds every ``Action`` once. Each guard, done flag and goal
+``Var`` is made once and shared by every precondition that reads it.
 
 Building an instance checks nothing. ``check_instance`` rejects one whose
 names do not fit together, and ``plan_exists`` and ``validate_plan`` call it
@@ -40,13 +44,12 @@ from __future__ import annotations
 
 import random
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import ContractError, ParseError, QraiseError, check_cap
-from .formulas import NAME_RE, And, Const, Formula, Not, Or, Var, conjunction, evaluate, size
-from .formulas import substitute, truth_table, universe, variables
+from .formulas import NAME_RE, And, Const, Formula, Frozen, Not, Or, Var, conjunction, evaluate
+from .formulas import size, substitute, truth_table, universe, variables
 from .parsing import instance_lines, parse_formula, parse_literals, parse_names, parse_one_name
 from .parsing import serialize_formula
 from .qbf import Qbf, Quantifier, raise_prefix, random_matrix, random_prefix, split_prefix
@@ -56,22 +59,56 @@ NAME, SUFFIX, SHAPE = "planning", "plan", "any"
 
 GOAL_VAR = "a"
 
-# Hard cap on the fluent count for plan search (up to 2^|fluents| reachable states).
-FLUENT_CAP = 18
+# Hard cap on the states one plan search may reach. An instance of up to 18
+# fluents has at most 2^18 states, so it never reaches the cap.
+STATE_CAP = 2**18
 
 State = Mapping[str, bool]
 
 
-@dataclass(frozen=True, slots=True)
-class Action:
-    name: str
-    precondition: Formula
-    effects: tuple[tuple[str, bool], ...]
+class Action(Frozen):
+    """A named precondition formula and its effect literals, in order.
 
-    def __post_init__(self):
-        written = [name for name, _ in self.effects]
+    A hand-written frozen slot class, like the formula nodes: ``==``,
+    ``hash``, ``repr`` and pickling are those of the frozen slot dataclass
+    it replaces. Building one rejects effects that write a fluent twice;
+    ``reduce_qbf``, whose effects always write distinct fluents, builds its
+    actions with ``_action`` and skips that check."""
+
+    __slots__ = ("name", "precondition", "effects")
+    __match_args__ = ("name", "precondition", "effects")
+
+    def __init__(self, name: str, precondition: Formula, effects: tuple[tuple[str, bool], ...]):
+        written = [fluent for fluent, _ in effects]
         if len(set(written)) != len(written):
-            raise ContractError(f"action {self.name!r} writes a fluent twice")
+            raise ContractError(f"action {name!r} writes a fluent twice")
+        _set_name(self, name)
+        _set_precondition(self, precondition)
+        _set_effects(self, effects)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.precondition, self.effects) == (
+            other.name, other.precondition, other.effects
+        )
+
+    def __hash__(self):
+        return hash((self.name, self.precondition, self.effects))
+
+
+_set_name = Action.name.__set__
+_set_precondition = Action.precondition.__set__
+_set_effects = Action.effects.__set__
+
+
+def _action(name: str, precondition: Formula, effects: tuple[tuple[str, bool], ...]) -> Action:
+    """An ``Action`` whose effects are known to write distinct fluents."""
+    act = object.__new__(Action)
+    _set_name(act, name)
+    _set_precondition(act, precondition)
+    _set_effects(act, effects)
+    return act
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,27 +188,31 @@ def control_fluents(instance: PlanningInstance) -> frozenset[str]:
 
 def _precondition_test(
     precondition: Formula, order: Mapping[str, int]
-) -> tuple[int, int, tuple[tuple[int, int], ...], int]:
+) -> tuple[int, int, tuple[tuple[int, int, int], ...], int]:
     """Compile ``precondition`` into a state test over the fluent bits ``order``.
 
-    Returns ``(must_set, must_clear, gather, table)``. The literal conjuncts
+    Returns ``(must_set, must_clear, runs, table)``. The literal conjuncts
     of the top-level ``And`` tree become the two masks; the conjunction of
-    the other conjuncts is tabulated over its own variables only. A state
-    passes when it has every ``must_set`` bit, no ``must_clear`` bit, and
-    bit ``index`` of ``table`` is set, where ``index`` gathers the state's
-    bit ``position`` into bit ``i`` for each ``(i, position)`` of ``gather``.
+    the other conjuncts is tabulated over its own variables only, in fluent
+    order. A state passes when it has every ``must_set`` bit, no
+    ``must_clear`` bit, and bit ``index`` of ``table`` is set. ``index``
+    is gathered from the state in runs of adjacent fluent bits: each
+    ``(position, mask, shift)`` of ``runs`` adds ``(state >> position &
+    mask) << shift``. A remainder over fluents ``0..k-1``, as a reduction's
+    matrix is, is one run.
     """
     must_set = must_clear = 0
     rest: list[Formula] = []
     stack = [precondition]
     while stack:
         node = stack.pop()
-        if isinstance(node, And):
+        cls = node.__class__
+        if cls is And:
             stack.append(node.right)
             stack.append(node.left)
-        elif isinstance(node, Var):
+        elif cls is Var:
             must_set |= 1 << order[node.name]
-        elif isinstance(node, Not) and isinstance(node.operand, Var):
+        elif cls is Not and node.operand.__class__ is Var:
             must_clear |= 1 << order[node.operand.name]
         else:
             rest.append(node)
@@ -179,8 +220,21 @@ def _precondition_test(
         return must_set, must_clear, (), 1
     remainder = conjunction(rest)
     u = universe(sorted(variables(remainder), key=order.__getitem__))
-    gather = tuple((i, order[name]) for name, i in u.order.items())
-    return must_set, must_clear, gather, truth_table(remainder, u.order, u.width)
+    spans: list[list[int]] = []  # [position, length, shift] of each run
+    for name, shift in u.order.items():
+        position = order[name]
+        if spans and position == spans[-1][0] + spans[-1][1]:
+            spans[-1][1] += 1
+        else:
+            spans.append([position, 1, shift])
+    runs = tuple((position, (1 << length) - 1, shift) for position, length, shift in spans)
+    return must_set, must_clear, runs, truth_table(remainder, u.order, u.width)
+
+
+# A compiled action in plan search: its first gather run's position and
+# mask (0 without a remainder), the other runs, its table, set_mask,
+# keep_mask (the complement of the bits it clears) and its index.
+_Entry = tuple[int, int, tuple[tuple[int, int, int], ...], int, int, int, int]
 
 
 def plan_exists(instance: PlanningInstance) -> tuple[bool, tuple[str, ...] | None]:
@@ -194,18 +248,23 @@ def plan_exists(instance: PlanningInstance) -> tuple[bool, tuple[str, ...] | Non
     remainder then test their truth table. An action that can never fire
     is dropped up front. Kept, it could fire: with ``x & !x`` it passes
     ``care``/``want`` wherever ``x`` is set, and a remainder without
-    variables (``true & false``) has an empty ``gather``, so its table of
-    0 is never looked up. The memo holds one list per distinct key, so
-    where the literal tests read every fluent it holds one per popped state.
+    variables (``true & false``) has no runs, so its table of 0 is never
+    looked up.
+
+    ``parents`` maps each reached state to the state it was first reached
+    from. The action taken is not stored: the plan is read back by finding,
+    for each step, the first passing action that leads from the parent to
+    the child, which is the one the search took. More than ``STATE_CAP``
+    reached states stop the search with a ``ResourceLimitError``. The memo
+    holds at most one entry per popped state, so the cap bounds it too.
     """
     check_instance(instance)
     order = {name: i for i, name in enumerate(instance.fluents)}
-    check_cap(len(order), "fluents", "FLUENT_CAP", FLUENT_CAP)
     goal_bit = 1 << order[instance.goal]
     compiled = []
     lit_mask = 0
     for idx, act in enumerate(instance.actions):
-        must_set, must_clear, gather, table = _precondition_test(act.precondition, order)
+        must_set, must_clear, runs, table = _precondition_test(act.precondition, order)
         if must_set & must_clear or not table:
             continue
         set_mask = 0
@@ -217,49 +276,72 @@ def plan_exists(instance: PlanningInstance) -> tuple[bool, tuple[str, ...] | Non
                 clear_mask |= 1 << order[name]
         care = must_set | must_clear
         lit_mask |= care
-        compiled.append((care, must_set, (idx, gather, table, set_mask, ~clear_mask)))
+        # The first run always has shift 0: it is read inline, the rest in a loop.
+        position, mask, _ = runs[0] if runs else (0, 0, 0)
+        entry = (position, mask, runs[1:], table, set_mask, ~clear_mask, idx)
+        compiled.append((care, must_set, entry))
     start = 0
     for name in instance.initial:
         start |= 1 << order[name]
-    # state & lit_mask -> (idx, gather, table, set_mask, keep_mask) of the
-    # actions whose literal test passes, in action order
-    passing: dict[int, list[tuple[int, tuple[tuple[int, int], ...], int, int, int]]] = {}
-    parents: dict[int, tuple[int, int]] = {}
-    seen = {start}
-    frontier = deque([start])
-    goal_state = start if start & goal_bit else None
-    while frontier and goal_state is None:
-        state = frontier.popleft()
+    if start & goal_bit:
+        return True, ()
+    # state & lit_mask -> the entries of the actions whose literal test
+    # passes, in action order
+    passing: dict[int, tuple[_Entry, ...]] = {}
+    parents: dict[int, int | None] = {start: None}
+    queue = [start]  # in breadth-first order; the loop reads what it appends
+    for state in queue:
         key = state & lit_mask
         candidates = passing.get(key)
         if candidates is None:
-            candidates = passing[key] = [
-                entry for care, want, entry in compiled if key & care == want
-            ]
-        for idx, gather, table, set_mask, keep_mask in candidates:
-            if gather:
-                index = 0
-                for i, position in gather:
-                    index |= (state >> position & 1) << i
+            candidates = passing[key] = tuple(
+                [entry for care, want, entry in compiled if key & care == want]
+            )
+        for position, mask, more, table, set_mask, keep_mask, _ in candidates:
+            if mask:
+                index = state >> position & mask
+                if more:
+                    for position, mask, shift in more:
+                        index |= (state >> position & mask) << shift
                 if not table >> index & 1:
                     continue
             successor = (state | set_mask) & keep_mask
-            if successor in seen:
+            if successor in parents:
                 continue
-            seen.add(successor)
-            parents[successor] = (state, idx)
+            parents[successor] = state
+            if len(parents) > STATE_CAP:
+                check_cap(len(parents), "states", "STATE_CAP", STATE_CAP)
             if successor & goal_bit:
-                goal_state = successor
-                break
-            frontier.append(successor)
-    if goal_state is None:
-        return False, None
+                return True, _read_plan(instance, successor, parents, passing, lit_mask)
+            queue.append(successor)
+    return False, None
+
+
+def _read_plan(
+    instance: PlanningInstance,
+    goal_state: int,
+    parents: Mapping[int, int | None],
+    passing: Mapping[int, tuple[_Entry, ...]],
+    lit_mask: int,
+) -> tuple[str, ...]:
+    """The actions from the initial state to ``goal_state``: at each step,
+    the first of the parent's passing actions that fires there and leads
+    to the child."""
     steps: list[str] = []
-    cursor = goal_state
-    while cursor != start:
-        cursor, idx = parents[cursor]
-        steps.append(instance.actions[idx].name)
-    return True, tuple(reversed(steps))
+    child = goal_state
+    state = parents[child]
+    while state is not None:
+        for position, mask, more, table, set_mask, keep_mask, idx in passing[state & lit_mask]:
+            if (state | set_mask) & keep_mask != child:
+                continue
+            index = state >> position & mask
+            for position, mask, shift in more:
+                index |= (state >> position & mask) << shift
+            if table >> index & 1:
+                steps.append(instance.actions[idx].name)
+                break
+        child, state = state, parents[state]
+    return tuple(reversed(steps))
 
 
 def solve(instance: PlanningInstance) -> tuple[bool, str]:
@@ -336,11 +418,6 @@ def base_reduction(matrix: Formula) -> PlanningInstance:
     return base_instance(matrix, sorted(names) + [GOAL_VAR])
 
 
-def _guard_all(actions: Sequence[Action], guard: str) -> tuple[Action, ...]:
-    var = Var(guard)
-    return tuple(Action(act.name, And(var, act.precondition), act.effects) for act in actions)
-
-
 def _check_fresh(instance: PlanningInstance, names: Sequence[str]) -> None:
     for fresh in names:
         if fresh in instance.fluents:
@@ -352,26 +429,27 @@ _ActionParts = tuple[str, Formula, tuple[tuple[str, bool], ...]]
 
 
 def _gadget(
-    quant: Quantifier, name: str, index: int, goal: str, resets: Sequence[str]
-) -> tuple[tuple[str, ...], str, tuple[_ActionParts, ...]]:
+    quant: Quantifier, name: str, index: int, guard: Var, goal: Var, resets: Sequence[str]
+) -> tuple[tuple[str, ...], Var, tuple[_ActionParts, ...]]:
     """Raise ``index`` of ``name`` without its guard on the older actions:
     the fluents it adds, the goal after it, and the parts of its new
-    actions. ``goal`` is the goal before it, and ``resets`` are the control
-    fluents a universal flip clears."""
-    guard = f"_p{index}"
+    actions. ``guard`` is the raise's guard ``_p<index>``, ``goal`` the goal
+    before it, and ``resets`` are the control fluents a universal flip
+    clears. The gadget's preconditions share these ``Var`` nodes."""
+    unlatched = Not(guard)
+    latch = (guard.name, True)
     if quant is Quantifier.EXISTS:
-        choose = Not(Var(guard))
-        return (guard,), goal, (
-            (f"choose-{name}-true", choose, ((name, True), (guard, True))),
-            (f"choose-{name}-false", choose, ((name, False), (guard, True))),
+        return (guard.name,), goal, (
+            (f"choose-{name}-true", unlatched, ((name, True), latch)),
+            (f"choose-{name}-false", unlatched, ((name, False), latch)),
         )
-    done = f"_b{index}"
-    flip_effects = ((name, False), (goal, False)) + tuple((f, False) for f in resets)
-    old_goal = Var(goal)
-    return (done, guard), done, (
-        (f"enter-{name}", Not(Var(guard)), ((name, True), (guard, True))),
-        (f"flip-{name}", And(old_goal, Var(name)), flip_effects),
-        (f"finish-{name}", And(old_goal, Not(Var(name))), ((done, True),)),
+    done = Var(f"_b{index}")
+    var = Var(name)
+    flip_effects = ((name, False), (goal.name, False)) + tuple((f, False) for f in resets)
+    return (done.name, guard.name), done, (
+        (f"enter-{name}", unlatched, ((name, True), latch)),
+        (f"flip-{name}", And(goal, var), flip_effects),
+        (f"finish-{name}", And(goal, Not(var)), ((done.name, True),)),
     )
 
 
@@ -379,12 +457,16 @@ def _raised(
     instance: PlanningInstance, quant: Quantifier, name: str, index: int, resets: Sequence[str]
 ) -> PlanningInstance:
     """A checked public raise: every older action under the new guard, then the gadget."""
-    fresh, goal, parts = _gadget(quant, name, index, instance.goal, resets)
+    guard = Var(f"_p{index}")
+    fresh, goal, parts = _gadget(quant, name, index, guard, Var(instance.goal), resets)
+    guarded = tuple(
+        Action(act.name, And(guard, act.precondition), act.effects) for act in instance.actions
+    )
     return PlanningInstance(
         fluents=instance.fluents + fresh,
         initial=instance.initial,
-        goal=goal,
-        actions=_guard_all(instance.actions, f"_p{index}") + tuple(Action(*p) for p in parts),
+        goal=goal.name,
+        actions=guarded + tuple(Action(*p) for p in parts),
     )
 
 
@@ -443,22 +525,22 @@ def reduce_qbf(q: Qbf) -> PlanningInstance:
     if reserved:
         raise ContractError(f"prefix uses reserved names: {', '.join(sorted(reserved))}")
     fluents = prefix_names + [GOAL_VAR]
-    goal = GOAL_VAR
+    goal = Var(GOAL_VAR)
     controls = [GOAL_VAR]
     parts = [(0, MATRIX_ACTION, q.matrix, ((GOAL_VAR, True),))]
+    guards = [Var(f"_p{index}") for index in range(1, len(prefix) + 1)]
     for index, (quant, name) in enumerate(reversed(prefix), start=1):
-        resets = sorted(c for c in controls if c != goal) if quant is Quantifier.FORALL else ()
-        fresh, goal, gadget = _gadget(quant, name, index, goal, resets)
+        resets = sorted(c for c in controls if c != goal.name) if quant is Quantifier.FORALL else ()
+        fresh, goal, gadget = _gadget(quant, name, index, guards[index - 1], goal, resets)
         fluents += fresh
         controls += fresh
         parts += [(index, *part) for part in gadget]
-    guards = [Var(f"_p{index}") for index in range(1, len(prefix) + 1)]
     actions = []
     for raised_at, act_name, precondition, effects in parts:
         for guard in guards[raised_at:]:
             precondition = And(guard, precondition)
-        actions.append(Action(act_name, precondition, effects))
-    return PlanningInstance(tuple(fluents), frozenset(), goal, tuple(actions))
+        actions.append(_action(act_name, precondition, effects))
+    return PlanningInstance(tuple(fluents), frozenset(), goal.name, tuple(actions))
 
 
 # --- lemma check and growth (see harness.check_lemma, measure_growth) ---------
@@ -532,7 +614,9 @@ def serialize_instance(instance: PlanningInstance) -> str:
 
 def parse_instance(text: str) -> PlanningInstance:
     """Read an instance; an ``init:`` entry or a ``goal:`` that names no
-    declared fluent is a ``ParseError`` at the first such name."""
+    declared fluent is a ``ParseError`` at the first such name. A second
+    ``fluents:``, ``init:`` or ``goal:`` line, and a fluent that the
+    ``init:`` line names twice, are ``ParseError``s there too."""
     fluents: tuple[str, ...] | None = None
     initial: set[str] = set()
     goal: str | None = None
@@ -541,15 +625,23 @@ def parse_instance(text: str) -> PlanningInstance:
     named: list[str] = []
     named_lines: list[tuple[int, int, str, str]] = []
     keywords = ("fluents:", "init:", "goal:", "action ")
+    read: set[str | None] = set()  # the keywords of the lines read so far, but "action "
     for keyword, body, line, column in instance_lines(text, keywords):
+        if keyword in read:
+            raise ParseError(f"second {keyword!r} line", line, column - len(keyword))
+        if keyword != "action ":
+            read.add(keyword)
         if keyword == "fluents:":
             fluents = tuple(parse_names(body, line, column))
         elif keyword == "init:":
-            for item in body.split():
-                name, _, bit = item.partition("=")
+            given: set[str] = set()
+            for entry in re.finditer(r"\S+", body):
+                name, _, bit = entry[0].partition("=")
                 if bit not in ("0", "1") or not NAME_RE.match(name):
-                    entry = next(m for m in re.finditer(r"\S+", body) if m[0] == item)
-                    raise ParseError(f"bad init entry {item!r}", line, column + entry.start())
+                    raise ParseError(f"bad init entry {entry[0]!r}", line, column + entry.start())
+                if name in given:
+                    raise ParseError(f"init: names {name!r} twice", line, column + entry.start())
+                given.add(name)
                 named.append(name)
                 if bit == "1":
                     initial.add(name)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import qraise
-from qraise import cli, harness
+from qraise import cli, harness, planning
 from qraise.cli import main
 from qraise.errors import ContractError, EvaluationError, ParseError, QraiseError
 from qraise.errors import ResourceLimitError, UnsupportedShapeError, check_cap
@@ -119,19 +119,22 @@ class TestReduceSolve:
         assert code == 2
         assert err.startswith("error[contract]:")
 
-    def test_solve_resource_cap_exits_three(self, capsys, tmp_path):
-        fluents = [f"f{i}" for i in range(19)]
+    def test_solve_resource_cap_exits_three(self, capsys, monkeypatch, tmp_path):
+        # four one-shot setters reach 16 states, and the finish action,
+        # which needs the goal it sets, never fires
+        monkeypatch.setattr(planning, "STATE_CAP", 8)
+        fluents = [f"f{i}" for i in range(4)]
         lines = [
-            "fluents: " + " ".join(fluents),
+            "fluents: " + " ".join(fluents) + " g",
             "init: " + " ".join(f"{f}=0" for f in fluents),
-            "goal: f0",
-            "action m: true => f0",
+            "goal: g",
+            *(f"action set-{f}: !{f} => {f}" for f in fluents),
+            "action finish: " + " & ".join(fluents) + " & g => g",
         ]
         path = tmp_path / "big.plan"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code, _, err = run_cli(capsys, "solve", "--target", "planning", str(path))
-        assert code == 3
-        assert err.startswith("error[resource]:")
+        code, out, err = run_cli(capsys, "solve", "--target", "planning", str(path))
+        assert (code, out, err) == (3, "", "error[resource]: 9 states exceed STATE_CAP=8\n")
 
     def test_solve_names_unknown_initial_fluents(self, capsys, tmp_path):
         path = tmp_path / "stray.plan"
@@ -210,8 +213,6 @@ class TestInternalErrors:
         assert err.startswith("error[internal]:") and err.count("\n") == 1
 
     def test_plan_replay_failure_is_one_error_line(self, capsys, tmp_path, qbf_file, monkeypatch):
-        from qraise import planning
-
         instance = tmp_path / "instance.plan"
         source = qbf_file("exists x; : x")
         run_cli(capsys, "reduce", "--target", "planning", str(source), "-o", str(instance))

@@ -22,7 +22,6 @@ from qraise.formulas import (
     Or,
     TRUE,
     Var,
-    _BINARY,
     _insert,
     _remove,
     _wave,
@@ -41,6 +40,7 @@ from qraise.formulas import (
 )
 
 X, Y, A = Var("x"), Var("y"), Var("a")
+_BINARY = (And, Or, Implies, Iff)
 
 
 def formulas(names=("x", "y", "z"), max_leaves=8):

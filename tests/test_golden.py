@@ -36,7 +36,6 @@ import pytest
 from qraise.cli import main
 from qraise.harness import TARGETS
 from qraise.parsing import serialize_qbf
-from qraise.planning import FLUENT_CAP
 from qraise.qbf import QBF_VAR_CAP, Prefix, Qbf, Quantifier, qbf_valid_by_table, random_matrix
 from qraise.qbf import random_prefix, two_blocks
 
@@ -189,22 +188,28 @@ PLANNING_INSTANCES = {
     "missing_arrow.plan": "fluents: a\ninit: a=0\ngoal: a\naction m: true a\n",
     "unknown_init.plan": "fluents: a b\ninit: a=0 c=1\ngoal: a\naction m: b => a\n",
     "unknown_goal.plan": "fluents: a b\ninit: a=0 b=0\ngoal: x\naction m: b => a\n",
+    # Repeated items: a contradictory init: entry, and second fluents: and goal: lines.
+    "contradictory_init.plan": "fluents: a m\ninit: a=1 m=0 a=0\ngoal: a\naction m: m => a\n",
+    "second_fluents.plan": (
+        "fluents: a\ninit: a=0\ngoal: a\nfluents: a b\naction m: b => a\n"
+    ),
+    "second_goal.plan": "fluents: a b\ninit: a=0 b=0\ngoal: b\n  goal: a\naction m: true => a\n",
 }
 
 
 def _any_prefix(rng: random.Random, count: int) -> Prefix:
     """A prefix of any shape on ``count`` variables. Its reduction has
     2 * count + 1 fluents plus one per universal, so a prefix is redrawn
-    until that fits ``FLUENT_CAP`` at up to 7 variables and exceeds it past 7."""
+    until that is at most 18 at up to 7 variables and more than 18 past 7."""
     names = [f"x{i + 1}" for i in range(count)]
     while True:
         prefix = random_prefix(rng, names, "any")
         fluents = 2 * count + 1 + sum(quant is Quantifier.FORALL for quant, _ in prefix)
-        if (fluents <= FLUENT_CAP) == (count <= 7):
+        if (fluents <= 18) == (count <= 7):
             return prefix
 
 
-# QBFs of any prefix at 1-7 variables, and one at 8, past FLUENT_CAP.
+# QBFs of any prefix at 1-7 variables, and one at 8, past 18 fluents.
 _planning_commands = partial(
     _slice_commands, "planning", "plan",
     partial(_seeded_qbfs, "planning", _any_prefix, "n", range(1, 8), 8),

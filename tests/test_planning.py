@@ -1,19 +1,21 @@
 """Action semantics, exact plan search, and the two raising gadgets."""
 
+import copy
+import pickle
 import random
 from collections import deque
+from dataclasses import FrozenInstanceError, make_dataclass
 
 import pytest
 
 from qraise import planning
 from qraise.cli import main
-from qraise.errors import ContractError, ResourceLimitError, check_cap
+from qraise.errors import ContractError, ParseError, ResourceLimitError
 from qraise.formulas import And, Const, FALSE, Iff, Implies, Not, Or, TRUE, Var
-from qraise.formulas import truth_table, universe
+from qraise.formulas import conjunction, truth_table, universe, variables
 from qraise.harness import exhaustive_qbfs
 from qraise.parsing import parse_qbf
 from qraise.planning import (
-    FLUENT_CAP,
     GOAL_VAR,
     Action,
     PlanningInstance,
@@ -31,9 +33,13 @@ from qraise.planning import (
     substitute_fluent,
     validate_plan,
 )
-from qraise.qbf import Qbf, Quantifier, qbf_valid, raise_prefix
+from qraise.qbf import Qbf, Quantifier, qbf_valid, qbf_valid_by_table, raise_prefix
+from qraise.qbf import random_matrix
 
 A, X, Y = Var("a"), Var("x"), Var("y")
+
+# The widest instances the references below tabulate whole: 2^18 states.
+WIDE = 18
 
 
 class TestActionSemantics:
@@ -57,6 +63,32 @@ class TestActionSemantics:
         with pytest.raises(ContractError):
             Action("dup", TRUE, (("a", True), ("a", False)))
 
+    def test_actions_behave_like_the_frozen_dataclass(self):
+        fields = [("name", str), ("precondition", object), ("effects", tuple)]
+        Reference = make_dataclass("Action", fields, frozen=True, slots=True)
+        effects = [(), (("a", True),), (("a", True), ("x", False))]
+        made = [
+            (Action(name, pre, eff), Reference(name, pre, eff))
+            for name in ("m", "n") for pre in (X, Not(X), TRUE) for eff in effects
+        ]
+        for act, ref in made:
+            assert hash(act) == hash(ref) and repr(act) == repr(ref)
+            assert act.__match_args__ == ref.__match_args__
+            assert act.__eq__(ref) is NotImplemented
+            for other, other_ref in made:
+                assert (act == other) is (ref == other_ref)
+            copies = [copy.copy(act), copy.deepcopy(act)] + [
+                pickle.loads(pickle.dumps(act, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+            ]
+            for copied in copies:
+                assert copied == act and hash(copied) == hash(act) and repr(copied) == repr(act)
+            for name in act.__match_args__:
+                with pytest.raises(FrozenInstanceError):
+                    setattr(act, name, TRUE)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(act, name)
+
 
 class TestPlanExists:
     def test_true_matrix_single_step(self):
@@ -79,11 +111,26 @@ class TestPlanExists:
     def test_negative_variable_holds_initially(self):
         assert plan_exists(base_reduction(Not(X)))[0] is True
 
-    def test_fluent_cap(self):
-        fluents = tuple(f"f{i}" for i in range(19))
-        inst = PlanningInstance(fluents, frozenset(), "f0", (Action("m", TRUE, (("f0", True),)),))
-        with pytest.raises(ResourceLimitError, match="^19 fluents exceed FLUENT_CAP=18$"):
-            plan_exists(inst)
+    def test_state_cap(self, monkeypatch):
+        assert planning.STATE_CAP == 2**18
+        monkeypatch.setattr(planning, "STATE_CAP", 8)
+        # three setters reach exactly the 8 states the cap allows
+        assert plan_exists(_setters(3)) == (False, None)
+        # a fourth stops at the 9th state, every time
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError, match="^9 states exceed STATE_CAP=8$"):
+                plan_exists(_setters(4))
+
+
+def _setters(count):
+    """``count`` one-shot setters ``!fi => fi``, which reach 2^count states,
+    and a finish action that needs every ``fi`` and the goal ``g`` it sets,
+    so it never fires."""
+    fluents = [f"f{i}" for i in range(count)]
+    actions = [Action(f"set-{name}", Not(Var(name)), ((name, True),)) for name in fluents]
+    needs = conjunction([Var(name) for name in [*fluents, "g"]])
+    actions.append(Action("finish", needs, (("g", True),)))
+    return PlanningInstance((*fluents, "g"), frozenset(), "g", tuple(actions))
 
 
 MANY_FLUENTS = " ".join(f"f{i}" for i in range(19))
@@ -112,14 +159,16 @@ class TestCheckInstance:
             ),
             ("fluents: x a\ngoal: a\naction m: x & z => a\n", "action 'm' mentions unknown fluents: z"),
             ("fluents: x a\ngoal: a\naction m: x => a w\n", "action 'm' mentions unknown fluents: w"),
-            # 20 fluents: the contract error comes before the fluent cap
+            # 20 fluents: the contract error comes before any search
             (
                 f"fluents: {MANY_FLUENTS} a\ngoal: a\naction m: f1 => a\naction m: f2 => a\n",
                 "duplicate action names",
             ),
         ],
     )
-    def test_solve_prints_one_contract_line(self, capsys, tmp_path, text, message):
+    def test_solve_prints_one_contract_line(self, monkeypatch, capsys, tmp_path, text, message):
+        # a search would stop at its second state: each error comes first
+        monkeypatch.setattr(planning, "STATE_CAP", 1)
         path = tmp_path / "bad.plan"
         path.write_text(text, encoding="utf-8")
         assert main(["solve", "--target", "planning", str(path)]) == 2
@@ -440,17 +489,83 @@ class TestInstanceFormat:
         with pytest.raises(Exception):
             parse_instance("nonsense\n")
 
+    @pytest.mark.parametrize(
+        "text,message,line,column",
+        [
+            ("fluents: a\ninit: a=1 a=1\ngoal: a\n", "init: names 'a' twice", 2, 11),
+            ("fluents: a\ninit: a=0\n init: a=1\ngoal: a\n", "second 'init:' line", 3, 2),
+        ],
+    )
+    def test_a_repeated_item_is_a_parse_error(self, text, message, line, column):
+        with pytest.raises(ParseError) as caught:
+            parse_instance(text + "action m: true => a\n")
+        error = caught.value
+        assert (error.message, error.line, error.column) == (message, line, column)
+
+    def test_init_may_name_a_goal_read_before_it(self):
+        text = "goal: a\nfluents: a m\ninit: a=0 m=1\naction m: m => a\n"
+        assert parse_instance(text).initial == frozenset({"m"})
+
 
 def _table_plan_exists(instance):
     """The table-based search that compiled preconditions replaced: one
     2^|fluents|-bit truth table per action, looked up at every state."""
     planning.check_instance(instance)
-    u = universe(instance.fluents)
-    order = u.order
-    goal_bit = 1 << order[instance.goal]
-    compiled = []
+    order, goal_bit, start, effects = _compiled(instance)
+    width = len(order)
+    compiled = [
+        (idx, truth_table(act.precondition, order, width), set_mask, clear_mask)
+        for (idx, set_mask, clear_mask), act in zip(effects, instance.actions)
+    ]
+
+    def successors(state):
+        for idx, table, set_mask, clear_mask in compiled:
+            if table >> state & 1:
+                yield idx, (state | set_mask) & ~clear_mask
+
+    return _breadth_first(instance, start, goal_bit, successors)
+
+
+def _literal_test(precondition, order):
+    """The references' own compile step: ``(must_set, must_clear, gather,
+    table)``. The literal conjuncts of the top-level ``And`` tree become the
+    masks, and the rest is tabulated over its own variables in fluent
+    order; ``gather`` moves state bit ``position`` to table index bit ``i``
+    for each ``(i, position)``, one bit at a time."""
+    must_set = must_clear = 0
+    rest = []
+    stack = [precondition]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, And):
+            stack += [node.right, node.left]
+        elif isinstance(node, Var):
+            must_set |= 1 << order[node.name]
+        elif isinstance(node, Not) and isinstance(node.operand, Var):
+            must_clear |= 1 << order[node.operand.name]
+        else:
+            rest.append(node)
+    if not rest:
+        return must_set, must_clear, (), 1
+    remainder = conjunction(rest)
+    u = universe(sorted(variables(remainder), key=order.__getitem__))
+    gather = tuple((i, order[name]) for name, i in u.order.items())
+    return must_set, must_clear, gather, truth_table(remainder, u.order, u.width)
+
+
+def _gathered(state, gather):
+    index = 0
+    for i, position in gather:
+        index |= (state >> position & 1) << i
+    return index
+
+
+def _compiled(instance):
+    """The fluent order, goal bit, start state, and each action's index and
+    effect masks."""
+    order = {name: i for i, name in enumerate(instance.fluents)}
+    effects = []
     for idx, act in enumerate(instance.actions):
-        table = truth_table(act.precondition, order, u.width)
         set_mask = 0
         clear_mask = 0
         for name, value in act.effects:
@@ -458,20 +573,32 @@ def _table_plan_exists(instance):
                 set_mask |= 1 << order[name]
             else:
                 clear_mask |= 1 << order[name]
-        compiled.append((idx, table, set_mask, clear_mask))
-    start = 0
-    for name in instance.initial:
-        start |= 1 << order[name]
+        effects.append((idx, set_mask, clear_mask))
+    start = sum(1 << order[name] for name in instance.initial)
+    return order, 1 << order[instance.goal], start, effects
+
+
+def _literal_tests(instance):
+    """``_compiled``, with each action's ``_literal_test`` between its index
+    and its effect masks."""
+    order, goal_bit, start, effects = _compiled(instance)
+    compiled = [
+        (idx, *_literal_test(act.precondition, order), set_mask, clear_mask)
+        for (idx, set_mask, clear_mask), act in zip(effects, instance.actions)
+    ]
+    return goal_bit, start, compiled
+
+
+def _breadth_first(instance, start, goal_bit, successors):
+    """Breadth-first search from ``start``; ``successors(state)`` yields
+    ``(idx, successor)`` in action order. Returns ``plan_exists``'s result."""
     parents = {}
     seen = {start}
     frontier = deque([start])
     goal_state = start if start & goal_bit else None
     while frontier and goal_state is None:
         state = frontier.popleft()
-        for idx, table, set_mask, clear_mask in compiled:
-            if not table >> state & 1:
-                continue
-            successor = (state | set_mask) & ~clear_mask
+        for idx, successor in successors(state):
             if successor in seen:
                 continue
             seen.add(successor)
@@ -494,54 +621,43 @@ def _mask_plan_exists(instance):
     """The search that memoized literal tests replaced: every action's two
     literal masks and remainder table, tested at every popped state."""
     planning.check_instance(instance)
-    order = {name: i for i, name in enumerate(instance.fluents)}
-    check_cap(len(order), "fluents", "FLUENT_CAP", FLUENT_CAP)
-    goal_bit = 1 << order[instance.goal]
-    compiled = []
-    for idx, act in enumerate(instance.actions):
-        set_mask = 0
-        clear_mask = 0
-        for name, value in act.effects:
-            if value:
-                set_mask |= 1 << order[name]
-            else:
-                clear_mask |= 1 << order[name]
-        test = planning._precondition_test(act.precondition, order)
-        compiled.append((idx, *test, set_mask, clear_mask))
-    start = 0
-    for name in instance.initial:
-        start |= 1 << order[name]
-    parents = {}
-    seen = {start}
-    frontier = deque([start])
-    goal_state = start if start & goal_bit else None
-    while frontier and goal_state is None:
-        state = frontier.popleft()
+    goal_bit, start, compiled = _literal_tests(instance)
+
+    def successors(state):
         for idx, must_set, must_clear, gather, table, set_mask, clear_mask in compiled:
             if state & must_set != must_set or state & must_clear:
                 continue
-            index = 0
-            for i, position in gather:
-                index |= (state >> position & 1) << i
-            if not table >> index & 1:
-                continue
-            successor = (state | set_mask) & ~clear_mask
-            if successor in seen:
-                continue
-            seen.add(successor)
-            parents[successor] = (state, idx)
-            if successor & goal_bit:
-                goal_state = successor
-                break
-            frontier.append(successor)
-    if goal_state is None:
-        return False, None
-    steps = []
-    cursor = goal_state
-    while cursor != start:
-        cursor, idx = parents[cursor]
-        steps.append(instance.actions[idx].name)
-    return True, tuple(reversed(steps))
+            if table >> _gathered(state, gather) & 1:
+                yield idx, (state | set_mask) & ~clear_mask
+
+    return _breadth_first(instance, start, goal_bit, successors)
+
+
+def _memo_plan_exists(instance):
+    """The memoized search that gather runs replaced: the actions passing
+    the literal tests are listed once per ``state & lit_mask``, and each
+    remainder's index is gathered one bit at a time."""
+    planning.check_instance(instance)
+    goal_bit, start, compiled = _literal_tests(instance)
+    live = [entry for entry in compiled if not entry[1] & entry[2] and entry[4]]
+    lit_mask = 0
+    for _, must_set, must_clear, *_ in live:
+        lit_mask |= must_set | must_clear
+    passing = {}
+
+    def successors(state):
+        key = state & lit_mask
+        if key not in passing:
+            passing[key] = [
+                (idx, gather, table, set_mask, clear_mask)
+                for idx, must_set, must_clear, gather, table, set_mask, clear_mask in live
+                if key & (must_set | must_clear) == must_set
+            ]
+        for idx, gather, table, set_mask, clear_mask in passing[key]:
+            if table >> _gathered(state, gather) & 1:
+                yield idx, (state | set_mask) & ~clear_mask
+
+    return _breadth_first(instance, start, goal_bit, successors)
 
 
 def _assert_matches_table_reference(instance):
@@ -634,7 +750,7 @@ def _random_instance(rng, width):
             extra = _random_precondition(rng, fluents) if rng.random() < 0.3 else TRUE
             step = ((fluents[k + 1], True),) + ((fluents[k], False),) * (rng.random() < 0.5)
             actions.append(Action(f"step{k}", And(Var(fluents[k]), extra), step))
-    if width == FLUENT_CAP:
+    if width == WIDE:
         # one precondition over every fluent
         wide = Or(_and_tree(rng, [_literal(rng, [f]) for f in fluents]), Var(fluents[0]))
         actions[-1] = Action(actions[-1].name, wide, actions[-1].effects)
@@ -655,7 +771,7 @@ def test_search_matches_table_reference_on_general_instances():
         ["found", "missed", "three steps", "goal at start", "no literal", "x & !x"], 0
     )
     for n in range(320):
-        instance = _random_instance(rng, FLUENT_CAP if n % 40 == 0 else rng.randint(1, 7))
+        instance = _random_instance(rng, WIDE if n % 40 == 0 else rng.randint(1, 7))
         found, plan = _assert_matches_table_reference(instance)
         seen["found" if found else "missed"] += 1
         seen["three steps"] += found and len(plan) >= 3
@@ -675,19 +791,27 @@ def _cap_shape_reduction(rng):
         for i, name in enumerate(names)
     )
     instance = reduce_qbf(Qbf(prefix, _random_matrix(rng, names, 4)))
-    assert len(instance.fluents) == FLUENT_CAP
+    assert len(instance.fluents) == 18
     return instance
 
 
 def _matches_mask_reference(instance):
     found, plan = plan_exists(instance)
-    assert (found, plan) == _mask_plan_exists(instance)
+    assert (found, plan) == _mask_plan_exists(instance) == _memo_plan_exists(instance)
     return found
 
 
+def _runs(gather):
+    """How many runs of adjacent fluent bits ``gather`` reads."""
+    positions = [position for _, position in gather]
+    return len(positions) and 1 + sum(b != a + 1 for a, b in zip(positions, positions[1:]))
+
+
 class TestMemoizedLiteralTests:
-    """``plan_exists`` reuses each literal test per ``state & lit_mask``; the
-    per-state search is its reference and must give the same plans."""
+    """``plan_exists`` reuses each literal test per ``state & lit_mask`` and
+    gathers each table index in runs of adjacent bits. The per-state search
+    and the memoized search that gathers one bit at a time are its
+    references, and must give the same plans."""
 
     def test_matches_the_mask_reference_on_the_exhaustive_sweep(self):
         found = [_matches_mask_reference(reduce_qbf(q)) for q in exhaustive_qbfs(3, 3, "any")]
@@ -695,10 +819,17 @@ class TestMemoizedLiteralTests:
 
     def test_matches_the_mask_reference_on_general_instances(self):
         rng = random.Random(2024)
+        runs = dict.fromkeys([1, 2, 3], 0)
         for n in range(320):
-            _matches_mask_reference(
-                _random_instance(rng, FLUENT_CAP if n % 40 == 0 else rng.randint(1, 7))
-            )
+            instance = _random_instance(rng, WIDE if n % 40 == 0 else rng.randint(1, 7))
+            _matches_mask_reference(instance)
+            order = {name: i for i, name in enumerate(instance.fluents)}
+            for act in instance.actions:
+                count = _runs(_literal_test(act.precondition, order)[2])
+                if count:
+                    runs[min(count, 3)] += 1
+        # remainders that read scattered fluents, so their index takes several runs
+        assert min(runs.values()) >= 20, runs
 
     def test_matches_the_mask_reference_on_cap_shape_reductions(self):
         rng = random.Random(4243)
@@ -731,6 +862,34 @@ class TestMemoizedLiteralTests:
             ),
         )
         assert plan_exists(inst) == (True, ("x", "y-or-x")) == _mask_plan_exists(inst)
+
+
+class TestPastEighteenFluents:
+    """Alternating-prefix reductions at 8-12 variables have 21-31 fluents:
+    ``STATE_CAP`` bounds the states reached, not the fluents, so they
+    decide, and each answer is the table oracle's."""
+
+    @pytest.mark.parametrize("count", range(8, 13))
+    def test_reductions_agree_with_the_table_oracle(self, capsys, tmp_path, count):
+        names = [f"x{i + 1}" for i in range(count)]
+        quants = (Quantifier.EXISTS, Quantifier.FORALL)
+        prefix = tuple((quants[i % 2], name) for i, name in enumerate(names))
+        rng = random.Random(count)
+        for valid in (True, False):
+            q = Qbf(prefix, random_matrix(rng, names, 5))
+            while qbf_valid_by_table(q) is not valid:
+                q = Qbf(prefix, random_matrix(rng, names, 5))
+            instance = reduce_qbf(q)
+            assert len(instance.fluents) > 18
+            found, plan = plan_exists(instance)
+            assert found is valid
+            assert not found or validate_plan(instance, plan)
+            path = tmp_path / f"{valid}.plan"
+            path.write_text(serialize_instance(instance), encoding="utf-8")
+            assert main(["solve", "--target", "planning", str(path)]) == (0 if valid else 1)
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert captured.out == (f"yes plan={' '.join(plan)}\n" if valid else "no\n")
 
 
 def test_solve_checks_the_instance_once(monkeypatch):
