@@ -423,29 +423,26 @@ def sample_merge(
 
 
 def _merge_failure(theory: DefaultTheory, pivot: str, query: str) -> str:
+    """What breaks the universal merge on ``pivot``, or ``""``. The raised
+    theory's defaults are the two choices, then the branch defaults shifted
+    by 2, so each true-branch generating set ``G`` must appear there as
+    ``{0} | (G + 2)`` and each false-branch one as ``{1} | (G + 2)``."""
     raised = raise_universal(theory, pivot, 1)
-    guard = Var(_guard(1))
-    u = universe(sorted(raised.all_variables() | {pivot, guard.name, query}))
+    branches = [substitute_theory(theory, pivot, value) for value in (True, False)]
 
-    def signature(formulas: Iterable[Formula], *tags: Formula) -> int:
-        table = u.full
-        for f in [*sorted(formulas, key=serialize_formula), *tags]:
-            table &= truth_table(f, u.order, u.width)
-        return table
+    def generating(t: DefaultTheory) -> list[tuple[int, ...]]:
+        return sorted(tuple(sorted(e.generating)) for e in extensions(t))
 
-    raised_sigs = sorted(signature(e.consequences) for e in extensions(raised))
-    expected_sigs = sorted(
-        signature(e.consequences, tag, guard)
-        for value, tag in ((True, Var(pivot)), (False, Not(Var(pivot))))
-        for e in extensions(substitute_theory(theory, pivot, value))
+    raised_sets = generating(raised)
+    expected_sets = sorted(
+        (pick, *(i + 2 for i in chosen))
+        for pick, branch in enumerate(branches)
+        for chosen in generating(branch)
     )
-    if raised_sigs != expected_sigs:
-        return f"extension signatures differ: {raised_sigs} vs {expected_sigs}"
+    if raised_sets != expected_sets:
+        return f"generating sets differ: {raised_sets} vs {expected_sets}"
     merged = bool(skeptically_entails(raised, Var(query)))
-    branch_true, branch_false = (
-        bool(skeptically_entails(substitute_theory(theory, pivot, value), Var(query)))
-        for value in (True, False)
-    )
+    branch_true, branch_false = (bool(skeptically_entails(b, Var(query))) for b in branches)
     if merged != (branch_true and branch_false):
         return f"skeptical merge broke: merged={merged} branches=({branch_true},{branch_false})"
     return ""
@@ -493,6 +490,8 @@ def serialize_theory(theory: DefaultTheory, query: str | None = None) -> str:
 
 
 def parse_theory(text: str) -> tuple[DefaultTheory, str | None]:
+    """Read a theory and its query, if it names one; a second ``query:``
+    line is a ``ParseError`` at its keyword."""
     defaults: list[Default] = []
     background: list[Formula] = []
     query: str | None = None
@@ -501,6 +500,8 @@ def parse_theory(text: str) -> tuple[DefaultTheory, str | None]:
             background.append(parse_formula(body, line, column))
             continue
         if keyword:
+            if query is not None:
+                raise ParseError(f"second {keyword!r} line", line, column - len(keyword))
             query = parse_one_name(body, line, column)
             continue
         if ":" not in body or "/" not in body:

@@ -12,8 +12,7 @@ frozen slot dataclasses would, so ``==`` and ``hash`` recurse over the
 whole tree. They are written by hand because a parse builds hundreds of
 them, and each ``__init__`` stores straight into its slots where a
 dataclass's goes through ``object.__setattr__`` once per field. Their
-base ``Frozen`` holds the refusal to assign, ``repr`` and pickling;
-``planning.Action`` shares it.
+base ``Formula`` holds the refusal to assign, ``repr`` and pickling.
 
 ``consistent`` and ``entails`` decide by full enumeration of assignments.
 Internally the enumeration is vectorized: a formula's truth table over an
@@ -58,11 +57,12 @@ def check_name(name: str) -> str:
     return name
 
 
-class Frozen:
-    """A frozen slot class, written by hand: it refuses every assignment,
-    and prints and pickles the fields its ``__match_args__`` lists, as a
-    frozen slot dataclass would. Subclasses store through their slots'
-    descriptors and define ``==`` and ``hash`` themselves."""
+class Formula:
+    """Base class for AST nodes, immutable and hashable. It refuses every
+    assignment, and prints and pickles the fields its subclass's
+    ``__match_args__`` lists, as a frozen slot dataclass would. Subclasses
+    store through their slots' descriptors and define ``==`` and ``hash``
+    themselves."""
 
     __slots__ = ()
 
@@ -78,12 +78,6 @@ class Frozen:
 
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
-
-
-class Formula(Frozen):
-    """Base class for AST nodes. Instances are immutable and hashable."""
-
-    __slots__ = ()
 
 
 class Const(Formula):

@@ -32,12 +32,18 @@ it, and wraps each precondition in the guards of the later raises at the
 end, so it builds every ``Action`` once. Each guard, done flag and goal
 ``Var`` is made once and shared by every precondition that reads it.
 
-Building an instance checks nothing. ``check_instance`` rejects one whose
-names do not fit together, and ``plan_exists`` and ``validate_plan`` call it
-first, so a chain of raises is checked once per decision, not once per raise.
-It walks each precondition once, with one stack. ``solve`` replays a found
-plan on dict states with ``formulas.evaluate``, without checking the
-instance again.
+``Action`` and ``PlanningInstance`` are plain frozen dataclasses, and
+building either checks nothing. ``check_instance`` holds every rule on an
+instance: its names must fit together, and no action may write a fluent
+twice. ``plan_exists`` and ``validate_plan`` call it first, so a chain of
+raises is checked once per decision, not once per raise. It walks each
+precondition once, with one stack. ``solve`` replays a found plan on dict
+states with ``formulas.evaluate``, without checking the instance again.
+
+``parse_instance`` reads the text format. Each action header is one name.
+It keeps each ``init:`` and ``goal:`` name with its place and checks them
+against the declared fluents in one loop at the end, so a ``goal:`` line
+may come before the ``fluents:`` line.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import ContractError, ParseError, QraiseError, check_cap
-from .formulas import NAME_RE, And, Const, Formula, Frozen, Not, Or, Var, conjunction, evaluate
+from .formulas import NAME_RE, And, Const, Formula, Not, Or, Var, conjunction, evaluate
 from .formulas import size, substitute, truth_table, universe, variables
 from .parsing import instance_lines, parse_formula, parse_literals, parse_names, parse_one_name
 from .parsing import serialize_formula
@@ -66,49 +72,16 @@ STATE_CAP = 2**18
 State = Mapping[str, bool]
 
 
-class Action(Frozen):
+@dataclass(frozen=True, slots=True)
+class Action:
     """A named precondition formula and its effect literals, in order.
 
-    A hand-written frozen slot class, like the formula nodes: ``==``,
-    ``hash``, ``repr`` and pickling are those of the frozen slot dataclass
-    it replaces. Building one rejects effects that write a fluent twice;
-    ``reduce_qbf``, whose effects always write distinct fluents, builds its
-    actions with ``_action`` and skips that check."""
+    Building one checks nothing: ``check_instance`` rejects effects that
+    write a fluent twice, with every other rule on names."""
 
-    __slots__ = ("name", "precondition", "effects")
-    __match_args__ = ("name", "precondition", "effects")
-
-    def __init__(self, name: str, precondition: Formula, effects: tuple[tuple[str, bool], ...]):
-        written = [fluent for fluent, _ in effects]
-        if len(set(written)) != len(written):
-            raise ContractError(f"action {name!r} writes a fluent twice")
-        _set_name(self, name)
-        _set_precondition(self, precondition)
-        _set_effects(self, effects)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.precondition, self.effects) == (
-            other.name, other.precondition, other.effects
-        )
-
-    def __hash__(self):
-        return hash((self.name, self.precondition, self.effects))
-
-
-_set_name = Action.name.__set__
-_set_precondition = Action.precondition.__set__
-_set_effects = Action.effects.__set__
-
-
-def _action(name: str, precondition: Formula, effects: tuple[tuple[str, bool], ...]) -> Action:
-    """An ``Action`` whose effects are known to write distinct fluents."""
-    act = object.__new__(Action)
-    _set_name(act, name)
-    _set_precondition(act, precondition)
-    _set_effects(act, effects)
-    return act
+    name: str
+    precondition: Formula
+    effects: tuple[tuple[str, bool], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,7 +97,8 @@ def check_instance(instance: PlanningInstance) -> None:
 
     Each precondition is walked once with an explicit stack. Unknown
     fluents are named, sorted: those of the initial state, or those of the
-    first action that mentions any.
+    first action that mentions any. An action whose effects write a fluent
+    twice is rejected before its names are looked up.
     """
     fluent_set = set(instance.fluents)
     if len(fluent_set) != len(instance.fluents):
@@ -138,7 +112,10 @@ def check_instance(instance: PlanningInstance) -> None:
     if len(set(names)) != len(names):
         raise ContractError("duplicate action names")
     for act in instance.actions:
-        loose = {name for name, _ in act.effects if name not in fluent_set}
+        written = {name for name, _ in act.effects}
+        if len(written) != len(act.effects):
+            raise ContractError(f"action {act.name!r} writes a fluent twice")
+        loose = written - fluent_set
         stack = [act.precondition]
         while stack:
             node = stack.pop()
@@ -539,7 +516,7 @@ def reduce_qbf(q: Qbf) -> PlanningInstance:
     for raised_at, act_name, precondition, effects in parts:
         for guard in guards[raised_at:]:
             precondition = And(guard, precondition)
-        actions.append(_action(act_name, precondition, effects))
+        actions.append(Action(act_name, precondition, effects))
     return PlanningInstance(tuple(fluents), frozenset(), goal.name, tuple(actions))
 
 
@@ -615,15 +592,14 @@ def serialize_instance(instance: PlanningInstance) -> str:
 def parse_instance(text: str) -> PlanningInstance:
     """Read an instance; an ``init:`` entry or a ``goal:`` that names no
     declared fluent is a ``ParseError`` at the first such name. A second
-    ``fluents:``, ``init:`` or ``goal:`` line, and a fluent that the
-    ``init:`` line names twice, are ``ParseError``s there too."""
+    ``fluents:``, ``init:`` or ``goal:`` line, a fluent that the ``init:``
+    line names twice, and an action header that is not exactly one name
+    are ``ParseError``s there too."""
     fluents: tuple[str, ...] | None = None
     initial: set[str] = set()
     goal: str | None = None
     actions: list[Action] = []
-    # Every name of the init: and goal: lines, and (line, column, keyword, body) of each such line.
-    named: list[str] = []
-    named_lines: list[tuple[int, int, str, str]] = []
+    named: list[tuple[str, str, int, int]] = []  # each init: and goal: name, keyword, line, column
     keywords = ("fluents:", "init:", "goal:", "action ")
     read: set[str | None] = set()  # the keywords of the lines read so far, but "action "
     for keyword, body, line, column in instance_lines(text, keywords):
@@ -637,29 +613,31 @@ def parse_instance(text: str) -> PlanningInstance:
             given: set[str] = set()
             for entry in re.finditer(r"\S+", body):
                 name, _, bit = entry[0].partition("=")
+                at = column + entry.start()
                 if bit not in ("0", "1") or not NAME_RE.match(name):
-                    raise ParseError(f"bad init entry {entry[0]!r}", line, column + entry.start())
+                    raise ParseError(f"bad init entry {entry[0]!r}", line, at)
                 if name in given:
-                    raise ParseError(f"init: names {name!r} twice", line, column + entry.start())
+                    raise ParseError(f"init: names {name!r} twice", line, at)
                 given.add(name)
-                named.append(name)
+                named.append((name, keyword, line, at))
                 if bit == "1":
                     initial.add(name)
-            named_lines.append((line, column, keyword, body))
         elif keyword == "goal:":
             goal = parse_one_name(body, line, column)
-            named.append(goal)
-            named_lines.append((line, column, keyword, body))
+            named.append((goal, keyword, line, column + len(body) - len(body.lstrip())))
         elif keyword:
             header, colon, rest = body.partition(":")
             pre_text, arrow, eff_text = rest.partition("=>")
             if not (colon and arrow):
                 message = "action line needs '=>'" if colon else "action line needs a ':'"
                 raise ParseError(message, line, column - len(keyword))
+            name = header.strip()
+            if not NAME_RE.match(name):
+                raise ParseError(f"expected one action name, found {name!r}", line, column)
             at = column + len(header) + 1  # where the precondition starts
             precondition = parse_formula(pre_text, line, at)
             effects = parse_literals(eff_text, line, at + len(pre_text) + 2)
-            actions.append(Action(header.strip(), precondition, tuple(effects)))
+            actions.append(Action(name, precondition, tuple(effects)))
         else:
             raise ParseError(
                 "expected 'fluents:', 'init:', 'goal:', or 'action' line", line, column
@@ -667,25 +645,15 @@ def parse_instance(text: str) -> PlanningInstance:
     if fluents is None or goal is None or not actions:
         raise ParseError("instance needs fluents, a goal, and at least one action", 1, 1)
     declared = set(fluents)
-    if not declared.issuperset(named):
-        raise _unknown_fluent(declared, named_lines)
+    for name, keyword, line, column in named:
+        if name not in declared:
+            raise ParseError(f"{keyword} names unknown fluent {name!r}", line, column)
     return PlanningInstance(
         fluents=fluents,
         initial=frozenset(initial),
         goal=goal,
         actions=tuple(actions),
     )
-
-
-def _unknown_fluent(fluents: set[str], named_lines: list[tuple[int, int, str, str]]) -> ParseError:
-    """The error at the first name of an ``init:`` or ``goal:`` line that is not in ``fluents``."""
-    for line, column, keyword, body in named_lines:
-        for word in re.finditer(r"\S+", body):
-            name = word[0].partition("=")[0]
-            if name not in fluents:
-                message = f"{keyword} names unknown fluent {name!r}"
-                return ParseError(message, line, column + word.start())
-    raise ValueError("every init: and goal: name is a fluent")
 
 
 serialize = serialize_instance

@@ -21,7 +21,7 @@ from qraise.defaults import (
     substitute_theory,
     verify_extension,
 )
-from qraise.errors import ContractError, ResourceLimitError, UnsupportedShapeError
+from qraise.errors import ContractError, ParseError, ResourceLimitError, UnsupportedShapeError
 from qraise.formulas import (
     ENTAILMENT_VAR_CAP,
     And,
@@ -457,6 +457,12 @@ class TestTheoryFormat:
     def test_malformed_line(self):
         with pytest.raises(Exception):
             parse_theory("not a default\n")
+
+    def test_a_second_query_line_is_a_parse_error(self):
+        with pytest.raises(ParseError) as caught:
+            parse_theory(": x / x\nquery: x\n  query: y\n")
+        error = caught.value
+        assert (error.message, error.line, error.column) == ("second 'query:' line", 3, 3)
 
     def test_equal_texts_parse_to_one_object(self):
         theory, query = reduce_qbf(parse_qbf("forall x; exists y; : x <-> y"))

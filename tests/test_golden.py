@@ -33,6 +33,7 @@ from typing import Callable
 
 import pytest
 
+from qraise import parsing
 from qraise.cli import main
 from qraise.harness import TARGETS
 from qraise.parsing import serialize_qbf
@@ -121,6 +122,7 @@ DEFAULT_THEORIES = {
     "bad_line.dlt": "a b c\nquery: a\n",
     "bad_formula.dlt": ": a & / a\nquery: a\n",
     "no_query.dlt": ": a / a\n",
+    "second_query.dlt": ": x / x\nquery: x\nquery: y\n",
     # One default past DEFAULT_COUNT_CAP, and a body too wide for one table.
     "thirteen_defaults.dlt": "".join(f": v{i} / v{i}\n" for i in range(13)) + "query: v0\n",
     "wide_body.dlt": ": a & ({0}) / a & ({0})\nquery: a\n".format(
@@ -194,6 +196,9 @@ PLANNING_INSTANCES = {
         "fluents: a\ninit: a=0\ngoal: a\nfluents: a b\naction m: b => a\n"
     ),
     "second_goal.plan": "fluents: a b\ninit: a=0 b=0\ngoal: b\n  goal: a\naction m: true => a\n",
+    # Action headers that are not exactly one name.
+    "unnamed_action.plan": "fluents: a\ninit: a=0\ngoal: a\naction : true => a\n",
+    "two_word_action.plan": "fluents: a\ninit: a=0\ngoal: a\naction foo bar: true => a\n",
 }
 
 
@@ -306,6 +311,23 @@ def test_every_slice_command_is_recorded():
     for name, commands in SLICES.items():
         recorded = [(r["id"], r["argv"]) for r in _records(name)]
         assert recorded == commands(GOLDEN / name / "inputs", write=False)
+
+
+def test_redundant_parentheses_change_every_target_slice(monkeypatch):
+    """The corpus catches a change to the text it records: once
+    ``serialize_formula`` parenthesizes every connective under another,
+    ``reduce`` records of each target slice replay differently."""
+    for node in list(parsing._STRENGTH):
+        monkeypatch.setitem(parsing._STRENGTH, node, 0)
+    differ = set()
+    for name in TARGETS:
+        for record in _records(name):
+            if record["argv"][0] == "reduce":
+                got = run_record(record["argv"], GOLDEN / name / "inputs")
+                if {"id": record["id"], **got} != record:
+                    differ.add(name)
+                    break
+    assert differ == set(TARGETS)
 
 
 def regenerate(write: bool) -> int:

@@ -60,8 +60,11 @@ class TestActionSemantics:
         assert apply_action(act, state) == {"a": False, "x": False, "b": True}
 
     def test_duplicate_effect_rejected(self):
-        with pytest.raises(ContractError):
-            Action("dup", TRUE, (("a", True), ("a", False)))
+        dup = Action("dup", TRUE, (("a", True), ("a", False)))
+        inst = PlanningInstance(("a",), frozenset(), "a", (dup,))
+        for decide in (planning.check_instance, plan_exists, lambda i: validate_plan(i, ["dup"])):
+            with pytest.raises(ContractError, match="^action 'dup' writes a fluent twice$"):
+                decide(inst)
 
     def test_actions_behave_like_the_frozen_dataclass(self):
         fields = [("name", str), ("precondition", object), ("effects", tuple)]
@@ -159,6 +162,8 @@ class TestCheckInstance:
             ),
             ("fluents: x a\ngoal: a\naction m: x & z => a\n", "action 'm' mentions unknown fluents: z"),
             ("fluents: x a\ngoal: a\naction m: x => a w\n", "action 'm' mentions unknown fluents: w"),
+            # a double write is named before the same action's unknown names
+            ("fluents: x a\ngoal: a\naction m: z => w !w\n", "action 'm' writes a fluent twice"),
             # 20 fluents: the contract error comes before any search
             (
                 f"fluents: {MANY_FLUENTS} a\ngoal: a\naction m: f1 => a\naction m: f2 => a\n",
@@ -501,6 +506,21 @@ class TestInstanceFormat:
             parse_instance(text + "action m: true => a\n")
         error = caught.value
         assert (error.message, error.line, error.column) == (message, line, column)
+
+    @pytest.mark.parametrize("header,found", [("", ""), ("foo bar", "foo bar"), ("  m.1 ", "m.1")])
+    def test_an_action_header_is_one_name(self, header, found):
+        with pytest.raises(ParseError) as caught:
+            parse_instance(f"fluents: a\ngoal: a\naction {header}: true => a\n")
+        error = caught.value
+        message = f"expected one action name, found {found!r}"
+        assert (error.message, error.line, error.column) == (message, 3, 8)
+
+    def test_unknown_names_are_found_in_reading_order(self):
+        text = "goal: b\nfluents: a m\ninit: a=0 z=1\naction m: m => a\n"
+        with pytest.raises(ParseError) as caught:
+            parse_instance(text)
+        error = caught.value
+        assert (error.message, error.line, error.column) == ("goal: names unknown fluent 'b'", 1, 7)
 
     def test_init_may_name_a_goal_read_before_it(self):
         text = "goal: a\nfluents: a m\ninit: a=0 m=1\naction m: m => a\n"
