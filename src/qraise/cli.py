@@ -174,12 +174,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 2
-    except RecursionError as exc:
+    except RecursionError:
         # Deeply nested input still overflows the formula walks that recurse:
-        # formulas.evaluate_reading (plan replay and the recursive QBF oracle
-        # of validate), truth_table, substitute and the formula nodes' own
-        # __hash__/__eq__. A traceback's exit status 1 would read as a "no".
-        print(f"error[internal]: input nested too deeply: {exc}", file=sys.stderr)
+        # formulas.evaluate_reading (plan replay, the recursive QBF oracle),
+        # truth_table, substitute and the nodes' own __hash__/__eq__. A traceback
+        # would exit 1, a "no"; the error's text varies with the stack depth.
+        print("error[internal]: input nested too deeply", file=sys.stderr)
         return 2
 
 

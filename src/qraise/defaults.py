@@ -98,26 +98,9 @@ class DefaultTheory:
 
 
 @dataclass(frozen=True, slots=True)
-class ExtensionDescriptor:
-    """An extension, identified by its generating defaults.
-
-    ``consequences`` is the background plus the generating consequences; the
-    extension itself is everything those formulas entail and is never
-    materialized.
-    """
-
-    generating: frozenset[int]
-    consequences: frozenset[Formula]
-
-
-@dataclass(frozen=True, slots=True)
 class SkepticalResult:
-    holds: bool
-    vacuous: bool  # no extension existed, so the answer is vacuously true
+    holds: bool  # vacuously true when extension_count is 0
     extension_count: int
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 class _TheoryTables:
@@ -277,14 +260,14 @@ def _extensions(tables: _TheoryTables) -> Iterator[tuple[int, int]]:
         stack.append((undecided, mask, excluded | low, consequence, justifications, i + 1))
 
 
-def extensions(theory: DefaultTheory) -> tuple[ExtensionDescriptor, ...]:
-    """All extensions, ordered by generating-set bitmask."""
-    found = []
-    for mask, _ in sorted(_extensions(_enumeration_tables(theory))):
-        generating = frozenset(i for i in range(len(theory.defaults)) if mask >> i & 1)
-        consequences = theory.background | {theory.defaults[i].consequence for i in generating}
-        found.append(ExtensionDescriptor(generating, consequences))
-    return tuple(found)
+def extensions(theory: DefaultTheory) -> tuple[frozenset[int], ...]:
+    """The generating set of each extension, ordered by bitmask. The
+    extension is everything the background and the generating defaults'
+    consequences entail, and is never materialized."""
+    return tuple(
+        frozenset(i for i in range(len(theory.defaults)) if mask >> i & 1)
+        for mask, _ in sorted(_extensions(_enumeration_tables(theory)))
+    )
 
 
 def skeptically_entails(theory: DefaultTheory, goal: Formula) -> SkepticalResult:
@@ -296,14 +279,14 @@ def skeptically_entails(theory: DefaultTheory, goal: Formula) -> SkepticalResult
         seen += 1
         if consequence & goal_gap:
             holds = False
-    return SkepticalResult(holds=holds, vacuous=seen == 0, extension_count=seen)
+    return SkepticalResult(holds=holds, extension_count=seen)
 
 
 def solve(instance: tuple[DefaultTheory, str]) -> tuple[bool, str]:
     """Decide a (theory, query) instance; the detail counts the extensions."""
     theory, query = instance
     result = skeptically_entails(theory, Var(query))
-    vacuous = " vacuous" if result.vacuous else ""
+    vacuous = "" if result.extension_count else " vacuous"
     return result.holds, f"extensions={result.extension_count}{vacuous}"
 
 
@@ -431,7 +414,7 @@ def _merge_failure(theory: DefaultTheory, pivot: str, query: str) -> str:
     branches = [substitute_theory(theory, pivot, value) for value in (True, False)]
 
     def generating(t: DefaultTheory) -> list[tuple[int, ...]]:
-        return sorted(tuple(sorted(e.generating)) for e in extensions(t))
+        return sorted(tuple(sorted(chosen)) for chosen in extensions(t))
 
     raised_sets = generating(raised)
     expected_sets = sorted(
@@ -441,8 +424,8 @@ def _merge_failure(theory: DefaultTheory, pivot: str, query: str) -> str:
     )
     if raised_sets != expected_sets:
         return f"generating sets differ: {raised_sets} vs {expected_sets}"
-    merged = bool(skeptically_entails(raised, Var(query)))
-    branch_true, branch_false = (bool(skeptically_entails(b, Var(query))) for b in branches)
+    merged = skeptically_entails(raised, Var(query)).holds
+    branch_true, branch_false = (skeptically_entails(b, Var(query)).holds for b in branches)
     if merged != (branch_true and branch_false):
         return f"skeptical merge broke: merged={merged} branches=({branch_true},{branch_false})"
     return ""
@@ -529,5 +512,5 @@ def parse(text: str) -> tuple[DefaultTheory, str]:
     """``parse_theory`` for a file that must name its query."""
     theory, query = parse_theory(text)
     if query is None:
-        raise ContractError("theory file has no 'query:' line")
+        raise ParseError("theory file has no 'query:' line", 1, 1)
     return theory, query

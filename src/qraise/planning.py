@@ -36,14 +36,16 @@ end, so it builds every ``Action`` once. Each guard, done flag and goal
 building either checks nothing. ``check_instance`` holds every rule on an
 instance: its names must fit together, and no action may write a fluent
 twice. ``plan_exists`` and ``validate_plan`` call it first, so a chain of
-raises is checked once per decision, not once per raise. It walks each
-precondition once, with one stack. ``solve`` replays a found plan on dict
+raises is checked once per decision, not once per raise. Its one walk
+over each precondition also splits it for ``plan_exists`` into the literal
+test and the other conjuncts. ``solve`` replays a found plan on dict
 states with ``formulas.evaluate``, without checking the instance again.
 
 ``parse_instance`` reads the text format. Each action header is one name.
 It keeps each ``init:`` and ``goal:`` name with its place and checks them
 against the declared fluents in one loop at the end, so a ``goal:`` line
-may come before the ``fluents:`` line.
+may come before the ``fluents:`` line. A repeated fluent or action name is
+rejected where it repeats.
 """
 
 from __future__ import annotations
@@ -92,46 +94,67 @@ class PlanningInstance:
     actions: tuple[Action, ...]
 
 
-def check_instance(instance: PlanningInstance) -> None:
-    """Reject an instance whose fluent and action names do not fit together.
-
-    Each precondition is walked once with an explicit stack. Unknown
-    fluents are named, sorted: those of the initial state, or those of the
-    first action that mentions any. An action whose effects write a fluent
-    twice is rejected before its names are looked up.
+def check_instance(
+    instance: PlanningInstance,
+) -> list[tuple[int, int, list[Formula], set[str]]]:
+    """Reject an instance whose fluent and action names do not fit together;
+    else split each precondition, in the walk that checks its names, into
+    ``(must_set, must_clear, rest, read)``: the fluent bits of the literal
+    conjuncts of its top-level ``And`` tree, its other conjuncts, and their
+    variables. Unknown fluents are named, sorted: those of the initial
+    state, or those of the first action that mentions any. An action whose
+    effects write a fluent twice is rejected before its names are looked up.
     """
-    fluent_set = set(instance.fluents)
-    if len(fluent_set) != len(instance.fluents):
+    order = {name: i for i, name in enumerate(instance.fluents)}
+    if len(order) != len(instance.fluents):
         raise ContractError("duplicate fluent names")
-    if instance.goal not in fluent_set:
+    if instance.goal not in order:
         raise ContractError(f"goal {instance.goal!r} is not a fluent")
-    stray = instance.initial - fluent_set
+    stray = instance.initial.difference(order)
     if stray:
         raise ContractError(f"initial state mentions unknown fluents: {', '.join(sorted(stray))}")
     names = [act.name for act in instance.actions]
     if len(set(names)) != len(names):
         raise ContractError("duplicate action names")
+    splits = []
     for act in instance.actions:
         written = {name for name, _ in act.effects}
         if len(written) != len(act.effects):
             raise ContractError(f"action {act.name!r} writes a fluent twice")
-        loose = written - fluent_set
-        stack = [act.precondition]
+        must_set = must_clear = 0
+        rest: list[Formula] = []
+        stack = [act.precondition]  # the top-level And tree
+        while stack:
+            node = stack.pop()
+            cls = node.__class__
+            if cls is And:
+                stack.append(node.right)
+                stack.append(node.left)
+            elif cls is Var and node.name in order:
+                must_set |= 1 << order[node.name]
+            elif cls is Not and node.operand.__class__ is Var and node.operand.name in order:
+                must_clear |= 1 << order[node.operand.name]
+            else:  # a literal of an unknown fluent too: its name is read below
+                rest.append(node)
+        read: set[str] = set()
+        stack = rest.copy()  # then the nodes below rest's conjuncts
         while stack:
             node = stack.pop()
             cls = node.__class__
             if cls is Var:
-                if node.name not in fluent_set:
-                    loose.add(node.name)
+                read.add(node.name)
             elif cls is Not:
                 stack.append(node.operand)
             elif cls is not Const:
                 stack.append(node.left)
                 stack.append(node.right)
+        loose = (written | read).difference(order)
         if loose:
             raise ContractError(
                 f"action {act.name!r} mentions unknown fluents: {', '.join(sorted(loose))}"
             )
+        splits.append((must_set, must_clear, rest, read))
+    return splits
 
 
 def executable(action: Action, state: State) -> bool:
@@ -164,39 +187,20 @@ def control_fluents(instance: PlanningInstance) -> frozenset[str]:
 
 
 def _precondition_test(
-    precondition: Formula, order: Mapping[str, int]
-) -> tuple[int, int, tuple[tuple[int, int, int], ...], int]:
-    """Compile ``precondition`` into a state test over the fluent bits ``order``.
-
-    Returns ``(must_set, must_clear, runs, table)``. The literal conjuncts
-    of the top-level ``And`` tree become the two masks; the conjunction of
-    the other conjuncts is tabulated over its own variables only, in fluent
-    order. A state passes when it has every ``must_set`` bit, no
-    ``must_clear`` bit, and bit ``index`` of ``table`` is set. ``index``
-    is gathered from the state in runs of adjacent fluent bits: each
-    ``(position, mask, shift)`` of ``runs`` adds ``(state >> position &
-    mask) << shift``. A remainder over fluents ``0..k-1``, as a reduction's
-    matrix is, is one run.
+    rest: Sequence[Formula], read: set[str], order: Mapping[str, int]
+) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """Tabulate the non-literal conjuncts ``rest`` of a precondition, as
+    ``check_instance`` splits it, over their variables ``read`` in the
+    order of the fluent bits ``order``. Returns ``(runs, table)``; a state
+    passes when bit ``index`` of ``table`` is set. ``index`` is gathered
+    from the state in runs of adjacent fluent bits: each ``(position, mask,
+    shift)`` of ``runs`` adds ``(state >> position & mask) << shift``. A
+    remainder over fluents ``0..k-1``, as a reduction's matrix is, is one
+    run.
     """
-    must_set = must_clear = 0
-    rest: list[Formula] = []
-    stack = [precondition]
-    while stack:
-        node = stack.pop()
-        cls = node.__class__
-        if cls is And:
-            stack.append(node.right)
-            stack.append(node.left)
-        elif cls is Var:
-            must_set |= 1 << order[node.name]
-        elif cls is Not and node.operand.__class__ is Var:
-            must_clear |= 1 << order[node.operand.name]
-        else:
-            rest.append(node)
     if not rest:
-        return must_set, must_clear, (), 1
-    remainder = conjunction(rest)
-    u = universe(sorted(variables(remainder), key=order.__getitem__))
+        return (), 1
+    u = universe(sorted(read, key=order.__getitem__))
     spans: list[list[int]] = []  # [position, length, shift] of each run
     for name, shift in u.order.items():
         position = order[name]
@@ -205,7 +209,7 @@ def _precondition_test(
         else:
             spans.append([position, 1, shift])
     runs = tuple((position, (1 << length) - 1, shift) for position, length, shift in spans)
-    return must_set, must_clear, runs, truth_table(remainder, u.order, u.width)
+    return runs, truth_table(conjunction(rest), u.order, u.width)
 
 
 # A compiled action in plan search: its first gather run's position and
@@ -218,15 +222,16 @@ def plan_exists(instance: PlanningInstance) -> tuple[bool, tuple[str, ...] | Non
     """Breadth-first search over the states reachable from the initial one;
     plans are shortest.
 
-    Each action's literal test is ``state & care == want``, and every
-    ``care`` lies within ``lit_mask``, so states that agree on ``lit_mask``
-    pass the same literal tests: the actions passing them are listed once
-    per ``state & lit_mask`` and reused. Only those actions with a
-    remainder then test their truth table. An action that can never fire
-    is dropped up front. Kept, it could fire: with ``x & !x`` it passes
-    ``care``/``want`` wherever ``x`` is set, and a remainder without
-    variables (``true & false``) has no runs, so its table of 0 is never
-    looked up.
+    Each action is compiled from ``check_instance``'s split, and only its
+    non-literal conjuncts are walked again, to tabulate them. Each literal
+    test is ``state & care == want``, and every ``care`` lies within
+    ``lit_mask``, so states that agree on ``lit_mask`` pass the same
+    literal tests: the actions passing them are listed once per ``state &
+    lit_mask`` and reused. Only those actions with a remainder then test
+    their truth table. An action that can never fire is dropped up front.
+    Kept, it could fire: with ``x & !x`` it passes ``care``/``want``
+    wherever ``x`` is set, and a remainder without variables (``true &
+    false``) has no runs, so its table of 0 is never looked up.
 
     ``parents`` maps each reached state to the state it was first reached
     from. The action taken is not stored: the plan is read back by finding,
@@ -235,18 +240,18 @@ def plan_exists(instance: PlanningInstance) -> tuple[bool, tuple[str, ...] | Non
     reached states stop the search with a ``ResourceLimitError``. The memo
     holds at most one entry per popped state, so the cap bounds it too.
     """
-    check_instance(instance)
+    splits = check_instance(instance)
     order = {name: i for i, name in enumerate(instance.fluents)}
     goal_bit = 1 << order[instance.goal]
     compiled = []
     lit_mask = 0
-    for idx, act in enumerate(instance.actions):
-        must_set, must_clear, runs, table = _precondition_test(act.precondition, order)
+    for idx, (must_set, must_clear, rest, read) in enumerate(splits):
+        runs, table = _precondition_test(rest, read, order)
         if must_set & must_clear or not table:
             continue
         set_mask = 0
         clear_mask = 0
-        for name, value in act.effects:
+        for name, value in instance.actions[idx].effects:
             if value:
                 set_mask |= 1 << order[name]
             else:
@@ -592,13 +597,14 @@ def serialize_instance(instance: PlanningInstance) -> str:
 def parse_instance(text: str) -> PlanningInstance:
     """Read an instance; an ``init:`` entry or a ``goal:`` that names no
     declared fluent is a ``ParseError`` at the first such name. A second
-    ``fluents:``, ``init:`` or ``goal:`` line, a fluent that the ``init:``
-    line names twice, and an action header that is not exactly one name
-    are ``ParseError``s there too."""
+    ``fluents:``, ``init:`` or ``goal:`` line, a fluent or action name read
+    twice, and an action header that is not exactly one name are
+    ``ParseError``s there too."""
     fluents: tuple[str, ...] | None = None
     initial: set[str] = set()
     goal: str | None = None
-    actions: list[Action] = []
+    declared: set[str] = set()  # the fluents: names
+    actions: dict[str, Action] = {}  # in file order
     named: list[tuple[str, str, int, int]] = []  # each init: and goal: name, keyword, line, column
     keywords = ("fluents:", "init:", "goal:", "action ")
     read: set[str | None] = set()  # the keywords of the lines read so far, but "action "
@@ -609,6 +615,11 @@ def parse_instance(text: str) -> PlanningInstance:
             read.add(keyword)
         if keyword == "fluents:":
             fluents = tuple(parse_names(body, line, column))
+            for entry in re.finditer(r"\S+", body):
+                if entry[0] in declared:
+                    at = column + entry.start()
+                    raise ParseError(f"fluents: names {entry[0]!r} twice", line, at)
+                declared.add(entry[0])
         elif keyword == "init:":
             given: set[str] = set()
             for entry in re.finditer(r"\S+", body):
@@ -634,17 +645,19 @@ def parse_instance(text: str) -> PlanningInstance:
             name = header.strip()
             if not NAME_RE.match(name):
                 raise ParseError(f"expected one action name, found {name!r}", line, column)
+            if name in actions:
+                at = column + len(header) - len(header.lstrip())
+                raise ParseError(f"second action named {name!r}", line, at)
             at = column + len(header) + 1  # where the precondition starts
             precondition = parse_formula(pre_text, line, at)
             effects = parse_literals(eff_text, line, at + len(pre_text) + 2)
-            actions.append(Action(name, precondition, tuple(effects)))
+            actions[name] = Action(name, precondition, tuple(effects))
         else:
             raise ParseError(
                 "expected 'fluents:', 'init:', 'goal:', or 'action' line", line, column
             )
     if fluents is None or goal is None or not actions:
         raise ParseError("instance needs fluents, a goal, and at least one action", 1, 1)
-    declared = set(fluents)
     for name, keyword, line, column in named:
         if name not in declared:
             raise ParseError(f"{keyword} names unknown fluent {name!r}", line, column)
@@ -652,7 +665,7 @@ def parse_instance(text: str) -> PlanningInstance:
         fluents=fluents,
         initial=frozenset(initial),
         goal=goal,
-        actions=tuple(actions),
+        actions=tuple(actions.values()),
     )
 
 

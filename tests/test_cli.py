@@ -1,6 +1,9 @@
 """Command-line contract: exit codes, output prefixes, file round trips."""
 
+import importlib
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -247,6 +250,26 @@ class TestErrorContract:
         check_cap(5, "widgets", "WIDGET_CAP", 5)
         with pytest.raises(ResourceLimitError, match="^6 widgets exceed WIDGET_CAP=5$"):
             check_cap(6, "widgets", "WIDGET_CAP", 5)
+
+    def test_readme_cap_table_matches_the_constants(self):
+        """README's cap table has one row per ``*_CAP`` constant of the
+        package, in that row its value, written ``2^k = value`` for a power
+        of two or as the bare number."""
+        caps = {}
+        for info in pkgutil.iter_modules(qraise.__path__):
+            module = importlib.import_module(f"qraise.{info.name}")
+            caps.update(
+                (f"{info.name}.{name}", value)
+                for name, value in vars(module).items()
+                if name.endswith("_CAP")
+            )
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = dict(re.findall(r"^\| `(\w+\.\w+_CAP)` \| ([^|]*?) \|", readme, re.MULTILINE))
+        assert len(caps) == 5 and rows.keys() == caps.keys()
+        for name, value in caps.items():
+            power = value.bit_length() - 1
+            power_cell = f"2^{power} = {value}" if value == 1 << power else None
+            assert rows[name] in (str(value), power_cell), name
 
     def test_oracle_disagreement_is_one_internal_line(self, capsys, monkeypatch):
         table = harness.qbf_valid_by_table

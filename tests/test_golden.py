@@ -180,17 +180,19 @@ PLANNING_INSTANCES = {
         "action set-x: !x => x\naction reach: x | false => a\n"
     ),
     "no_plan.plan": "fluents: a x\ninit: a=0 x=0\ngoal: a\naction never: x & !x => a\n",
-    # Contract errors.
-    "duplicate_actions.plan": (
-        "fluents: a\ninit: a=0\ngoal: a\naction m: true => a\naction m: !a => a\n"
-    ),
+    # A contract error.
     "writes_twice.plan": "fluents: a\ninit: a=0\ngoal: a\naction m: true => a !a\n",
     # Parse errors, and names that are not fluents.
     "bad_init.plan": "fluents: a\ninit: a=2\ngoal: a\naction m: true => a\n",
     "missing_arrow.plan": "fluents: a\ninit: a=0\ngoal: a\naction m: true a\n",
     "unknown_init.plan": "fluents: a b\ninit: a=0 c=1\ngoal: a\naction m: b => a\n",
     "unknown_goal.plan": "fluents: a b\ninit: a=0 b=0\ngoal: x\naction m: b => a\n",
-    # Repeated items: a contradictory init: entry, and second fluents: and goal: lines.
+    # Repeated items: a contradictory init: entry, second fluents: and goal:
+    # lines, a fluent declared twice, and two actions of one name.
+    "duplicate_actions.plan": (
+        "fluents: a\ninit: a=0\ngoal: a\naction m: true => a\naction m: !a => a\n"
+    ),
+    "duplicate_fluents.plan": "fluents: a a\ninit: a=0\ngoal: a\naction m: true => a\n",
     "contradictory_init.plan": "fluents: a m\ninit: a=1 m=0 a=0\ngoal: a\naction m: m => a\n",
     "second_fluents.plan": (
         "fluents: a\ninit: a=0\ngoal: a\nfluents: a b\naction m: b => a\n"
@@ -262,11 +264,45 @@ def _check_growth_commands(inputs: Path, write: bool) -> list[tuple[str, list[st
     return commands
 
 
+# --- the deep-input slice -----------------------------------------------------
+
+# The three deep inputs of test_cli.TestDeepInput: name -> QBF text.
+DEEP_QBFS = {
+    "conjunction.qbf": "exists x; : " + " & ".join(["x"] * 5000),
+    "negation.qbf": "exists x; : " + "!" * 5000 + "x",
+    "parentheses.qbf": "exists x; : " + "(" * 3000 + "x" + ")" * 3000,
+}
+
+
+def _deep_commands(inputs: Path, write: bool) -> list[tuple[str, list[str]]]:
+    """``validate`` on each deep input, ``reduce -o`` to each target, and
+    ``solve`` on each reduction that succeeds. With ``write``, missing
+    inputs are made first, and a reduction that fails leaves no input."""
+    commands = []
+    for name, text in sorted(DEEP_QBFS.items()):
+        source = inputs / name
+        if write and not source.exists():
+            source.write_text(text, encoding="utf-8")
+        stem, qbf = source.stem, f"{{in}}/{name}"
+        commands.append((f"validate-{stem}", ["validate", qbf]))
+        for target, module in TARGETS.items():
+            reduced = inputs / f"{stem}.{module.SUFFIX}"
+            if write and not reduced.exists():
+                _run(["reduce", "--target", target, str(source), "-o", str(reduced)])
+            reduce = ["reduce", "--target", target, qbf, "-o", "{out}"]
+            commands.append((f"reduce-{stem}-{target}", reduce))
+            if reduced.exists():
+                solve = ["solve", "--target", target, f"{{in}}/{reduced.name}"]
+                commands.append((f"solve-{stem}-{target}", solve))
+    return commands
+
+
 SLICES = {
     "default": _default_commands,
     "abduction": _abduction_commands,
     "planning": _planning_commands,
     "check_growth": _check_growth_commands,
+    "deep": _deep_commands,
 }
 
 
@@ -285,7 +321,7 @@ def run_record(argv: list[str], inputs: Path) -> dict:
         output = Path(scratch) / "out"
         actual = [arg.replace("{in}", str(inputs)).replace("{out}", str(output)) for arg in argv]
         code, out, err = _run(actual)
-        written = output.read_text(encoding="utf-8") if "{out}" in argv else None
+        written = output.read_text(encoding="utf-8") if output.exists() else None
     return {"argv": argv, "status": code, "stdout": out, "stderr": err, "output": written}
 
 

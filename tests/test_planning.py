@@ -141,13 +141,17 @@ MANY_FLUENTS = " ".join(f"f{i}" for i in range(19))
 
 class TestCheckInstance:
     """Building an instance checks nothing; the deciders check it first. A
-    file names its unknown init: and goal: fluents at their place, as a
-    parse error, before any instance is built."""
+    file names its unknown init: and goal: fluents, and a repeated fluent or
+    action name, at their place, as a parse error, before any instance is
+    built."""
 
     @pytest.mark.parametrize(
         "text,message",
         [
-            ("fluents: x x a\ngoal: a\naction m: x => a\n", "duplicate fluent names"),
+            (
+                "fluents: x x a\ngoal: a\naction m: x => a\n",
+                "error[parse]: fluents: names 'x' twice (line 1, column 12)",
+            ),
             (
                 "fluents: x a\ngoal: b\naction m: x => a\n",
                 "error[parse]: goal: names unknown fluent 'b' (line 2, column 7)",
@@ -158,7 +162,7 @@ class TestCheckInstance:
             ),
             (
                 "fluents: x a\ngoal: a\naction m: x => a\naction m: !x => a\n",
-                "duplicate action names",
+                "error[parse]: second action named 'm' (line 4, column 8)",
             ),
             ("fluents: x a\ngoal: a\naction m: x & z => a\n", "action 'm' mentions unknown fluents: z"),
             ("fluents: x a\ngoal: a\naction m: x => a w\n", "action 'm' mentions unknown fluents: w"),
@@ -166,8 +170,8 @@ class TestCheckInstance:
             ("fluents: x a\ngoal: a\naction m: z => w !w\n", "action 'm' writes a fluent twice"),
             # 20 fluents: the contract error comes before any search
             (
-                f"fluents: {MANY_FLUENTS} a\ngoal: a\naction m: f1 => a\naction m: f2 => a\n",
-                "duplicate action names",
+                f"fluents: {MANY_FLUENTS} a\ngoal: a\naction m: f1 => a\naction n: f2 & z => a\n",
+                "action 'n' mentions unknown fluents: z",
             ),
         ],
     )
@@ -203,6 +207,11 @@ class TestCheckInstance:
         with pytest.raises(ContractError) as caught:
             planning.check_instance(inst)
         assert str(caught.value) == "initial state mentions unknown fluents: c, d"
+
+    def test_a_repeated_fluent_is_rejected(self):
+        inst = PlanningInstance(("a", "a"), frozenset(), "a", (Action("m", TRUE, (("a", True),)),))
+        with pytest.raises(ContractError, match="^duplicate fluent names$"):
+            planning.check_instance(inst)
 
     def test_an_unknown_goal_is_named(self):
         inst = PlanningInstance(("a",), frozenset(), "x", (Action("m", TRUE, (("a", True),)),))
@@ -499,6 +508,8 @@ class TestInstanceFormat:
         [
             ("fluents: a\ninit: a=1 a=1\ngoal: a\n", "init: names 'a' twice", 2, 11),
             ("fluents: a\ninit: a=0\n init: a=1\ngoal: a\n", "second 'init:' line", 3, 2),
+            ("fluents: a  m a\ngoal: a\n", "fluents: names 'a' twice", 1, 15),
+            ("fluents: a\ngoal: a\naction m: !a => a\n", "second action named 'm'", 4, 8),
         ],
     )
     def test_a_repeated_item_is_a_parse_error(self, text, message, line, column):
@@ -913,10 +924,18 @@ class TestPastEighteenFluents:
 
 
 def test_solve_checks_the_instance_once(monkeypatch):
-    calls = []
+    """One ``check_instance`` walk checks and splits every precondition: the
+    search compiles from its split, and no other walk gathers a
+    precondition's variables."""
+    instances = [
+        (reduce_qbf(parse_qbf(text)), answer)
+        for text, answer in (("exists x; forall y; : x | y", True), ("forall y; : y", False))
+    ]
+    checks = []
     check = planning.check_instance
-    monkeypatch.setattr(planning, "check_instance", lambda instance: calls.append(check(instance)))
-    for text, answer in (("exists x; forall y; : x | y", True), ("forall y; : y", False)):
-        calls.clear()
-        assert planning.solve(reduce_qbf(parse_qbf(text)))[0] is answer
-        assert len(calls) == 1
+    monkeypatch.setattr(planning, "check_instance", lambda i: checks.append(i) or check(i))
+    monkeypatch.setattr(planning, "variables", lambda f: pytest.fail("a second walk"))
+    for instance, answer in instances:
+        checks.clear()
+        assert planning.solve(instance)[0] is answer
+        assert checks == [instance]

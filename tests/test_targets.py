@@ -4,7 +4,7 @@ and the truth-table universe the deciders lay their tables out in."""
 import pytest
 
 from qraise.cli import main
-from qraise.errors import ContractError, ResourceLimitError
+from qraise.errors import ParseError, ResourceLimitError
 from qraise.formulas import ENTAILMENT_VAR_CAP, universe
 from qraise.harness import TARGETS, QbfGenSpec, SampleSpec, check_equivalence, check_lemma
 from qraise.harness import measure_growth
@@ -150,8 +150,10 @@ def test_unknown_target_is_rejected_alike(check):
 
 
 def test_default_parse_needs_a_query():
-    with pytest.raises(ContractError, match="no 'query:' line"):
+    with pytest.raises(ParseError) as caught:
         TARGETS["default"].parse("true : x / x\n")
+    error = caught.value
+    assert (error.message, error.line, error.column) == ("theory file has no 'query:' line", 1, 1)
 
 
 @pytest.mark.parametrize(
