@@ -1,20 +1,22 @@
 """STRIPS-style planning with formula preconditions, and its QBF encoding.
 
 Actions are pairs of an arbitrary precondition formula and a literal list
-of effects. ``plan_exists`` does breadth-first search from the initial
-state and visits only the states it reaches, so answers are exact and
-returned plans are shortest. A state is an integer with one bit per
-fluent, in the instance's fluent order. Each precondition is compiled once
-into a literal test, ``state & care == want``, and a truth table over its
-remaining variables, whose index is gathered from the state in runs of
+of effects. ``plan_exists`` does depth-first search from the initial state
+and visits only the states it reaches, so answers are exact; a returned
+plan replays but need not be shortest. A state is an integer with one bit
+per fluent, in the instance's fluent order. Each precondition is compiled
+once into a literal test, ``state & care == want``, and a truth table over
+its remaining variables, whose index is gathered from the state in runs of
 adjacent fluent bits. The literal tests are memoized: states that agree on
 the bits any literal test reads pass the same actions, so the tuple of
 passing actions is made once per such key and reused, and only the actions
 with a remainder then look up their table. The search keeps one dict, each
 reached state's parent, and reads the plan back from it. It is held to
 ``STATE_CAP`` reached states, a budget on the work done rather than on the
-instance's size: reductions of 16-variable QBFs (41 fluents) decide well
-within it.
+instance's size. A valid reduction runs down one chain of gadget states to
+its goal, so those of 28-variable QBFs (71 fluents) decide within it. An
+invalid one reaches every reachable state first, and some of 18 variables
+pass it.
 
 ``base_reduction`` turns a matrix into a single action that sets the goal
 when the matrix holds; every raise keeps that action first.
@@ -35,11 +37,13 @@ end, so it builds every ``Action`` once. Each guard, done flag and goal
 ``Action`` and ``PlanningInstance`` are plain frozen dataclasses, and
 building either checks nothing. ``check_instance`` holds every rule on an
 instance: its names must fit together, and no action may write a fluent
-twice. ``plan_exists`` and ``validate_plan`` call it first, so a chain of
-raises is checked once per decision, not once per raise. Its one walk
-over each precondition also splits it for ``plan_exists`` into the literal
-test and the other conjuncts. ``solve`` replays a found plan on dict
-states with ``formulas.evaluate``, without checking the instance again.
+twice. ``plan_exists`` calls it first, so a chain of raises is checked once
+per decision, not once per raise. Its one walk over each precondition also
+splits it for ``plan_exists`` into the literal test and the other
+conjuncts. ``validate_plan`` applies the same rules, with the same
+messages, from a walk that only gathers each precondition's names.
+``solve`` replays a found plan on dict states with ``formulas.evaluate``,
+without checking the instance again.
 
 ``parse_instance`` reads the text format. Each action header is one name.
 It keeps each ``init:`` and ``goal:`` name with its place and checks them
@@ -53,7 +57,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 from .errors import ContractError, ParseError, QraiseError, check_cap
 from .formulas import NAME_RE, And, Const, Formula, Not, Or, Var, conjunction, evaluate
@@ -94,17 +98,9 @@ class PlanningInstance:
     actions: tuple[Action, ...]
 
 
-def check_instance(
-    instance: PlanningInstance,
-) -> list[tuple[int, int, list[Formula], set[str]]]:
-    """Reject an instance whose fluent and action names do not fit together;
-    else split each precondition, in the walk that checks its names, into
-    ``(must_set, must_clear, rest, read)``: the fluent bits of the literal
-    conjuncts of its top-level ``And`` tree, its other conjuncts, and their
-    variables. Unknown fluents are named, sorted: those of the initial
-    state, or those of the first action that mentions any. An action whose
-    effects write a fluent twice is rejected before its names are looked up.
-    """
+def _fluent_order(instance: PlanningInstance) -> dict[str, int]:
+    """Each fluent's bit, once the fluent, goal, initial and action names
+    fit together."""
     order = {name: i for i, name in enumerate(instance.fluents)}
     if len(order) != len(instance.fluents):
         raise ContractError("duplicate fluent names")
@@ -116,11 +112,37 @@ def check_instance(
     names = [act.name for act in instance.actions]
     if len(set(names)) != len(names):
         raise ContractError("duplicate action names")
+    return order
+
+
+def _check_action(act: Action, read: AbstractSet[str], order: Mapping[str, int]) -> None:
+    """Reject an action whose effects write a fluent twice, or that names a
+    fluent outside ``order`` in them or in ``read``, its precondition's
+    names."""
+    written = {name for name, _ in act.effects}
+    if len(written) != len(act.effects):
+        raise ContractError(f"action {act.name!r} writes a fluent twice")
+    loose = (written | read).difference(order)
+    if loose:
+        raise ContractError(
+            f"action {act.name!r} mentions unknown fluents: {', '.join(sorted(loose))}"
+        )
+
+
+def check_instance(
+    instance: PlanningInstance,
+) -> list[tuple[int, int, list[Formula], set[str]]]:
+    """Reject an instance whose fluent and action names do not fit together;
+    else split each precondition, in the walk that checks its names, into
+    ``(must_set, must_clear, rest, read)``: the fluent bits of the literal
+    conjuncts of its top-level ``And`` tree, its other conjuncts, and their
+    variables. Unknown fluents are named, sorted: those of the initial
+    state, or those of the first action that mentions any. An action whose
+    effects write a fluent twice is rejected before its names are looked up.
+    """
+    order = _fluent_order(instance)
     splits = []
     for act in instance.actions:
-        written = {name for name, _ in act.effects}
-        if len(written) != len(act.effects):
-            raise ContractError(f"action {act.name!r} writes a fluent twice")
         must_set = must_clear = 0
         rest: list[Formula] = []
         stack = [act.precondition]  # the top-level And tree
@@ -148,11 +170,7 @@ def check_instance(
             elif cls is not Const:
                 stack.append(node.left)
                 stack.append(node.right)
-        loose = (written | read).difference(order)
-        if loose:
-            raise ContractError(
-                f"action {act.name!r} mentions unknown fluents: {', '.join(sorted(loose))}"
-            )
+        _check_action(act, read, order)
         splits.append((must_set, must_clear, rest, read))
     return splits
 
@@ -219,8 +237,10 @@ _Entry = tuple[int, int, tuple[tuple[int, int, int], ...], int, int, int, int]
 
 
 def plan_exists(instance: PlanningInstance) -> tuple[bool, tuple[str, ...] | None]:
-    """Breadth-first search over the states reachable from the initial one;
-    plans are shortest.
+    """Depth-first search over the states reachable from the initial one.
+    Each popped state pushes its new successors in reverse action order, so
+    the first passing action's is popped first, and the goal is tested when
+    a state is first reached. A plan need not be shortest.
 
     Each action is compiled from ``check_instance``'s split, and only its
     non-literal conjuncts are walked again, to tabulate them. Each literal
@@ -235,10 +255,10 @@ def plan_exists(instance: PlanningInstance) -> tuple[bool, tuple[str, ...] | Non
 
     ``parents`` maps each reached state to the state it was first reached
     from. The action taken is not stored: the plan is read back by finding,
-    for each step, the first passing action that leads from the parent to
-    the child, which is the one the search took. More than ``STATE_CAP``
-    reached states stop the search with a ``ResourceLimitError``. The memo
-    holds at most one entry per popped state, so the cap bounds it too.
+    for each step, the first passing action in action order that leads from
+    the parent to the child. More than ``STATE_CAP`` reached states stop the
+    search with a ``ResourceLimitError``. The memo holds at most one entry
+    per popped state, so the cap bounds it too.
     """
     splits = check_instance(instance)
     order = {name: i for i, name in enumerate(instance.fluents)}
@@ -262,17 +282,19 @@ def plan_exists(instance: PlanningInstance) -> tuple[bool, tuple[str, ...] | Non
         position, mask, _ = runs[0] if runs else (0, 0, 0)
         entry = (position, mask, runs[1:], table, set_mask, ~clear_mask, idx)
         compiled.append((care, must_set, entry))
+    compiled.reverse()  # so each memo tuple lists its actions last to first
     start = 0
     for name in instance.initial:
         start |= 1 << order[name]
     if start & goal_bit:
         return True, ()
     # state & lit_mask -> the entries of the actions whose literal test
-    # passes, in action order
+    # passes, in reverse action order
     passing: dict[int, tuple[_Entry, ...]] = {}
     parents: dict[int, int | None] = {start: None}
-    queue = [start]  # in breadth-first order; the loop reads what it appends
-    for state in queue:
+    stack = [start]
+    while stack:
+        state = stack.pop()
         key = state & lit_mask
         candidates = passing.get(key)
         if candidates is None:
@@ -295,7 +317,7 @@ def plan_exists(instance: PlanningInstance) -> tuple[bool, tuple[str, ...] | Non
                 check_cap(len(parents), "states", "STATE_CAP", STATE_CAP)
             if successor & goal_bit:
                 return True, _read_plan(instance, successor, parents, passing, lit_mask)
-            queue.append(successor)
+            stack.append(successor)
     return False, None
 
 
@@ -307,13 +329,15 @@ def _read_plan(
     lit_mask: int,
 ) -> tuple[str, ...]:
     """The actions from the initial state to ``goal_state``: at each step,
-    the first of the parent's passing actions that fires there and leads
-    to the child."""
+    the first of the parent's passing actions, in action order, that fires
+    there and leads to the child."""
     steps: list[str] = []
     child = goal_state
     state = parents[child]
     while state is not None:
-        for position, mask, more, table, set_mask, keep_mask, idx in passing[state & lit_mask]:
+        for position, mask, more, table, set_mask, keep_mask, idx in reversed(
+            passing[state & lit_mask]
+        ):
             if (state | set_mask) & keep_mask != child:
                 continue
             index = state >> position & mask
@@ -338,8 +362,12 @@ def solve(instance: PlanningInstance) -> tuple[bool, str]:
 
 
 def validate_plan(instance: PlanningInstance, plan: Sequence[str]) -> bool:
-    """Independent replay: execute each step on dict states and check the goal."""
-    check_instance(instance)
+    """Independent replay: execute each step on dict states and check the
+    goal. The instance is rejected as ``check_instance`` rejects it, by one
+    walk per precondition that gathers its names and splits nothing."""
+    order = _fluent_order(instance)
+    for act in instance.actions:
+        _check_action(act, variables(act.precondition), order)
     return _replay(instance, plan)
 
 

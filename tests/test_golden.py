@@ -15,8 +15,9 @@ records::
 
 Writing also creates any input that is missing: the seeded QBFs, drawn
 with ``qbf.random_matrix``, and their reductions, which the ``solve``
-records read. Existing inputs are never rewritten, so records stay tied to
-the same files.
+records read, and the planning slice's 20-variable alternating
+reductions, which are only solved. Existing inputs are never rewritten,
+so records stay tied to the same files.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ import tempfile
 from functools import partial
 from pathlib import Path
 from typing import Callable
+from unittest import mock
 
 import pytest
 
-from qraise import parsing
+from qraise import parsing, planning, qbf
 from qraise.cli import main
 from qraise.harness import TARGETS
 from qraise.parsing import serialize_qbf
@@ -216,12 +218,40 @@ def _any_prefix(rng: random.Random, count: int) -> Prefix:
             return prefix
 
 
-# QBFs of any prefix at 1-7 variables, and one at 8, past 18 fluents.
-_planning_commands = partial(
-    _slice_commands, "planning", "plan",
-    partial(_seeded_qbfs, "planning", _any_prefix, "n", range(1, 8), 8),
-    PLANNING_INSTANCES, "n3_valid_0",
-)
+def _alternating_reduction(count: int, valid: bool) -> str:
+    """The reduction of a seeded ``count``-variable QBF, exists first and
+    alternating, of the wanted validity. The table oracle decides it with
+    ``QBF_VAR_CAP`` lifted to ``count``."""
+    names = [f"x{i + 1}" for i in range(count)]
+    quants = (Quantifier.EXISTS, Quantifier.FORALL)
+    prefix = tuple((quants[i % 2], name) for i, name in enumerate(names))
+    rng = random.Random(f"planning alternating {count} {valid}")
+    with mock.patch.object(qbf, "QBF_VAR_CAP", max(QBF_VAR_CAP, count)):
+        while True:
+            q = Qbf(prefix, random_matrix(rng, names, 5))
+            if qbf_valid_by_table(q) == valid:
+                return planning.serialize_instance(planning.reduce_qbf(q))
+
+
+# 20-variable alternating reductions (51 fluents), by validity: each is only solved.
+ALTERNATING = {"a20_valid.plan": True, "a20_invalid.plan": False}
+
+
+def _planning_commands(inputs: Path, write: bool) -> list[tuple[str, list[str]]]:
+    """QBFs of any prefix at 1-7 variables, and one at 8, past 18 fluents;
+    the hand-written instances; then ``solve`` on each ``ALTERNATING``
+    reduction, written with ``write`` when missing."""
+    commands = _slice_commands(
+        "planning", "plan", partial(_seeded_qbfs, "planning", _any_prefix, "n", range(1, 8), 8),
+        PLANNING_INSTANCES, "n3_valid_0", inputs, write,
+    )
+    for name, valid in ALTERNATING.items():
+        path = inputs / name
+        if write and not path.exists():
+            path.write_text(_alternating_reduction(20, valid), encoding="utf-8")
+        commands.append((f"solve-{name}", ["solve", "--target", "planning", f"{{in}}/{name}"]))
+    return commands
+
 
 # --- the check and growth slice ----------------------------------------------
 

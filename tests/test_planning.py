@@ -8,7 +8,7 @@ from dataclasses import FrozenInstanceError, make_dataclass
 
 import pytest
 
-from qraise import planning
+from qraise import planning, qbf
 from qraise.cli import main
 from qraise.errors import ContractError, ParseError, ResourceLimitError
 from qraise.formulas import And, Const, FALSE, Iff, Implies, Not, Or, TRUE, Var
@@ -239,6 +239,49 @@ class TestCheckInstance:
         raised = raise_universal(inst, "x", 1)
         with pytest.raises(ContractError, match="^duplicate action names$"):
             plan_exists(raised)
+
+    def test_validate_plan_rejects_what_check_instance_rejects(self, monkeypatch):
+        """``validate_plan`` checks an instance by its own walk, which builds
+        no split, and rejects each instance with ``check_instance``'s
+        message, faults in several places included."""
+        rng = random.Random(23)
+
+        def outcome(check, instance):
+            try:
+                check(instance)
+            except ContractError as error:
+                return str(error)
+            return None
+
+        made = []
+        for _ in range(400):
+            instance = _random_instance(rng, rng.randint(1, 5))
+            fluents, initial, goal = instance.fluents, set(instance.initial), instance.goal
+            actions = list(instance.actions)
+            for _ in range(rng.randint(0, 3)):
+                fault = rng.randrange(7)
+                k = rng.randrange(len(actions))
+                act = actions[k]
+                if fault == 0:
+                    fluents += (rng.choice(fluents),)
+                elif fault == 1:
+                    goal = "zg"
+                elif fault == 2:
+                    initial |= {"zi", rng.choice(["zj", *fluents])}
+                elif fault == 3:
+                    actions.append(Action(act.name, TRUE, ()))
+                elif fault == 4:
+                    actions[k] = Action(act.name, act.precondition, act.effects + act.effects[:1])
+                elif fault == 5:
+                    loose = rng.choice([Var("zp"), Not(Var("zq")), Or(Var("zr"), Var(fluents[0]))])
+                    actions[k] = Action(act.name, And(act.precondition, loose), act.effects)
+                else:
+                    actions[k] = Action(act.name, act.precondition, act.effects + (("ze", False),))
+            made.append(PlanningInstance(fluents, frozenset(initial), goal, tuple(actions)))
+        expected = [outcome(planning.check_instance, instance) for instance in made]
+        monkeypatch.setattr(planning, "check_instance", lambda i: pytest.fail("a split"))
+        assert [outcome(lambda i: validate_plan(i, ()), i) for i in made] == expected
+        assert 20 <= expected.count(None) <= 380
 
     def test_reduction_walks_no_precondition(self, monkeypatch):
         walked = []
@@ -692,12 +735,30 @@ def _memo_plan_exists(instance):
 
 
 def _assert_matches_table_reference(instance):
+    """On a reduction, ``plan_exists`` returns the breadth-first reference's
+    answer and plan."""
     found, plan = plan_exists(instance)
     assert (found, plan) == _table_plan_exists(instance)
     if found:
         assert validate_plan(instance, plan)
-        # plans are shortest, so no proper prefix reaches the goal
+        # the depth-first plan equals the breadth-first one, so on a
+        # reduction it is shortest too: no proper prefix reaches the goal
         assert not plan or not validate_plan(instance, plan[:-1])
+    return found, plan
+
+
+def _assert_agrees_with(reference, instance):
+    """On a general instance, ``plan_exists`` gives ``reference``'s answer,
+    and a plan that replays and is no shorter than ``reference``'s, which
+    is shortest: a depth-first plan may be longer."""
+    found, plan = plan_exists(instance)
+    shortest = reference(instance)
+    assert found is shortest[0]
+    if found:
+        assert validate_plan(instance, plan)
+        assert len(plan) >= len(shortest[1])
+    else:
+        assert plan is None
     return found, plan
 
 
@@ -803,7 +864,7 @@ def test_search_matches_table_reference_on_general_instances():
     )
     for n in range(320):
         instance = _random_instance(rng, WIDE if n % 40 == 0 else rng.randint(1, 7))
-        found, plan = _assert_matches_table_reference(instance)
+        found, plan = _assert_agrees_with(_table_plan_exists, instance)
         seen["found" if found else "missed"] += 1
         seen["three steps"] += found and len(plan) >= 3
         seen["goal at start"] += instance.goal in instance.initial
@@ -842,7 +903,8 @@ class TestMemoizedLiteralTests:
     """``plan_exists`` reuses each literal test per ``state & lit_mask`` and
     gathers each table index in runs of adjacent bits. The per-state search
     and the memoized search that gathers one bit at a time are its
-    references, and must give the same plans."""
+    references. They search breadth-first and give the same plans as each
+    other, and on reductions as ``plan_exists``."""
 
     def test_matches_the_mask_reference_on_the_exhaustive_sweep(self):
         found = [_matches_mask_reference(reduce_qbf(q)) for q in exhaustive_qbfs(3, 3, "any")]
@@ -853,7 +915,8 @@ class TestMemoizedLiteralTests:
         runs = dict.fromkeys([1, 2, 3], 0)
         for n in range(320):
             instance = _random_instance(rng, WIDE if n % 40 == 0 else rng.randint(1, 7))
-            _matches_mask_reference(instance)
+            _assert_agrees_with(_mask_plan_exists, instance)
+            assert _mask_plan_exists(instance) == _memo_plan_exists(instance)
             order = {name: i for i, name in enumerate(instance.fluents)}
             for act in instance.actions:
                 count = _runs(_literal_test(act.precondition, order)[2])
@@ -896,12 +959,16 @@ class TestMemoizedLiteralTests:
 
 
 class TestPastEighteenFluents:
-    """Alternating-prefix reductions at 8-12 variables have 21-31 fluents:
-    ``STATE_CAP`` bounds the states reached, not the fluents, so they
-    decide, and each answer is the table oracle's."""
+    """Alternating-prefix reductions at 8-24 variables have 21-61 fluents:
+    ``STATE_CAP`` bounds the states reached, not the fluents, and a valid
+    one stops at its goal, so it decides, and each answer is the table
+    oracle's. An invalid one reaches every reachable state first, so past
+    16 variables it may stop at ``STATE_CAP``, as the 24-variable draw
+    does. The oracle's ``QBF_VAR_CAP`` is lifted to the prefix here."""
 
-    @pytest.mark.parametrize("count", range(8, 13))
-    def test_reductions_agree_with_the_table_oracle(self, capsys, tmp_path, count):
+    @pytest.mark.parametrize("count", [*range(8, 13), 18, 20, 24])
+    def test_reductions_agree_with_the_table_oracle(self, monkeypatch, capsys, tmp_path, count):
+        monkeypatch.setattr(qbf, "QBF_VAR_CAP", max(qbf.QBF_VAR_CAP, count))
         names = [f"x{i + 1}" for i in range(count)]
         quants = (Quantifier.EXISTS, Quantifier.FORALL)
         prefix = tuple((quants[i % 2], name) for i, name in enumerate(names))
@@ -912,11 +979,17 @@ class TestPastEighteenFluents:
                 q = Qbf(prefix, random_matrix(rng, names, 5))
             instance = reduce_qbf(q)
             assert len(instance.fluents) > 18
-            found, plan = plan_exists(instance)
-            assert found is valid
-            assert not found or validate_plan(instance, plan)
             path = tmp_path / f"{valid}.plan"
             path.write_text(serialize_instance(instance), encoding="utf-8")
+            try:
+                found, plan = plan_exists(instance)
+            except ResourceLimitError as stop:
+                assert not valid and count > 16
+                assert main(["solve", "--target", "planning", str(path)]) == 3
+                assert capsys.readouterr() == ("", f"error[resource]: {stop}\n")
+                continue
+            assert found is valid
+            assert not found or validate_plan(instance, plan)
             assert main(["solve", "--target", "planning", str(path)]) == (0 if valid else 1)
             captured = capsys.readouterr()
             assert captured.err == ""
