@@ -176,9 +176,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except RecursionError:
         # Deeply nested input still overflows the formula walks that recurse:
-        # formulas.evaluate_reading (plan replay, the recursive QBF oracle),
-        # truth_table, substitute and the nodes' own __hash__/__eq__. A traceback
-        # would exit 1, a "no"; the error's text varies with the stack depth.
+        # the node methods behind formulas.evaluate_reading (plan replay, the
+        # recursive QBF oracle) and truth_table, substitute, and the nodes' own
+        # __hash__/__eq__. A traceback would exit 1, a "no"; the error's text
+        # varies with the stack depth.
         print("error[internal]: input nested too deeply", file=sys.stderr)
         return 2
 

@@ -24,6 +24,21 @@ per call and hands it down its recursion, so a negation, implication or
 equivalence node reuses it instead of allocating a ``2**width``-bit
 integer of its own.
 
+The two walks that run per leaf of the recursive QBF oracle, per plan
+replay step and per table, ``evaluate_reading`` and ``truth_table``, are
+one method per node class: ``_read`` and ``_tabulate``. A node then costs
+one method call, where an if-chain over the seven classes cost up to seven
+class tests and a call of the module function. Measured on random
+matrices (Python 3.11.7), an evaluation is 1.5x faster and a table of up
+to 8 variables 1.2-1.3x; at 16 variables and up the big-integer operations
+dominate a table. Both recurse, so deep input overflows them. A non-node
+in the tree has no such method: the entry point catches the
+``AttributeError`` and ``check_formula`` finds the stray and raises its
+``TypeError``, so only that error path pays for the search.
+``variables``, ``size`` and ``parsing.serialize_formula`` stay
+explicit-stack loops, which take any depth; ``substitute`` still
+recurses. All of them reject a non-node with that same ``TypeError``.
+
 ``project`` keeps tables small when only some variables matter: it
 existentially projects every other variable out by bucket elimination,
 so the widest table spans one variable's bucket or the kept set, not the
@@ -95,6 +110,12 @@ class Const(Formula):
     def __hash__(self):
         return hash((self.value,))
 
+    def _read(self, assignment, read):
+        return self.value
+
+    def _tabulate(self, order, width, full):
+        return full if self.value else 0
+
 
 class Var(Formula):
     __slots__ = ("name",)
@@ -110,6 +131,20 @@ class Var(Formula):
 
     def __hash__(self):
         return hash((self.name,))
+
+    def _read(self, assignment, read):
+        name = self.name
+        read.add(name)
+        try:
+            return assignment[name]
+        except KeyError:
+            raise EvaluationError(f"unbound variable: {name}") from None
+
+    def _tabulate(self, order, width, full):
+        try:
+            return _wave(order[self.name], width)
+        except KeyError:
+            raise EvaluationError(f"unbound variable: {self.name}") from None
 
 
 class Not(Formula):
@@ -127,6 +162,12 @@ class Not(Formula):
 
     def __hash__(self):
         return hash((self.operand,))
+
+    def _read(self, assignment, read):
+        return not self.operand._read(assignment, read)
+
+    def _tabulate(self, order, width, full):
+        return full ^ self.operand._tabulate(order, width, full)
 
 
 class _Binary(Formula):
@@ -151,17 +192,41 @@ class _Binary(Formula):
 class And(_Binary):
     __slots__ = ()
 
+    def _read(self, assignment, read):
+        return self.left._read(assignment, read) and self.right._read(assignment, read)
+
+    def _tabulate(self, order, width, full):
+        return self.left._tabulate(order, width, full) & self.right._tabulate(order, width, full)
+
 
 class Or(_Binary):
     __slots__ = ()
+
+    def _read(self, assignment, read):
+        return self.left._read(assignment, read) or self.right._read(assignment, read)
+
+    def _tabulate(self, order, width, full):
+        return self.left._tabulate(order, width, full) | self.right._tabulate(order, width, full)
 
 
 class Implies(_Binary):
     __slots__ = ()
 
+    def _read(self, assignment, read):
+        return not self.left._read(assignment, read) or self.right._read(assignment, read)
+
+    def _tabulate(self, order, width, full):
+        return (full ^ self.left._tabulate(order, width, full)) | self.right._tabulate(order, width, full)
+
 
 class Iff(_Binary):
     __slots__ = ()
+
+    def _read(self, assignment, read):
+        return self.left._read(assignment, read) == self.right._read(assignment, read)
+
+    def _tabulate(self, order, width, full):
+        return full ^ self.left._tabulate(order, width, full) ^ self.right._tabulate(order, width, full)
 
 
 # Each ``__init__`` stores through its slot's own descriptor, since
@@ -176,20 +241,46 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-def variables(f: Formula) -> frozenset[str]:
-    """The set of variable names occurring in ``f``."""
-    out: set[str] = set()
+# The node classes; anything else in a tree is a stray that the walks reject.
+_NODES = frozenset({Const, Var, Not, And, Or, Implies, Iff})
+
+
+def check_formula(f: object) -> None:
+    """Raise ``TypeError("not a formula node: …")`` for the first object in
+    ``f``, in pre-order from the left, whose class is none of the seven
+    node classes; return if there is none. Every walk calls it only once it
+    has failed on a stray, so a well-formed formula pays nothing for it."""
     stack = [f]
     while stack:
         node = stack.pop()
         cls = node.__class__
-        if cls is Var:
-            out.add(node.name)
-        elif cls is Not:
+        if cls not in _NODES:
+            raise TypeError(f"not a formula node: {node!r}") from None
+        if cls is Not:
             stack.append(node.operand)
-        elif cls is not Const:
-            stack.append(node.left)
+        elif cls is not Var and cls is not Const:
             stack.append(node.right)
+            stack.append(node.left)
+
+
+def variables(f: Formula) -> frozenset[str]:
+    """The set of variable names occurring in ``f``."""
+    out: set[str] = set()
+    stack = [f]
+    try:
+        while stack:
+            node = stack.pop()
+            cls = node.__class__
+            if cls is Var:
+                out.add(node.name)
+            elif cls is Not:
+                stack.append(node.operand)
+            elif cls is not Const:
+                stack.append(node.left)
+                stack.append(node.right)
+    except AttributeError:
+        check_formula(f)
+        raise
     return frozenset(out)
 
 
@@ -197,15 +288,19 @@ def size(f: Formula) -> int:
     """Number of AST nodes in ``f``."""
     total = 0
     stack = [f]
-    while stack:
-        node = stack.pop()
-        total += 1
-        cls = node.__class__
-        if cls is Not:
-            stack.append(node.operand)
-        elif cls is not Var and cls is not Const:
-            stack.append(node.left)
-            stack.append(node.right)
+    try:
+        while stack:
+            node = stack.pop()
+            total += 1
+            cls = node.__class__
+            if cls is Not:
+                stack.append(node.operand)
+            elif cls is not Var and cls is not Const:
+                stack.append(node.left)
+                stack.append(node.right)
+    except AttributeError:
+        check_formula(f)
+        raise
     return total
 
 
@@ -215,16 +310,24 @@ def substitute(f: Formula, name: str, value: bool) -> Formula:
     Purely syntactic: no simplification is performed. Untouched subtrees are
     shared with the input.
     """
-    const = TRUE if value else FALSE
+    try:
+        return _substitute(f, name, TRUE if value else FALSE)
+    except AttributeError:
+        check_formula(f)
+        raise
+
+
+def _substitute(f: Formula, name: str, const: Const) -> Formula:
+    """``substitute`` with the constant node given."""
     if isinstance(f, Var):
         return const if f.name == name else f
     if isinstance(f, Const):
         return f
     if isinstance(f, Not):
-        child = substitute(f.operand, name, value)
+        child = _substitute(f.operand, name, const)
         return f if child is f.operand else Not(child)
-    left = substitute(f.left, name, value)  # type: ignore[union-attr]
-    right = substitute(f.right, name, value)  # type: ignore[union-attr]
+    left = _substitute(f.left, name, const)  # type: ignore[union-attr]
+    right = _substitute(f.right, name, const)  # type: ignore[union-attr]
     if left is f.left and right is f.right:  # type: ignore[union-attr]
         return f
     return type(f)(left, right)  # type: ignore[call-arg]
@@ -238,26 +341,11 @@ def evaluate(f: Formula, assignment: Mapping[str, bool]) -> bool:
 def evaluate_reading(f: Formula, assignment: Mapping[str, bool], read: set[str]) -> bool:
     """``evaluate`` that also adds each name it reads to ``read``;
     short-circuited operands are not read."""
-    cls = f.__class__
-    if cls is Var:
-        read.add(f.name)
-        try:
-            return assignment[f.name]
-        except KeyError:
-            raise EvaluationError(f"unbound variable: {f.name}") from None
-    if cls is Not:
-        return not evaluate_reading(f.operand, assignment, read)
-    if cls is And:
-        return evaluate_reading(f.left, assignment, read) and evaluate_reading(f.right, assignment, read)
-    if cls is Or:
-        return evaluate_reading(f.left, assignment, read) or evaluate_reading(f.right, assignment, read)
-    if cls is Implies:
-        return not evaluate_reading(f.left, assignment, read) or evaluate_reading(f.right, assignment, read)
-    if cls is Iff:
-        return evaluate_reading(f.left, assignment, read) == evaluate_reading(f.right, assignment, read)
-    if cls is Const:
-        return f.value
-    raise TypeError(f"not a formula node: {f!r}")
+    try:
+        return f._read(assignment, read)
+    except AttributeError:
+        check_formula(f)
+        raise
 
 
 def conjunction(fs: Iterable[Formula]) -> Formula:
@@ -329,30 +417,11 @@ def truth_table(f: Formula, order: Mapping[str, int], width: int) -> int:
     assignment index. The all-ones table is built once per call and handed
     down, so each node does only its own bit operation.
     """
-    return _table(f, order, width, (1 << (1 << width)) - 1)
-
-
-def _table(f: Formula, order: Mapping[str, int], width: int, full: int) -> int:
-    """``truth_table`` with ``full``, the all-ones table, given."""
-    cls = f.__class__
-    if cls is Var:
-        try:
-            return _wave(order[f.name], width)
-        except KeyError:
-            raise EvaluationError(f"unbound variable: {f.name}") from None
-    if cls is Not:
-        return full ^ _table(f.operand, order, width, full)
-    if cls is And:
-        return _table(f.left, order, width, full) & _table(f.right, order, width, full)
-    if cls is Or:
-        return _table(f.left, order, width, full) | _table(f.right, order, width, full)
-    if cls is Implies:
-        return (full ^ _table(f.left, order, width, full)) | _table(f.right, order, width, full)
-    if cls is Iff:
-        return full ^ _table(f.left, order, width, full) ^ _table(f.right, order, width, full)
-    if cls is Const:
-        return full if f.value else 0
-    raise TypeError(f"not a formula node: {f!r}")
+    try:
+        return f._tabulate(order, width, (1 << (1 << width)) - 1)
+    except AttributeError:
+        check_formula(f)
+        raise
 
 
 @dataclass(frozen=True, slots=True)

@@ -63,6 +63,7 @@ from typing import Iterator
 
 from .errors import ParseError
 from .formulas import FALSE, NAME, NAME_RE, TRUE, And, Const, Formula, Iff, Implies, Not, Or, Var
+from .formulas import check_formula
 from .qbf import Qbf, Quantifier
 
 # One match per token: an identifier, an operator, or any other single
@@ -292,8 +293,16 @@ def parse_qbf(text: str) -> Qbf:
 # Per binary node: its text, and the least strength each child needs to go
 # without parentheses. The arrows associate right, so a left child of the
 # same connective needs them; ``|`` and ``&`` associate left.
+class _Text(str):
+    """A piece of ``serialize_formula``'s output on its stack. Its own class
+    tells it from a stray ``str`` in the tree, which is no node."""
+
+    __slots__ = ()
+
+
+_OPEN, _CLOSE = _Text("("), _Text(")")
 _BINARY_TEXT = {
-    node: (f" {symbol} ", own + (own <= 2), own + (own > 2))
+    node: (_Text(f" {symbol} "), own + (own <= 2), own + (own > 2))
     for symbol, (own, node) in _BINARY.items()
 }
 _STRENGTH = {node: own for own, node in _BINARY.values()} | {Not: 5}
@@ -302,36 +311,40 @@ _STRENGTH = {node: own for own, node in _BINARY.values()} | {Not: 5}
 def serialize_formula(f: Formula) -> str:
     """Render with minimal parentheses; ``parse_formula`` inverts exactly."""
     out: list[str] = []
-    stack: list[Formula | str] = [f]  # what is left to render, next piece last
-    while stack:
-        item = stack.pop()
-        cls = item.__class__
-        if cls is str:
-            out.append(item)
-        elif cls is Var:
-            out.append(item.name)
-        elif cls is Not:
-            out.append("!")
-            child = item.operand
-            if _STRENGTH.get(child.__class__, 6) < 5:
-                stack += (")", child, "(")
+    stack: list[Formula | _Text] = [f]  # what is left to render, next piece last
+    try:
+        while stack:
+            item = stack.pop()
+            cls = item.__class__
+            if cls is _Text:
+                out.append(item)
+            elif cls is Var:
+                out.append(item.name)
+            elif cls is Not:
+                out.append("!")
+                child = item.operand
+                if _STRENGTH.get(child.__class__, 6) < 5:
+                    stack += (_CLOSE, child, _OPEN)
+                else:
+                    stack.append(child)
+            elif cls is Const:
+                out.append("true" if item.value else "false")
             else:
-                stack.append(child)
-        elif cls is Const:
-            out.append("true" if item.value else "false")
-        else:
-            symbol, left_least, right_least = _BINARY_TEXT[cls]
-            child = item.right
-            if _STRENGTH.get(child.__class__, 6) < right_least:
-                stack += (")", child, "(")
-            else:
-                stack.append(child)
-            stack.append(symbol)
-            child = item.left
-            if _STRENGTH.get(child.__class__, 6) < left_least:
-                stack += (")", child, "(")
-            else:
-                stack.append(child)
+                symbol, left_least, right_least = _BINARY_TEXT[cls]
+                child = item.right
+                if _STRENGTH.get(child.__class__, 6) < right_least:
+                    stack += (_CLOSE, child, _OPEN)
+                else:
+                    stack.append(child)
+                stack.append(symbol)
+                child = item.left
+                if _STRENGTH.get(child.__class__, 6) < left_least:
+                    stack += (_CLOSE, child, _OPEN)
+                else:
+                    stack.append(child)
+    except KeyError:  # a class that is no node has no entry in _BINARY_TEXT
+        check_formula(f)
+        raise
     return "".join(out)
 
 

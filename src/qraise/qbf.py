@@ -5,9 +5,10 @@ and the prefix handling every reduction shares.
 outermost variable to true, then to false, stops at the value that decides
 its quantifier (true for exists, false for forall), and evaluates the
 unchanged matrix at each leaf with ``formulas.evaluate_reading``, the
-evaluator plan replay uses too. Each leaf evaluation records the names it
-reads, and a variable whose true branch neither decides nor reads it is
-not tried at false: the evaluation is deterministic, so a branch that never
+evaluator plan replay uses too, which dispatches through one method per
+node class. Each leaf evaluation records the names it reads, and a
+variable whose true branch neither decides nor reads it is not tried at
+false: the evaluation is deterministic, so a branch that never
 reads the variable takes the same path, and gives the same result, under
 either value (a simple form of the backjumping of QBF solvers; Cadoli,
 Giovanardi & Schaerf 1998). ``qbf_valid_by_table`` builds no assignment:
@@ -15,6 +16,12 @@ it tabulates the matrix over all prefix assignments with
 ``formulas.truth_table``, in its own bit order (prefix order, outermost
 variable lowest), and folds the table one quantifier level at a time. The
 two must always agree; each guards the other.
+
+``QBF_VAR_CAP`` bounds the prefix of both. The walk sets it: on the worst
+case, all ∀ with the matrix P ∨ ¬P where P is an ↔ chain over every
+variable, each of the 2^n leaves is evaluated, and at 18 variables that
+takes 0.70-0.79 s (nproc=2, Python 3.11.7) and at 19 1.4-1.9 s. The
+table takes about a millisecond at either size.
 
 A reduction is a base instance followed by one raise per quantifier.
 ``split_prefix`` cuts a prefix into the outer and inner block of a target's
@@ -34,8 +41,8 @@ from .errors import ContractError, UnsupportedShapeError, check_cap
 from .formulas import And, Const, Formula, Iff, Implies, Not, Or, Var
 from .formulas import evaluate_reading, truth_table, variables
 
-# Hard cap on the prefix length for both deciders.
-QBF_VAR_CAP = 17
+# Hard cap on the prefix length for both deciders; the walk's time sets it.
+QBF_VAR_CAP = 18
 
 
 class Quantifier(Enum):

@@ -310,8 +310,9 @@ class TestErrorContract:
 class TestDeepInput:
     """The three deep inputs decide like ``exists x; : x`` or give one
     ``error[internal]`` line: the parser and serializer take any depth, but
-    ``formulas.evaluate_reading`` (plan replay and the QBF oracle of
-    ``validate``), ``truth_table`` and ``substitute`` still recurse."""
+    the node methods behind ``formulas.evaluate_reading`` (plan replay and
+    the QBF oracle of ``validate``) and ``truth_table``, ``substitute`` and
+    the nodes' own ``__hash__``/``__eq__`` still recurse."""
 
     DEEP = {
         "conjunction": "exists x; : " + " & ".join(["x"] * 5000),

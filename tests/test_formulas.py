@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 from dataclasses import FrozenInstanceError, make_dataclass
 from itertools import product
 
@@ -22,6 +23,7 @@ from qraise.formulas import (
     Or,
     TRUE,
     Var,
+    _Binary,
     _insert,
     _remove,
     _wave,
@@ -38,6 +40,7 @@ from qraise.formulas import (
     universe,
     variables,
 )
+from qraise.parsing import serialize_formula
 
 X, Y, A = Var("x"), Var("y"), Var("a")
 _BINARY = (And, Or, Implies, Iff)
@@ -232,6 +235,127 @@ def _table_formula(rng, names, depth):
         return Not(_table_formula(rng, names, depth - 1))
     ctor = rng.choice(_BINARY)
     return ctor(_table_formula(rng, names, depth - 1), _table_formula(rng, names, depth - 1))
+
+
+def _reference_evaluate_reading(f, assignment, read):
+    """``evaluate_reading`` as it was before it dispatched through the node
+    classes' methods: one recursive if-chain over the node classes."""
+    cls = f.__class__
+    if cls is Var:
+        read.add(f.name)
+        try:
+            return assignment[f.name]
+        except KeyError:
+            raise EvaluationError(f"unbound variable: {f.name}") from None
+    if cls is Not:
+        return not _reference_evaluate_reading(f.operand, assignment, read)
+    if cls is And:
+        return _reference_evaluate_reading(f.left, assignment, read) and _reference_evaluate_reading(
+            f.right, assignment, read
+        )
+    if cls is Or:
+        return _reference_evaluate_reading(f.left, assignment, read) or _reference_evaluate_reading(
+            f.right, assignment, read
+        )
+    if cls is Implies:
+        return not _reference_evaluate_reading(f.left, assignment, read) or _reference_evaluate_reading(
+            f.right, assignment, read
+        )
+    if cls is Iff:
+        return _reference_evaluate_reading(f.left, assignment, read) == _reference_evaluate_reading(
+            f.right, assignment, read
+        )
+    if cls is Const:
+        return f.value
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def _outcome(evaluator, f, assignment):
+    """(value or error text, the names read) of one evaluation."""
+    read = set()
+    try:
+        return evaluator(f, assignment, read), read
+    except EvaluationError as exc:
+        return f"error: {exc}", read
+
+
+class TestAgainstTheIfChain:
+    def test_value_and_read_set_match_on_random_pairs(self):
+        rng = random.Random(24)
+        names = ["a", "b", "c", "d", "e"]
+        failed = 0
+        for _ in range(600):
+            f = _table_formula(rng, names, rng.randint(0, 6))
+            for _ in range(4):
+                # Some names stay unbound, so some evaluations fail part way.
+                bound = [n for n in names if rng.random() < 0.85]
+                assignment = {n: rng.random() < 0.5 for n in bound}
+                got = _outcome(evaluate_reading, f, assignment)
+                assert got == _outcome(_reference_evaluate_reading, f, assignment), (f, assignment)
+                if isinstance(got[0], str):
+                    failed += 1
+                else:
+                    assert evaluate(f, assignment) is got[0]
+        assert 200 <= failed <= 900
+
+    def test_every_node_class_and_a_partial_read(self):
+        assignment = {"x": True, "y": False}
+        cases = [
+            TRUE, FALSE, Not(Not(Not(X))), Not(Not(TRUE)),
+            And(X, Y), And(Y, Var("z")), Or(X, Var("z")), Or(Y, X),
+            Implies(Y, Var("z")), Implies(X, Y), Iff(X, Y), Iff(Not(Y), Not(Not(X))),
+            # An unbound name after others were read: the error and the partial read.
+            And(X, Or(Y, Var("z"))), Iff(Not(X), Var("z")), Implies(TRUE, Var("z")),
+        ]
+        for f in cases:
+            assert _outcome(evaluate_reading, f, assignment) == _outcome(
+                _reference_evaluate_reading, f, assignment
+            ), f
+        read = set()
+        with pytest.raises(EvaluationError, match="^unbound variable: z$"):
+            evaluate_reading(And(X, Or(Y, Var("z"))), assignment, read)
+        assert read == {"x", "y", "z"}
+
+    @pytest.mark.parametrize("width", range(7))
+    def test_truth_table_matches_the_reference_at_small_widths(self, width):
+        rng = random.Random(width)
+        order = {f"v{p}": p for p in range(width)}
+        for _ in range(200):
+            f = _table_formula(rng, list(order), rng.randint(0, 6))
+            assert truth_table(f, order, width) == _reference_truth_table(f, order, width), f
+
+
+class TestNonNode:
+    """Every walk rejects a non-node at any depth with the same ``TypeError``."""
+
+    STRAYS = [
+        (Not("x | y"), "'x | y'"),
+        ("x", "'x'"),
+        (And(X, Or(Not(Y), 5)), "5"),
+        (Iff(Implies(TRUE, X), Not(Not(None))), "None"),
+    ]
+
+    @pytest.mark.parametrize(
+        "walk",
+        [serialize_formula, variables, size, lambda f: substitute(f, "x", True)],
+        ids=["serialize_formula", "variables", "size", "substitute"],
+    )
+    def test_each_walk_names_the_stray(self, walk):
+        for f, shown in self.STRAYS:
+            with pytest.raises(TypeError, match=f"^not a formula node: {re.escape(shown)}$"):
+                walk(f)
+
+    def test_a_formula_subclass_that_is_no_node_is_a_stray(self):
+        stray = _Binary(X, Y)  # the connectives' shared base
+        with pytest.raises(TypeError, match="^not a formula node: _Binary"):
+            evaluate(Or(FALSE, stray), {"x": True, "y": True})
+        with pytest.raises(TypeError, match="^not a formula node: _Binary"):
+            truth_table(Not(stray), {"x": 0, "y": 1}, 2)
+
+    def test_a_stray_the_evaluation_never_reaches_is_not_read(self):
+        # The short-circuit skips the stray, as the if-chain did.
+        assert evaluate(Or(TRUE, Not("x")), {}) is True
+        assert _reference_evaluate_reading(Or(TRUE, Not("x")), {}, set()) is True
 
 
 class TestTruthTable:

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from qraise.errors import ContractError, ResourceLimitError, UnsupportedShapeError
 from qraise import qbf as qbf_module
 from qraise.formulas import And, Iff, Implies, Not, Or, Var, conjunction, evaluate, substitute
+from qraise.cli import main
 from qraise.harness import QbfGenSpec, exhaustive_qbfs, generate_qbfs
+from qraise.parsing import serialize_qbf
 from qraise.qbf import QBF_VAR_CAP, Qbf, Quantifier, qbf_valid, qbf_valid_by_table, split_prefix
 
 from test_formulas import formulas
@@ -196,6 +198,41 @@ def test_recursive_oracle_matches_the_full_walk_at_sixteen_variables():
         expected = _valid_by_substitution(q.prefix, q.matrix)
         assert answer == expected == qbf_valid_by_table(q)
         assert _valid_by_assignment(q.prefix, q.matrix) == expected
+
+
+def _iff_chain_qbf(n):
+    """∀ over ``v0`` .. ``v{n-1}`` with the matrix ``P | !P``, ``P`` the ↔
+    chain over all of them: valid, and every leaf of the walk is evaluated."""
+    names = [f"v{i}" for i in range(n)]
+    chain = Var(names[0])
+    for name in names[1:]:
+        chain = Iff(chain, Var(name))
+    return Qbf(tuple((A, name) for name in names), Or(chain, Not(chain)))
+
+
+class TestAtTheCap:
+    def test_both_oracles_decide_the_worst_case_at_the_cap(self, monkeypatch):
+        q = _iff_chain_qbf(QBF_VAR_CAP)
+        evaluate_reading = qbf_module.evaluate_reading
+        leaves = []
+
+        def counting(f, assignment, read):
+            leaves.append(None)
+            return evaluate_reading(f, assignment, read)
+
+        monkeypatch.setattr(qbf_module, "evaluate_reading", counting)
+        assert qbf_valid(q) is True
+        assert len(leaves) == 2**QBF_VAR_CAP
+        assert qbf_valid_by_table(q) is True
+
+    def test_one_more_variable_exits_three(self, capsys, tmp_path):
+        assert QBF_VAR_CAP == 18
+        source = tmp_path / "wide.qbf"
+        source.write_text(serialize_qbf(_iff_chain_qbf(19)), encoding="utf-8")
+        assert main(["validate", str(source)]) == 3
+        assert capsys.readouterr() == (
+            "", "error[resource]: 19 prefix variables exceed QBF_VAR_CAP=18\n"
+        )
 
 
 class TestSkip:
