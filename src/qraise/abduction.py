@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ContractError, ParseError, check_cap
 from .formulas import (
@@ -86,7 +86,8 @@ def is_explanation(instance: AbductionInstance, subset: Iterable[str]) -> bool:
     return consistent(picked + theory) and entails(picked + theory, goal)
 
 
-def _explanations(instance: AbductionInstance, first_only: bool) -> list[Explanation]:
+def _explanations(instance: AbductionInstance) -> Iterator[Explanation]:
+    """Yield the explanations of ``instance``, least first."""
     check_cap(len(instance.hypotheses), "hypotheses", "HYPOTHESIS_CAP", HYPOTHESIS_CAP)
     # A candidate S and the manifestations mention only H and M, so S with T
     # is consistent and entails M exactly when S with T projected onto H and
@@ -106,38 +107,34 @@ def _explanations(instance: AbductionInstance, first_only: bool) -> list[Explana
     # popped, with that index just past its last hypothesis. A subtree whose
     # table is 0 is skipped: adding hypotheses only shrinks the table.
     stack = [((), theory_mask, 0)] if theory_mask else []
-    found: list[Explanation] = []
     while stack:
         chosen, mask, start = stack.pop()
         if start == (chosen[-1] + 1 if chosen else 0) and mask & not_goal == 0:
-            found.append(frozenset(hyp_masks[i][0] for i in chosen))
-            if first_only:
-                return found
+            yield frozenset(hyp_masks[i][0] for i in chosen)
         for i in range(start, len(hyp_masks)):
             narrowed = mask & hyp_masks[i][1]
             if narrowed:
                 stack.append((chosen, mask, i + 1))
                 stack.append((chosen + (i,), narrowed, i + 1))
                 break
-    return found
 
 
 def enumerate_explanations(instance: AbductionInstance) -> frozenset[Explanation]:
     """All explanations, by exhaustive enumeration of hypothesis subsets."""
-    return frozenset(_explanations(instance, first_only=False))
+    return frozenset(_explanations(instance))
 
 
 def has_explanation(instance: AbductionInstance) -> bool:
     """Short-circuiting form of ``enumerate_explanations``."""
-    return bool(_explanations(instance, first_only=True))
+    return next(_explanations(instance), None) is not None
 
 
 def solve(instance: AbductionInstance) -> tuple[bool, str]:
     """Decide ``instance``; the detail names its lexicographically least explanation."""
-    explanations = _explanations(instance, first_only=True)
-    if not explanations:
+    least = next(_explanations(instance), None)
+    if least is None:
         return False, ""
-    return True, f"explanation={{{', '.join(sorted(explanations[0]))}}}"
+    return True, f"explanation={{{', '.join(sorted(least))}}}"
 
 
 def substitute_theory(instance: AbductionInstance, name: str, value: bool) -> AbductionInstance:

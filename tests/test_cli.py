@@ -148,6 +148,26 @@ class TestReduceSolve:
             "error[parse]: init: names unknown fluent 'c' (line 2, column 11)\n",
         )
 
+    @pytest.mark.parametrize("target", ["abduction", "default", "planning"])
+    def test_input_that_is_not_utf8_is_one_parse_line(self, capsys, tmp_path, qbf_file, target):
+        # The column counts characters, so the three-byte "∧" is one.
+        source = tmp_path / "bad.qbf"
+        source.write_bytes("exists x;\n: x ∧ ".encode() + b"\xff\n")
+        out_file = tmp_path / "out"
+        code, out, err = run_cli(capsys, "reduce", "--target", target, str(source), "-o", str(out_file))
+        assert (code, out, err) == (2, "", "error[parse]: byte 0xff is not UTF-8 (line 2, column 7)\n")
+        assert not out_file.exists()
+        # A well-formed instance with a bad byte after a CRLF line end.
+        _, text, _ = run_cli(capsys, "reduce", "--target", target, str(qbf_file("forall y; : y")))
+        head, rest = text.split("\n", 1)
+        instance = tmp_path / "bad.instance"
+        instance.write_bytes(f"{head}\r\né ".encode() + b"\xc3(" + rest.encode())
+        assert run_cli(capsys, "solve", "--target", target, str(instance)) == (
+            2,
+            "",
+            "error[parse]: byte 0xc3 is not UTF-8 (line 2, column 3)\n",
+        )
+
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate", str(tmp_path / "absent.qbf"))
         assert code == 2

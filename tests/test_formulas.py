@@ -333,6 +333,7 @@ class TestNonNode:
         ("x", "'x'"),
         (And(X, Or(Not(Y), 5)), "5"),
         (Iff(Implies(TRUE, X), Not(Not(None))), "None"),
+        (And(X, _Binary(X, Y)), "_Binary(left=Var(name='x'), right=Var(name='y'))"),
     ]
 
     @pytest.mark.parametrize(

@@ -15,8 +15,9 @@ records::
 
 Writing also creates any input that is missing: the seeded QBFs, drawn
 with ``qbf.random_matrix``, and their reductions, which the ``solve``
-records read, and the planning slice's 20-variable alternating
-reductions, which are only solved. Existing inputs are never rewritten,
+records read, the planning slice's 20-variable alternating reductions,
+which are only solved, and the check and growth slice's two ``validate``
+inputs. Existing inputs are never rewritten,
 so records stay tied to the same files.
 """
 
@@ -257,12 +258,16 @@ def _planning_commands(inputs: Path, write: bool) -> list[tuple[str, list[str]]]
 
 def _check_growth_commands(inputs: Path, write: bool) -> list[tuple[str, list[str]]]:
     """``check`` and ``growth`` on each target, their argument errors, and
-    ``validate`` on one QBF past ``QBF_VAR_CAP``, written with ``write``."""
+    ``validate`` on one QBF past ``QBF_VAR_CAP`` and on one that is not
+    UTF-8, both written with ``write``."""
     wide = inputs / "wide.qbf"
     if write and not wide.exists():
         names = [f"v{i}" for i in range(QBF_VAR_CAP + 1)]
         text = f"forall {' '.join(names)};\n: " + " | ".join(f"{v} | !{v}" for v in names) + "\n"
         wide.write_text(text, encoding="utf-8")
+    not_utf8 = inputs / "not_utf8.qbf"
+    if write and not not_utf8.exists():
+        not_utf8.write_bytes(b"exists x;\n: x \xff\n")
     commands = []
     for target, module in TARGETS.items():
         check = ["check", "--target", target]
@@ -290,6 +295,7 @@ def _check_growth_commands(inputs: Path, write: bool) -> list[tuple[str, list[st
         ("growth-raises-negative", ["growth", "--target", "planning", "--raises", "-2"]),
         ("growth-raises-zero", ["growth", "--target", "default", "--raises", "0"]),
         ("validate-past-the-prefix-cap", ["validate", "{in}/wide.qbf"]),
+        ("validate-not-utf8", ["validate", "{in}/not_utf8.qbf"]),
     ]
     return commands
 
