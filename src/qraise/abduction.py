@@ -4,9 +4,9 @@ An instance is a triple of hypothesis variables H, manifestation variables
 M, and a theory T of formulas. An explanation is a subset S of H such that
 S together with T is consistent and entails every manifestation. Since S
 and M mention only hypotheses and manifestations, the decider works on T
-projected onto H and M (``formulas.project``); every other variable, the
-raised existentials and the universal block of a reduction among them,
-is eliminated first.
+projected onto H and M (``Universe.project`` on the universe of H and M);
+every other variable, the raised existentials and the universal block of a
+reduction among them, is eliminated first.
 
 ``base_reduction`` encodes "for all Y, matrix" as explanation existence of
 ``<{}, {a}, {!matrix | a}>``. ``raise_existential`` then merges the two
@@ -33,10 +33,9 @@ from .formulas import (
     conjunction,
     consistent,
     entails,
-    project,
     size,
     substitute,
-    truth_table,
+    universe,
     variables,
 )
 from .parsing import instance_lines, parse_formula, parse_names, serialize_formula
@@ -92,13 +91,12 @@ def _explanations(instance: AbductionInstance) -> Iterator[Explanation]:
     # A candidate S and the manifestations mention only H and M, so S with T
     # is consistent and entails M exactly when S with T projected onto H and
     # M is and does: one table over H and M serves every candidate subset.
-    u, theory_mask = project(instance.theory, instance.hypotheses | instance.manifestations)
+    u = universe(sorted(instance.hypotheses | instance.manifestations), what="kept variables")
+    theory_mask = u.project(instance.theory)
     goal_mask = u.full
     for name in sorted(instance.manifestations):
-        goal_mask &= truth_table(Var(name), u.order, u.width)
-    hyp_masks = [
-        (name, truth_table(Var(name), u.order, u.width)) for name in sorted(instance.hypotheses)
-    ]
+        goal_mask &= u.var(name)
+    hyp_masks = [(name, u.var(name)) for name in sorted(instance.hypotheses)]
     not_goal = u.full ^ goal_mask
     # Preorder over subsets of the name-sorted hypotheses: a set, then its
     # extensions by higher-named hypotheses in ascending order. That is the

@@ -29,7 +29,8 @@ by (b) and ``_accepts``, which tests (a), (c) and (d).
 The tables leave out every private variable: one that occurs in a single
 formula object, used only as a background formula, a justification or a
 consequence (see ``_TheoryTables``). That formula's table is its
-projection by bucket elimination. ``ENTAILMENT_VAR_CAP`` therefore bounds
+projection by bucket elimination onto the kept variables
+(``Universe.project``). ``ENTAILMENT_VAR_CAP`` therefore bounds
 the remaining variables and each projected formula's buckets, not the whole
 theory. A reduced theory's matrix variables occur only in the base
 default's body, so they never widen the tables.
@@ -56,7 +57,6 @@ from .formulas import (
     Not,
     TRUE,
     Var,
-    _eliminate,
     size,
     substitute,
     truth_table,
@@ -111,7 +111,7 @@ class _TheoryTables:
     justification or a consequence. A variable of a prerequisite or of
     ``extra`` (the goal) is never private. The universe holds the other
     variables, and each formula with private variables is tabulated with
-    them projected out (``formulas.project``'s elimination step).
+    them projected out by the universe's ``project``.
 
     This is sound because every test on these tables (``_accepts``, the
     tests in ``_extensions``, ``skeptically_entails``) asks whether some
@@ -148,19 +148,16 @@ class _TheoryTables:
                 kept |= seen & names
                 seen |= names
         u = self.universe = universe(sorted(kept))
-        self.full = u.full
         self._tables = {
-            key: truth_table(f, u.order, u.width)
-            if names <= kept
-            else _eliminate([(tuple(sorted(names)), f)], u)
+            key: truth_table(f, u.order, u.width) if names <= kept else u.project([f])
             for key, (f, names) in found.items()
         }
         tables = self._tables
-        self.background = self.full
+        self.background = u.full
         for f in theory.background:
             self.background &= tables[id(f)]
         # ``t & not_pre[i] == 0``: table ``t`` entails default i's prerequisite.
-        self.not_pre = [self.full ^ tables[id(d.prerequisite)] for d in theory.defaults]
+        self.not_pre = [u.full ^ tables[id(d.prerequisite)] for d in theory.defaults]
         self.just = [tables[id(d.justification)] for d in theory.defaults]
         self.cons = [tables[id(d.consequence)] for d in theory.defaults]
 
@@ -273,7 +270,7 @@ def extensions(theory: DefaultTheory) -> tuple[frozenset[int], ...]:
 def skeptically_entails(theory: DefaultTheory, goal: Formula) -> SkepticalResult:
     """Does every extension entail ``goal``? Vacuously true without extensions."""
     tables = _enumeration_tables(theory, extra=[goal])
-    goal_gap = tables.full ^ tables.table(goal)
+    goal_gap = tables.universe.full ^ tables.table(goal)
     holds, seen = True, 0
     for _, consequence in _extensions(tables):
         seen += 1

@@ -47,11 +47,14 @@ class, a ``Formula`` subclass such as ``_Binary`` included, to
 ``check_formula``. So every walk rejects a non-node with the same
 ``TypeError``, naming the first stray in pre-order.
 
-``project`` keeps tables small when only some variables matter: it
-existentially projects every other variable out by bucket elimination,
-so the widest table spans one variable's bucket or the kept set, not the
-whole variable set. ``consistent`` and ``entails`` keep the whole table on
-purpose: they are the independent full-table checks.
+A ``Universe`` lays tables out and gives the ones its callers share:
+``var`` for one variable, and ``project``, which keeps tables small when
+only some variables matter. By bucket elimination it existentially
+projects out every variable outside the universe, so the widest table
+spans one variable's bucket or the kept set, not the whole variable set.
+``consistent`` keeps the whole table on purpose, and ``entails`` asks it
+about the premises and the negated goal: they are the independent
+full-table checks.
 """
 
 from __future__ import annotations
@@ -65,8 +68,8 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ContractError, EvaluationError, check_cap
 
 # Hard cap on every assignment universe: the whole one of consistent() and
-# entails(), each bucket and the kept set of project(). Exceeding it raises
-# ResourceLimitError rather than silently sampling.
+# entails(), each bucket of Universe.project() and each kept set. Exceeding it
+# raises ResourceLimitError rather than silently sampling.
 ENTAILMENT_VAR_CAP = 22
 
 NAME = r"[A-Za-z_][A-Za-z0-9_+^-]*"
@@ -402,11 +405,83 @@ def truth_table(f: Formula, order: Mapping[str, int], width: int) -> int:
 @dataclass(frozen=True, slots=True)
 class Universe:
     """Truth-table bit layout: each variable's bit position in the assignment
-    index, the variable count, and the all-true table."""
+    index, the variable count, and the all-true table. It also gives the
+    tables its callers build on it: one variable's (``var``) and a
+    projection (``project``).
+
+    The waves behind ``var`` and ``truth_table`` stay in ``_wave``'s
+    process-wide cache, not in each universe: building every wave of one
+    universe fresh takes 86 µs at width 16, 293 µs at 18 and 12.3 ms at 22
+    (nproc=2, Python 3.11.7), against 151 µs for a whole table-oracle call
+    on a 16-variable QBF with cached waves, so a cache per universe would
+    add about half to such a call."""
 
     order: Mapping[str, int]
     width: int
     full: int
+
+    def var(self, name: str) -> int:
+        """The table of the variable ``name``, which must be in ``order``."""
+        return _wave(self.order[name], self.width)
+
+    def project(self, formulas: Iterable[Formula]) -> int:
+        """Truth table, over this universe, of the conjunction of
+        ``formulas`` with every variable outside ``order`` existentially
+        projected out. ``order`` must be sorted.
+
+        Bucket elimination (Davis-Putnam; Dechter's "bucket elimination")
+        over factors, each a formula or a table over its own sorted
+        variables. While a variable outside ``order`` is left, the one whose
+        bucket (the factors that mention it) spans the fewest variables, ties
+        broken by name, is eliminated: its bucket is conjoined in the
+        universe of that span and the variable is projected out, leaving one
+        new factor. When the bucket is a single factor, every hidden
+        variable that only this factor mentions is projected out of it in
+        the same universe. The rest is conjoined in this universe. Each
+        bucket's universe is held to ``ENTAILMENT_VAR_CAP``; the whole
+        variable set is not.
+        """
+        factors: list[_Factor] = [(tuple(sorted(variables(f))), f) for f in formulas]
+        while True:
+            spans: defaultdict[str, set[str]] = defaultdict(set)
+            for names, _ in factors:
+                for name in names:
+                    if name not in self.order:
+                        spans[name].update(names)
+            if not spans:
+                return self._conjoin(factors)
+            hidden = min(spans, key=lambda name: (len(spans[name]), name))
+            u = universe(sorted(spans[hidden]), what="variables in one elimination bucket")
+            bucket = [factor for factor in factors if hidden in factor[0]]
+            factors = [factor for factor in factors if hidden not in factor[0]]
+            gone = [hidden]
+            if len(bucket) == 1:
+                # Every hidden variable that no other factor mentions has this
+                # same bucket, so all of them go in this one universe.
+                gone = [
+                    name for name in u.order
+                    if name in spans and all(name not in names for names, _ in factors)
+                ]
+            table = _remove(u._conjoin(bucket), [u.order[name] for name in gone], u.width)
+            factors.append((tuple(name for name in u.order if name not in gone), table))
+
+    def _conjoin(self, factors: list[_Factor]) -> int:
+        """Conjunction of ``factors`` in this universe, whose order must be
+        sorted and cover every factor's variables: formulas are tabulated,
+        tables lifted."""
+        result = self.full
+        for names, factor in factors:
+            if isinstance(factor, Formula):
+                result &= truth_table(factor, self.order, self.width)
+                continue
+            missing = [position for name, position in self.order.items() if name not in names]
+            result &= _insert(factor, missing, self.width)
+        return result
+
+
+# A factor of ``Universe.project``: its variables in sorted order, and a
+# formula or a table laid out over them in that order.
+_Factor = tuple[tuple[str, ...], Formula | int]
 
 
 def universe(names: Iterable[str], what: str = "variables") -> Universe:
@@ -416,73 +491,6 @@ def universe(names: Iterable[str], what: str = "variables") -> Universe:
     order = {name: i for i, name in enumerate(dict.fromkeys(names))}
     check_cap(len(order), what, "ENTAILMENT_VAR_CAP", ENTAILMENT_VAR_CAP)
     return Universe(order, len(order), (1 << (1 << len(order))) - 1)
-
-
-# A factor of ``project``: its variables in sorted order, and a formula or a
-# table laid out over them in that order.
-_Factor = tuple[tuple[str, ...], Formula | int]
-
-
-def project(formulas: Iterable[Formula], keep: Iterable[str]) -> tuple[Universe, int]:
-    """Truth table, over ``universe(sorted(keep))``, of the conjunction of
-    ``formulas`` with every other variable existentially projected out.
-
-    Bucket elimination (Davis-Putnam; Dechter's "bucket elimination") over
-    factors, each a formula or a table over its own variables. While a
-    variable outside ``keep`` is left, the one whose bucket (the factors
-    that mention it) spans the fewest variables, ties broken by name, is
-    eliminated: its bucket is conjoined in the universe of that span and
-    the variable is projected out, leaving one new factor. When the bucket
-    is a single factor, every hidden variable that only this factor
-    mentions is projected out of it in the same universe. The rest is
-    conjoined in the kept universe. Each universe built, every bucket and
-    the kept set, is held to ``ENTAILMENT_VAR_CAP``; the whole variable set
-    is not.
-    """
-    kept = universe(sorted(keep), what="kept variables")
-    return kept, _eliminate([(tuple(sorted(variables(f))), f) for f in formulas], kept)
-
-
-def _eliminate(factors: list[_Factor], kept: Universe) -> int:
-    """``project``'s elimination: the table over ``kept``, whose order must
-    be sorted, of the conjunction of ``factors`` with every variable outside
-    ``kept`` projected out. For callers that already hold the kept universe
-    and each formula's variables."""
-    while True:
-        spans: defaultdict[str, set[str]] = defaultdict(set)
-        for names, _ in factors:
-            for name in names:
-                if name not in kept.order:
-                    spans[name].update(names)
-        if not spans:
-            return _conjoin(factors, kept)
-        hidden = min(spans, key=lambda name: (len(spans[name]), name))
-        u = universe(sorted(spans[hidden]), what="variables in one elimination bucket")
-        bucket = [factor for factor in factors if hidden in factor[0]]
-        factors = [factor for factor in factors if hidden not in factor[0]]
-        gone = [hidden]
-        if len(bucket) == 1:
-            # Every hidden variable that no other factor mentions has this same
-            # bucket, so all of them go in this one universe.
-            gone = [
-                name for name in u.order
-                if name in spans and all(name not in names for names, _ in factors)
-            ]
-        table = _remove(_conjoin(bucket, u), [u.order[name] for name in gone], u.width)
-        factors.append((tuple(name for name in u.order if name not in gone), table))
-
-
-def _conjoin(factors: list[_Factor], u: Universe) -> int:
-    """Conjunction of ``factors`` in ``u``, whose order must be sorted and
-    cover every factor's variables: formulas are tabulated, tables lifted."""
-    result = u.full
-    for names, factor in factors:
-        if isinstance(factor, Formula):
-            result &= truth_table(factor, u.order, u.width)
-            continue
-        missing = [position for name, position in u.order.items() if name not in names]
-        result &= _insert(factor, missing, u.width)
-    return result
 
 
 def consistent(formulas: Iterable[Formula]) -> bool:
@@ -499,11 +507,4 @@ def consistent(formulas: Iterable[Formula]) -> bool:
 
 def entails(formulas: Iterable[Formula], goal: Formula) -> bool:
     """True iff every assignment satisfying all ``formulas`` satisfies ``goal``."""
-    fs = list(formulas)
-    u = universe(sorted(set().union(*map(variables, fs + [goal]))))
-    premises = u.full
-    for f in fs:
-        premises &= truth_table(f, u.order, u.width)
-        if not premises:
-            return True
-    return premises & (u.full ^ truth_table(goal, u.order, u.width)) == 0
+    return not consistent([*formulas, Not(goal)])

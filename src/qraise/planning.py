@@ -218,7 +218,7 @@ def _precondition_test(
     """
     if not rest:
         return (), 1
-    u = universe(sorted(read, key=order.__getitem__))
+    u = universe(sorted(read, key=order.__getitem__), what="precondition variables")
     spans: list[list[int]] = []  # [position, length, shift] of each run
     for name, shift in u.order.items():
         position = order[name]

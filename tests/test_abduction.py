@@ -575,7 +575,7 @@ def test_hypothesis_cap_comes_before_any_table(monkeypatch):
     def fail(*args):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(abduction, "project", fail)
+    monkeypatch.setattr(abduction, "universe", fail)
     wide = conjunction(Var(f"v{i}") for i in range(ENTAILMENT_VAR_CAP + 1))
     many = frozenset(f"h{i}" for i in range(HYPOTHESIS_CAP + 1))
     inst = AbductionInstance(many, frozenset({"a"}), frozenset({wide}))

@@ -32,7 +32,6 @@ from qraise.formulas import (
     TRUE,
     Var,
     entails,
-    project,
     truth_table,
     universe,
     variables,
@@ -258,7 +257,7 @@ def _staged_fixpoint(tables, pre, just, cons, background, mask):
         for i in range(len(cons)):
             if reached >> i & 1:
                 continue
-            entailed = current & (tables.full ^ pre[i]) == 0
+            entailed = current & (tables.universe.full ^ pre[i]) == 0
             if entailed and consequence & just[i] != 0:
                 added |= 1 << i
         if not added:
@@ -272,7 +271,7 @@ def _staged_fixpoint(tables, pre, just, cons, background, mask):
 def _oracle_extensions(theory, tables):
     """Every mask in range(2**n) through the staged construction: the
     exhaustive generate-and-verify that the depth-first walk replaced."""
-    background = tables.full
+    background = tables.universe.full
     for f in theory.background:
         background &= tables.table(f)
     pre = [tables.table(d.prerequisite) for d in theory.defaults]
@@ -574,7 +573,7 @@ def _assert_matches_full_tables(theory, goal):
     assert [mask for mask, _ in got] == [mask for mask, _ in want]
     for mask, table in got:
         chosen = [d.consequence for i, d in enumerate(theory.defaults) if mask >> i & 1]
-        assert table == project([*theory.background, *chosen], tables.universe.order)[1]
+        assert table == tables.universe.project([*theory.background, *chosen])
     assert skeptically_entails(theory, goal) == _full_skeptical(theory, goal)
     return reference.universe.width - tables.universe.width, len(want)
 
@@ -646,20 +645,20 @@ def test_projection_matches_full_tables_on_reductions():
 
 
 def test_each_table_is_its_formulas_projection():
-    """``_TheoryTables`` runs ``project``'s elimination step on the universe
-    and variables it already holds: every table equals ``project([f], kept)``."""
+    """``_TheoryTables`` projects each formula onto the universe it holds:
+    every table equals ``kept.project([f])``."""
     rng = random.Random(810)
     projected = 0
     for _ in range(600):
         theory, goal = _pooled_theory(rng)
         tables = defaults._enumeration_tables(theory, [goal])
-        kept = tables.universe.order
+        kept = tables.universe
         formulas = [goal, *theory.background]
         for d in theory.defaults:
             formulas += (d.prerequisite, d.justification, d.consequence)
         for f in formulas:
-            assert tables.table(f) == project([f], kept)[1]
-            projected += not variables(f) <= kept.keys()
+            assert tables.table(f) == kept.project([f])
+            projected += not variables(f) <= kept.order.keys()
     assert projected > 500
 
 
@@ -732,7 +731,7 @@ def test_walk_decides_reductions_past_the_cap(universal):
         if universal == 6:
             assert found == list(_reference_extensions(tables))
         assert len(found) == 2**universal
-        goal_gap = tables.full ^ tables.table(goal)
+        goal_gap = tables.universe.full ^ tables.table(goal)
         assert all(consequence & goal_gap == 0 for _, consequence in found) == valid
 
 

@@ -33,7 +33,6 @@ from qraise.formulas import (
     entails,
     evaluate,
     evaluate_reading,
-    project,
     size,
     substitute,
     truth_table,
@@ -544,6 +543,11 @@ def test_insert_and_remove_several_positions_match_bit_by_bit():
         assert _remove(wide, positions, width) == projected
 
 
+def _kept(keep):
+    """The universe a caller of ``Universe.project`` builds: sorted, as it must be."""
+    return universe(sorted(keep), what="kept variables")
+
+
 class TestProject:
     def test_matches_brute_force_projection(self):
         rng = random.Random(41)
@@ -555,29 +559,29 @@ class TestProject:
             ]
             # keep may name variables no formula mentions, or none at all
             keep = [n for n in names + ["w"] if rng.random() < 0.4]
-            u, table = project(fs, keep)
+            u = _kept(keep)
+            table = u.project(fs)
             kept, expected = _brute_projection(fs, keep)
             assert list(u.order) == kept
             assert table == expected, (fs, keep)
 
     def test_edge_cases(self):
-        assert project([], []) == (universe([]), 1)
-        assert project([], ["b", "a"])[1] == universe(["a", "b"]).full
-        assert project([X, Not(X)], [])[1] == 0
-        assert project([Or(X, Y)], ["y"])[1] == 0b11
-        assert project([FALSE, A], ["a"])[1] == 0
-        u, table = project([Implies(X, A), X], ["a"])
-        assert (u.order, table) == ({"a": 0}, 0b10)
+        assert _kept([]).project([]) == 1
+        assert _kept(["b", "a"]).project([]) == universe(["a", "b"]).full
+        assert _kept([]).project([X, Not(X)]) == 0
+        assert _kept(["y"]).project([Or(X, Y)]) == 0b11
+        assert _kept(["a"]).project([FALSE, A]) == 0
+        u = _kept(["a"])
+        assert (u.order, u.project([Implies(X, A), X])) == ({"a": 0}, 0b10)
 
     def test_cap_bounds_each_bucket_not_the_whole_set(self):
         chain = [Implies(Var(f"v{i}"), Var(f"v{i + 1}")) for i in range(40)]
-        u, table = project(chain + [Var("v0")], ["v40"])
-        assert table == 0b10
+        assert _kept(["v40"]).project(chain + [Var("v0")]) == 0b10
         size, cap = ENTAILMENT_VAR_CAP + 1, ENTAILMENT_VAR_CAP
         wide = conjunction(Var(f"v{i}") for i in range(size))
         bucket = f"^{size} variables in one elimination bucket exceed ENTAILMENT_VAR_CAP={cap}$"
         with pytest.raises(ResourceLimitError, match=bucket):
-            project([wide], ["v0"])
+            _kept(["v0"]).project([wide])
         kept = f"^{size} kept variables exceed ENTAILMENT_VAR_CAP={cap}$"
         with pytest.raises(ResourceLimitError, match=kept):
-            project([], [f"k{i}" for i in range(size)])
+            _kept([f"k{i}" for i in range(size)])

@@ -996,6 +996,27 @@ class TestPastEighteenFluents:
             assert captured.out == (f"yes plan={' '.join(plan)}\n" if valid else "no\n")
 
 
+@pytest.mark.parametrize("count", [22, 23])
+def test_precondition_cap_names_the_precondition(capsys, tmp_path, count):
+    """A matrix whose non-literal conjuncts read more than
+    ``ENTAILMENT_VAR_CAP`` variables gives one table too wide: the error
+    says it is a precondition's. One variable fewer decides."""
+    names = [f"x{i + 1}" for i in range(count)]
+    source = tmp_path / "wide.qbf"
+    source.write_text(f"exists {' '.join(names)}; : {' | '.join(names)}\n", encoding="utf-8")
+    path = tmp_path / "wide.plan"
+    assert main(["reduce", "--target", "planning", "-o", str(path), str(source)]) == 0
+    code = main(["solve", "--target", "planning", str(path)])
+    out, err = capsys.readouterr()
+    if count == 22:
+        assert (code, out[:9], err) == (0, "yes plan=", "")
+        return
+    message = "23 precondition variables exceed ENTAILMENT_VAR_CAP=22"
+    assert (code, out, err) == (3, "", f"error[resource]: {message}\n")
+    with pytest.raises(ResourceLimitError, match=f"^{message}$"):
+        plan_exists(reduce_qbf(parse_qbf(source.read_text(encoding="utf-8"))))
+
+
 def test_solve_checks_the_instance_once(monkeypatch):
     """One ``check_instance`` walk checks and splits every precondition: the
     search compiles from its split, and no other walk gathers a

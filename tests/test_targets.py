@@ -1,11 +1,15 @@
 """The target interface shared by abduction, default logic and planning,
 and the truth-table universe the deciders lay their tables out in."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import qraise
 from qraise.cli import main
 from qraise.errors import ParseError, ResourceLimitError
-from qraise.formulas import ENTAILMENT_VAR_CAP, universe
+from qraise.formulas import ENTAILMENT_VAR_CAP, Var, truth_table, universe
 from qraise.harness import TARGETS, QbfGenSpec, SampleSpec, check_equivalence, check_lemma
 from qraise.harness import measure_growth
 from qraise.parsing import parse_qbf
@@ -176,6 +180,7 @@ class TestUniverse:
         assert u.order == {"z": 0, "a": 1, "m": 2}
         assert u.width == 3
         assert u.full == (1 << 8) - 1
+        assert all(u.var(name) == truth_table(Var(name), u.order, u.width) for name in u.order)
 
     def test_cap_error_names_size_and_cap(self):
         size = ENTAILMENT_VAR_CAP + 1
@@ -183,3 +188,18 @@ class TestUniverse:
             ResourceLimitError, match=f"^{size} variables exceed ENTAILMENT_VAR_CAP={ENTAILMENT_VAR_CAP}$"
         ):
             universe(f"v{i}" for i in range(size))
+
+
+def test_no_module_imports_a_private_name_from_another():
+    """A module of the package reaches another only through its public
+    names: no ``from .x import _name``."""
+    found = []
+    for path in sorted(Path(qraise.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [
+                    f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert found == []
