@@ -92,7 +92,7 @@ def _explanations(instance: AbductionInstance) -> Iterator[Explanation]:
     # is consistent and entails M exactly when S with T projected onto H and
     # M is and does: one table over H and M serves every candidate subset.
     u = universe(sorted(instance.hypotheses | instance.manifestations), what="kept variables")
-    theory_mask = u.project(instance.theory)
+    theory_mask = u.project([(variables(f), f) for f in instance.theory])
     goal_mask = u.full
     for name in sorted(instance.manifestations):
         goal_mask &= u.var(name)

@@ -149,7 +149,7 @@ class _TheoryTables:
                 seen |= names
         u = self.universe = universe(sorted(kept))
         self._tables = {
-            key: truth_table(f, u.order, u.width) if names <= kept else u.project([f])
+            key: truth_table(f, u.order, u.width) if names <= kept else u.project([(names, f)])
             for key, (f, names) in found.items()
         }
         tables = self._tables

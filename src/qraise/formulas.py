@@ -63,7 +63,7 @@ import re
 from collections import defaultdict
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import ContractError, EvaluationError, check_cap
 
@@ -424,10 +424,11 @@ class Universe:
         """The table of the variable ``name``, which must be in ``order``."""
         return _wave(self.order[name], self.width)
 
-    def project(self, formulas: Iterable[Formula]) -> int:
-        """Truth table, over this universe, of the conjunction of
-        ``formulas`` with every variable outside ``order`` existentially
-        projected out. ``order`` must be sorted.
+    def project(self, factors: Iterable[_Factor]) -> int:
+        """Truth table, over this universe, of the conjunction of the
+        formulas in ``factors``, each given with the names of its variables
+        as ``(names, formula)``, with every variable outside ``order``
+        existentially projected out. ``order`` must be sorted.
 
         Bucket elimination (Davis-Putnam; Dechter's "bucket elimination")
         over factors, each a formula or a table over its own sorted
@@ -441,7 +442,7 @@ class Universe:
         bucket's universe is held to ``ENTAILMENT_VAR_CAP``; the whole
         variable set is not.
         """
-        factors: list[_Factor] = [(tuple(sorted(variables(f))), f) for f in formulas]
+        factors = list(factors)
         while True:
             spans: defaultdict[str, set[str]] = defaultdict(set)
             for names, _ in factors:
@@ -479,9 +480,9 @@ class Universe:
         return result
 
 
-# A factor of ``Universe.project``: its variables in sorted order, and a
-# formula or a table laid out over them in that order.
-_Factor = tuple[tuple[str, ...], Formula | int]
+# A factor of ``Universe.project``: the names of its variables, and a formula
+# or a table laid out over them in sorted order.
+_Factor = tuple[Collection[str], Formula | int]
 
 
 def universe(names: Iterable[str], what: str = "variables") -> Universe:

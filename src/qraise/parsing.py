@@ -21,12 +21,16 @@ them so that generated instance files round-trip.
 
 Neither direction recurses, so nesting depth is bounded only by memory.
 The grammar's binary levels are one table, ``_BINARY``, giving each
-connective its strength; the arrows associate right, ``|`` and ``&``
-left. ``_formula`` is one operator-precedence loop (Dijkstra's
-shunting-yard) over a stack of operands and a stack of pending ``(``,
-``!`` and connectives. ``serialize_formula`` emits pieces left to right
-from an explicit stack: whether a child needs parentheses depends only on
-its own connective and its parent's.
+connective its strength and node (the arrows associate right, ``|`` and
+``&`` left); the parser's and the serializer's tables derive from it.
+``_formula`` is one operator-precedence loop (Dijkstra's shunting-yard)
+whose pending stack holds ints above a bottom sentinel: 0 for ``(``, 1-4
+for a connective's strength, 5 for ``!``. The operand being built is a
+local; only the left operands of pending connectives are stacked. Each
+``!`` is applied as soon as its operand is complete, so applying a
+connective never meets one. ``serialize_formula`` emits pieces left to
+right from an explicit stack: whether a child needs parentheses depends
+only on its own connective and its parent's.
 
 The tokenizer is one ``findall``: a list of plain token strings, with the
 whitespace skipped and any other character that starts no token kept as a
@@ -89,9 +93,12 @@ _KEYWORDS = {"true", "false", "exists", "forall"}
 # formulas share objects, and ``defaults._TheoryTables`` tells them apart by id.
 _CONSTANTS: dict[str, Formula] = {"true": TRUE, "false": FALSE}
 
-# Binary connectives by symbol: (strength, node). Larger binds tighter;
-# ``!`` binds tighter than all of them, at strength 5.
+# Binary connectives by symbol: (strength, node); larger binds tighter and
+# ``!`` binds tightest, at 5. Below it: the node by strength, and by symbol
+# the strength and the least strength applied first (the arrows associate right).
 _BINARY = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And)}
+_NODE = (None, *(node for _, node in sorted(_BINARY.values(), key=lambda entry: entry[0])))
+_CONNECTIVE = {symbol: (own, own + (own <= 2)) for symbol, (own, _) in _BINARY.items()}
 
 
 def _is_ident(token: str) -> bool:
@@ -127,56 +134,49 @@ def _expect(text: str, tokens: list[str], i: int, symbol: str) -> int:
     return i + 1
 
 
-def _reduce(operands: list[Formula], pending: list[str], strength: int) -> None:
-    """Apply the pending operators above the innermost ``(`` that bind at
-    least ``strength`` tightly."""
-    while pending and pending[-1] != "(":
-        if pending[-1] == "!":
-            operands.append(Not(operands.pop()))
-        else:
-            own, node = _BINARY[pending[-1]]
-            if own < strength:
-                return
-            right = operands.pop()
-            operands.append(node(operands.pop(), right))
-        pending.pop()
-
-
 def _formula(
     text: str, tokens: list[str], i: int, leaves: dict[str, Formula]
 ) -> tuple[Formula, int]:
     """Parse the formula that starts at ``tokens[i]``; return it and the
     index of the first token after it. ``leaves`` maps each name met so far
     in this parse to its one leaf; it starts as a copy of ``_CONSTANTS``."""
-    operands: list[Formula] = []
-    pending: list[str] = []
+    operands: list[Formula] = []  # the left operand of each pending connective
+    pending = [-1]  # 0 for '(', 1-4 a connective's strength, 5 for '!'; -1 is the bottom
+    push, pop, hold, take = pending.append, pending.pop, operands.append, operands.pop
+    node, connective = _NODE, _CONNECTIVE.get
     while True:
         word = tokens[i]
         i += 1
-        if word in ("!", "("):
-            pending.append(word)
-            continue
-        leaf = leaves.get(word)
-        if leaf is None:
+        operand = leaves.get(word)
+        if operand is None:
+            if word == "!" or word == "(":
+                push(5 if word == "!" else 0)
+                continue
             if not _is_ident(word):
                 raise _error(text, i - 1, f"expected a formula, found {word or 'end of input'!r}")
             if word in ("exists", "forall"):
                 raise _error(text, i - 1, f"keyword {word!r} is not a formula")
-            leaf = leaves[word] = Var(word)
-        operands.append(leaf)
-        # The operand is complete: close groups until a connective follows.
-        while tokens[i] not in _BINARY:
-            if pending and pending[-1] != "(":
-                _reduce(operands, pending, 0)
-            if not pending:
-                return operands[0], i
+            operand = leaves[word] = Var(word)
+        # The operand is complete: apply its '!'s, close groups until a connective.
+        while True:
+            while pending[-1] == 5:
+                pop()
+                operand = Not(operand)
+            entry = connective(tokens[i])
+            if entry is not None:
+                break
+            top = pop()
+            while top > 0:
+                operand = node[top](take(), operand)
+                top = pop()
+            if top < 0:
+                return operand, i
             i = _expect(text, tokens, i, ")")
-            pending.pop()
-        word = tokens[i]
-        if pending and pending[-1] != "(":
-            own = _BINARY[word][0]
-            _reduce(operands, pending, own + (own <= 2))  # the arrows associate right
-        pending.append(word)
+        own, least = entry
+        while pending[-1] >= least:
+            operand = node[pop()](take(), operand)
+        hold(operand)
+        push(own)
         i += 1
 
 
@@ -206,7 +206,7 @@ def instance_lines(
     line, column)``. ``keyword`` is the first of ``keywords`` that the line
     starts with once its indent is skipped, or ``None``; ``body`` is the rest
     of the line after it, and starts at ``column``."""
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(text.split("\n"), start=1):
         line = raw.lstrip()
         if line:
             column = len(raw) - len(line) + 1

@@ -21,7 +21,13 @@ from qraise.abduction import (
     solve,
     substitute_theory,
 )
-from qraise.errors import ContractError, ResourceLimitError, UnsupportedShapeError, check_cap
+from qraise.errors import (
+    ContractError,
+    ParseError,
+    ResourceLimitError,
+    UnsupportedShapeError,
+    check_cap,
+)
 from qraise.cli import main
 from qraise.formulas import (
     ENTAILMENT_VAR_CAP,
@@ -370,6 +376,16 @@ class TestInstanceFormat:
     def test_bad_line_rejected(self):
         with pytest.raises(Exception):
             parse_instance("H: h\nM: a\nbogus line\n")
+
+    def test_only_a_newline_ends_a_line(self):
+        """As in a QBF file, a form feed and U+2028 in a formula are
+        whitespace, and an error after them names the line counted by '\\n'."""
+        text = "H: h\nM: a\nT: h \f-> \u2028a\n"
+        assert parse_instance(text).theory == {parse_formula("h -> a")}
+        with pytest.raises(ParseError) as caught:
+            parse_instance(text + "T: a \f& \u2028%\n")
+        error = caught.value
+        assert (error.message, error.line, error.column) == ("unexpected character '%'", 4, 10)
 
 
 # --- projection against the full-table decider ----------------------------------

@@ -47,6 +47,8 @@ from qraise.qbf import (
     split_prefix,
 )
 
+from test_formulas import factors
+
 A, X, Y, P = Var("a"), Var("x"), Var("y"), Var("p")
 
 
@@ -459,6 +461,16 @@ class TestTheoryFormat:
         with pytest.raises(Exception):
             parse_theory("not a default\n")
 
+    def test_only_a_newline_ends_a_line(self):
+        """As in a QBF file, a form feed and U+2028 in a formula are
+        whitespace, and an error after them names the line counted by '\\n'."""
+        text = "W: x \f| \u2028y\n: a / a\nquery: a\n"
+        assert parse_theory(text)[0].background == {Or(X, Y)}
+        with pytest.raises(ParseError) as caught:
+            parse_theory(text + ": a \f& \u2028% / a\n")
+        error = caught.value
+        assert (error.message, error.line, error.column) == ("unexpected character '%'", 4, 9)
+
     def test_a_second_query_line_is_a_parse_error(self):
         with pytest.raises(ParseError) as caught:
             parse_theory(": x / x\nquery: x\n  query: y\n")
@@ -573,7 +585,7 @@ def _assert_matches_full_tables(theory, goal):
     assert [mask for mask, _ in got] == [mask for mask, _ in want]
     for mask, table in got:
         chosen = [d.consequence for i, d in enumerate(theory.defaults) if mask >> i & 1]
-        assert table == tables.universe.project([*theory.background, *chosen])
+        assert table == tables.universe.project(factors([*theory.background, *chosen]))
     assert skeptically_entails(theory, goal) == _full_skeptical(theory, goal)
     return reference.universe.width - tables.universe.width, len(want)
 
@@ -646,7 +658,7 @@ def test_projection_matches_full_tables_on_reductions():
 
 def test_each_table_is_its_formulas_projection():
     """``_TheoryTables`` projects each formula onto the universe it holds:
-    every table equals ``kept.project([f])``."""
+    every table equals ``kept.project(factors([f]))``."""
     rng = random.Random(810)
     projected = 0
     for _ in range(600):
@@ -657,7 +669,7 @@ def test_each_table_is_its_formulas_projection():
         for d in theory.defaults:
             formulas += (d.prerequisite, d.justification, d.consequence)
         for f in formulas:
-            assert tables.table(f) == kept.project([f])
+            assert tables.table(f) == kept.project(factors([f]))
             projected += not variables(f) <= kept.order.keys()
     assert projected > 500
 

@@ -548,6 +548,11 @@ def _kept(keep):
     return universe(sorted(keep), what="kept variables")
 
 
+def factors(fs):
+    """``fs`` as ``Universe.project`` takes them: each with its variables' names."""
+    return [(variables(f), f) for f in fs]
+
+
 class TestProject:
     def test_matches_brute_force_projection(self):
         rng = random.Random(41)
@@ -560,7 +565,7 @@ class TestProject:
             # keep may name variables no formula mentions, or none at all
             keep = [n for n in names + ["w"] if rng.random() < 0.4]
             u = _kept(keep)
-            table = u.project(fs)
+            table = u.project(factors(fs))
             kept, expected = _brute_projection(fs, keep)
             assert list(u.order) == kept
             assert table == expected, (fs, keep)
@@ -568,20 +573,20 @@ class TestProject:
     def test_edge_cases(self):
         assert _kept([]).project([]) == 1
         assert _kept(["b", "a"]).project([]) == universe(["a", "b"]).full
-        assert _kept([]).project([X, Not(X)]) == 0
-        assert _kept(["y"]).project([Or(X, Y)]) == 0b11
-        assert _kept(["a"]).project([FALSE, A]) == 0
+        assert _kept([]).project(factors([X, Not(X)])) == 0
+        assert _kept(["y"]).project(factors([Or(X, Y)])) == 0b11
+        assert _kept(["a"]).project(factors([FALSE, A])) == 0
         u = _kept(["a"])
-        assert (u.order, u.project([Implies(X, A), X])) == ({"a": 0}, 0b10)
+        assert (u.order, u.project(factors([Implies(X, A), X]))) == ({"a": 0}, 0b10)
 
     def test_cap_bounds_each_bucket_not_the_whole_set(self):
         chain = [Implies(Var(f"v{i}"), Var(f"v{i + 1}")) for i in range(40)]
-        assert _kept(["v40"]).project(chain + [Var("v0")]) == 0b10
+        assert _kept(["v40"]).project(factors(chain + [Var("v0")])) == 0b10
         size, cap = ENTAILMENT_VAR_CAP + 1, ENTAILMENT_VAR_CAP
         wide = conjunction(Var(f"v{i}") for i in range(size))
         bucket = f"^{size} variables in one elimination bucket exceed ENTAILMENT_VAR_CAP={cap}$"
         with pytest.raises(ResourceLimitError, match=bucket):
-            _kept(["v0"]).project([wide])
+            _kept(["v0"]).project(factors([wide]))
         kept = f"^{size} kept variables exceed ENTAILMENT_VAR_CAP={cap}$"
         with pytest.raises(ResourceLimitError, match=kept):
             _kept([f"k{i}" for i in range(size)])

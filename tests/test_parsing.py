@@ -11,6 +11,7 @@ import random
 import re
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterator
 
 import pytest
@@ -283,6 +284,107 @@ def _outcome(parse, text):
         return str(exc), exc.line, exc.column
 
 
+def _shape(f: Formula) -> list:
+    """``f``'s nodes in pre-order, each as its class or (class, name or
+    value): ``==`` without recursion, for trees too deep for ``==``."""
+    out, stack = [], [f]
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is Var or cls is Const:
+            out.append((cls, node.name if cls is Var else node.value))
+        elif cls is Not:
+            out.append(cls)
+            stack.append(node.operand)
+        else:
+            out.append(cls)
+            stack += (node.right, node.left)
+    return out
+
+
+def _deep_outcome(parse, text):
+    result = _outcome(parse, text)
+    if isinstance(result, Qbf):
+        return result.prefix, _shape(result.matrix)
+    return result if isinstance(result, tuple) else _shape(result)
+
+
+def _roundtrip_formula(rng: random.Random, leaves: int) -> Formula:
+    """A near-balanced formula over x1-x4 with ``leaves`` leaves, about 30%
+    of them negated: the matrices of the ``text_roundtrip`` benchmark."""
+    picks = [f"x{rng.randint(1, 4)}" for _ in range(leaves)]
+    jobs, built = [picks], []  # lists of names to build, then None to combine two
+    while jobs:
+        job = jobs.pop()
+        if job is None:
+            right = built.pop()
+            built.append(rng.choice([And, Or, Implies, Iff])(built.pop(), right))
+        elif len(job) == 1:
+            built.append(Not(Var(job[0])) if rng.random() < 0.3 else Var(job[0]))
+        else:
+            half = len(job) // 2 + rng.randint(-(len(job) // 16), len(job) // 16)
+            jobs += (None, job[half:], job[:half])
+    return built[0]
+
+
+def _redundant_text(f: Formula, rng: random.Random) -> str:
+    """``f`` with every compound child in parentheses and some leaves and
+    groups in one more pair."""
+    if isinstance(f, (Var, Const)):
+        text = reference_serialize_formula(f)
+    elif isinstance(f, Not):
+        text = f"!({_redundant_text(f.operand, rng)})"
+    else:
+        symbol = {And: "&", Or: "|", Implies: "->", Iff: "<->"}[type(f)]
+        text = f"({_redundant_text(f.left, rng)}) {symbol} ({_redundant_text(f.right, rng)})"
+    return f"({text})" if rng.random() < 0.1 else text
+
+
+def _spread(text: str, rng: random.Random) -> str:
+    """``text`` with each space a random run of spaces, tabs and line breaks."""
+    return "".join(piece + rng.choice(_SPACE) for piece in text.split(" "))
+
+
+def _chains(n: int) -> dict[str, str]:
+    """``n``-leaf chains of each connective nested to the left and to the
+    right, each with minimal parentheses, and ``n`` nested '!('."""
+    names = [f"x{i % 7}" for i in range(n)]
+    texts = {"negations": "!(" * n + "x" + ")" * n}
+    for symbol in ("&", "|", "->", "<->"):
+        flat = f" {symbol} ".join(names)
+        left = "(" * (n - 1) + names[0] + "".join(f" {symbol} {name})" for name in names[1:])
+        right = "".join(f"{name} {symbol} (" for name in names[:-1]) + names[-1] + ")" * (n - 1)
+        texts[f"{symbol} left"], texts[f"{symbol} right"] = (
+            (flat, right) if symbol in ("&", "|") else (left, flat)
+        )
+    return texts
+
+
+def _golden_texts() -> Iterator[tuple[str, str]]:
+    """Each QBF golden input, whole, and each formula of an instance golden
+    input, as (where, text); a non-UTF-8 input is skipped."""
+    for path in sorted((Path(__file__).parent / "golden").glob("*/inputs/*")):
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            continue
+        if path.suffix == ".qbf":
+            yield path.name, text
+            continue
+        for keyword, body, line, _ in instance_lines(text, ("T:", "W:", "action ")):
+            where = f"{path.name}:{line}"
+            if keyword in ("T:", "W:"):
+                yield where, body
+            elif keyword == "action ":
+                yield where, body.partition(":")[2].partition("=>")[0]
+            elif path.suffix == ".dlt" and "/" in body:
+                head, _, rest = body.partition(":")
+                justification, _, consequence = rest.partition("/")
+                for part in (head, justification, consequence):
+                    if part.strip():
+                        yield where, part
+
+
 class TestFormulaGrammar:
     def test_precedence_chain(self):
         f = parse_formula("a & b | c -> d <-> e")
@@ -481,9 +583,9 @@ class TestQbfFormat:
 
 @pytest.fixture
 def deep_recursion():
-    """Room for the recursive reference on 3,000 nested groups, six calls each."""
+    """Room for the recursive reference on 10^4 nested groups, seven calls each."""
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 25_000))
+    sys.setrecursionlimit(max(limit, 100_000))
     yield
     sys.setrecursionlimit(limit)
 
@@ -541,6 +643,39 @@ class TestAgainstRecursiveReference:
         for prefix in ("", ":", "exists x; :", "exists ;", "forall y z;\n: "):
             qbf_text = prefix + text
             assert _outcome(parse_qbf, qbf_text) == _outcome(reference_parse_qbf, qbf_text)
+
+    def test_roundtrip_sized_formulas_parse_alike(self):
+        """The benchmark's text_roundtrip matrices (224 leaves, nesting at
+        most 12) with minimal and with redundant parentheses, spread over
+        lines, whole and with one token cut out."""
+        rng = random.Random(23)
+        for _ in range(25):
+            f = _roundtrip_formula(rng, 224)
+            for text in (serialize_formula(f), _redundant_text(f, rng)):
+                assert parse_formula(text) == f
+                pieces = re.findall(r"<->|->|[()!&|]|[^\s()!&|<-]+", text)
+                del pieces[rng.randrange(len(pieces))]
+                for case in (_spread(text, rng), _spread(" ".join(pieces), rng)):
+                    assert _outcome(parse_formula, case) == _outcome(reference_parse_formula, case)
+
+    @pytest.mark.parametrize("name", list(_chains(2)))
+    def test_deep_chains_parse_alike(self, name, deep_recursion):
+        """10^4-leaf chains of each connective nested either way, and 10^4
+        nested '!('."""
+        text = _chains(10_000)[name]
+        assert _deep_outcome(parse_formula, text) == _deep_outcome(reference_parse_formula, text)
+
+    def test_golden_inputs_parse_alike(self, deep_recursion):
+        """Every QBF golden input, and every formula of an instance golden input."""
+        count = 0
+        for where, text in _golden_texts():
+            parse, reference = (
+                (parse_qbf, reference_parse_qbf) if where.endswith(".qbf")
+                else (parse_formula, reference_parse_formula)
+            )
+            assert _deep_outcome(parse, text) == _deep_outcome(reference, text), where
+            count += 1
+        assert count > 1_000
 
 
 class TestDeepInput:

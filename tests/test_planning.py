@@ -14,7 +14,7 @@ from qraise.errors import ContractError, ParseError, ResourceLimitError
 from qraise.formulas import And, Const, FALSE, Iff, Implies, Not, Or, TRUE, Var
 from qraise.formulas import conjunction, truth_table, universe, variables
 from qraise.harness import exhaustive_qbfs
-from qraise.parsing import parse_qbf
+from qraise.parsing import parse_formula, parse_qbf
 from qraise.planning import (
     GOAL_VAR,
     Action,
@@ -568,6 +568,17 @@ class TestInstanceFormat:
         error = caught.value
         message = f"expected one action name, found {found!r}"
         assert (error.message, error.line, error.column) == (message, 3, 8)
+
+    def test_only_a_newline_ends_a_line(self):
+        """As in a QBF file, a form feed and U+2028 in a formula are
+        whitespace, and an error after them names the line counted by '\\n'."""
+        text = "fluents: f g\ngoal: g\naction a: !f \f& \u2028!g => g\n"
+        (action,) = parse_instance(text).actions
+        assert action.precondition == parse_formula("!f & !g")
+        with pytest.raises(ParseError) as caught:
+            parse_instance(text + "action b: f \f& \u2028% => g\n")
+        error = caught.value
+        assert (error.message, error.line, error.column) == ("unexpected character '%'", 4, 17)
 
     def test_unknown_names_are_found_in_reading_order(self):
         text = "goal: b\nfluents: a m\ninit: a=0 z=1\naction m: m => a\n"
