@@ -196,14 +196,16 @@ def _fresh_names(name: str, index: int) -> tuple[str, str, str]:
 
 
 def _raise_existential(instance: AbductionInstance, name: str, index: int) -> AbductionInstance:
-    """``raise_existential`` without its checks."""
+    """``raise_existential`` without its checks. The five gadget formulas
+    share one ``Var`` per name."""
     pos, neg, bridge = _fresh_names(name, index)
+    p, n, b, x = Var(pos), Var(neg), Var(bridge), Var(name)
     gadget = (
-        Implies(Var(pos), Var(bridge)),
-        Implies(Var(neg), Var(bridge)),
-        Implies(Var(pos), Var(name)),
-        Implies(Var(neg), Not(Var(name))),
-        Or(Not(Var(pos)), Not(Var(neg))),
+        Implies(p, b),
+        Implies(n, b),
+        Implies(p, x),
+        Implies(n, Not(x)),
+        Or(Not(p), Not(n)),
     )
     return AbductionInstance(
         instance.hypotheses | {pos, neg},

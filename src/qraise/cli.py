@@ -149,6 +149,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     _at_least(args.vars, 0, "--vars")
     _at_least(args.depth, 0, "--depth")
     if pattern is not PrefixPattern.EXHAUSTIVE:
+        # A random QBF has 1 to --vars variables; the exhaustive set starts at 0.
+        _at_least(args.vars, 1, "--vars")
         _at_least(args.count, 1, "--count")
     spec = QbfGenSpec(
         seed=args.seed,

@@ -343,12 +343,13 @@ def _guard(index: int) -> str:
 
 
 def _raise_universal(theory: DefaultTheory, name: str, index: int) -> DefaultTheory:
-    """``raise_universal`` without its checks."""
-    guard = _guard(index)
-    pick_true = And(Var(name), Var(guard))
-    pick_false = And(Not(Var(name)), Var(guard))
+    """``raise_universal`` without its checks. One guard ``Var`` is shared
+    by the two choices and every guarded prerequisite."""
+    guard, var = Var(_guard(index)), Var(name)
+    pick_true = And(var, guard)
+    pick_false = And(Not(var), guard)
     guarded = tuple(
-        Default(And(Var(guard), d.prerequisite), d.justification, d.consequence)
+        Default(And(guard, d.prerequisite), d.justification, d.consequence)
         for d in theory.defaults
     )
     return DefaultTheory(

@@ -441,30 +441,39 @@ class Universe:
         the same universe. The rest is conjoined in this universe. Each
         bucket's universe is held to ``ENTAILMENT_VAR_CAP``; the whole
         variable set is not.
+
+        The factors are split once into those that mention a hidden
+        variable and those that do not, and each elimination scans only
+        the first group; a new factor whose variables are all kept joins
+        the second.
         """
-        factors = list(factors)
-        while True:
+        order = self.order
+        plain: list[_Factor] = []
+        hiding: list[_Factor] = []
+        for factor in factors:
+            (hiding if any(name not in order for name in factor[0]) else plain).append(factor)
+        while hiding:
             spans: defaultdict[str, set[str]] = defaultdict(set)
-            for names, _ in factors:
+            for names, _ in hiding:
                 for name in names:
-                    if name not in self.order:
+                    if name not in order:
                         spans[name].update(names)
-            if not spans:
-                return self._conjoin(factors)
             hidden = min(spans, key=lambda name: (len(spans[name]), name))
             u = universe(sorted(spans[hidden]), what="variables in one elimination bucket")
-            bucket = [factor for factor in factors if hidden in factor[0]]
-            factors = [factor for factor in factors if hidden not in factor[0]]
+            bucket = [factor for factor in hiding if hidden in factor[0]]
+            hiding = [factor for factor in hiding if hidden not in factor[0]]
             gone = [hidden]
             if len(bucket) == 1:
                 # Every hidden variable that no other factor mentions has this
                 # same bucket, so all of them go in this one universe.
                 gone = [
                     name for name in u.order
-                    if name in spans and all(name not in names for names, _ in factors)
+                    if name in spans and all(name not in names for names, _ in hiding)
                 ]
             table = _remove(u._conjoin(bucket), [u.order[name] for name in gone], u.width)
-            factors.append((tuple(name for name in u.order if name not in gone), table))
+            left = tuple(name for name in u.order if name not in gone)
+            (hiding if any(name not in order for name in left) else plain).append((left, table))
+        return self._conjoin(plain)
 
     def _conjoin(self, factors: list[_Factor]) -> int:
         """Conjunction of ``factors`` in this universe, whose order must be

@@ -30,8 +30,8 @@ from types import ModuleType
 from typing import Iterator, Sequence
 
 from . import abduction, defaults, planning
-from .errors import QraiseError, ResourceLimitError, UnsupportedShapeError
-from .formulas import Const, Formula, Not, Var
+from .errors import ContractError, QraiseError, ResourceLimitError, UnsupportedShapeError
+from .formulas import FALSE, Formula, Not, TRUE, Var
 from .parsing import serialize_qbf, serialize_qbf_compact
 from .qbf import CONNECTIVES, SHAPE_BLOCKS, Prefix, Qbf, Quantifier, qbf_valid, qbf_valid_by_table
 from .qbf import random_matrix, random_prefix, two_blocks
@@ -136,24 +136,26 @@ def template_matrices(names: Sequence[str], depth: int) -> list[Formula]:
     adds every binary connective over every ordered literal pair, depth 3
     additionally negates those pairs and chains each plain variable pair
     with a third literal on either side. Duplicates are removed, order is
-    deterministic.
+    deterministic. Each name has one ``Var`` and one negation, shared by
+    every matrix.
     """
-    atoms: list[Formula] = [Const(True), Const(False)]
-    atoms.extend(Var(n) for n in names)
+    leaves = {n: Var(n) for n in names}
+    negated = {n: Not(v) for n, v in leaves.items()}
+    atoms: list[Formula] = [TRUE, FALSE, *leaves.values()]
     literals: list[Formula] = []
     for n in names:
-        literals.append(Var(n))
-        literals.append(Not(Var(n)))
+        literals.append(leaves[n])
+        literals.append(negated[n])
     out: list[Formula] = list(atoms)
     if depth >= 1:
-        out.extend(Not(Var(n)) for n in names)
+        out.extend(negated.values())
     if depth >= 2:
         pairs = [conn(l1, l2) for l1 in literals for l2 in literals for conn in CONNECTIVES]
         out.extend(pairs)
         if depth >= 3:
             out.extend(Not(p) for p in pairs)
             plain_pairs = [
-                conn(Var(u), Var(v)) for u in names for v in names for conn in CONNECTIVES
+                conn(leaves[u], leaves[v]) for u in names for v in names for conn in CONNECTIVES
             ]
             for pair in plain_pairs:
                 for lit in literals:
@@ -182,29 +184,38 @@ def _prefixes(names: Sequence[str], shapes: str) -> Iterator[Prefix]:
 
 
 def exhaustive_qbfs(num_vars: int, depth: int, shapes: str) -> Iterator[Qbf]:
-    """Every (prefix, template matrix) combination with up to ``num_vars`` variables."""
+    """Every (prefix, template matrix) combination with up to ``num_vars`` variables.
+
+    Each QBF is closed by construction (distinct prefix names ``x1..xn``,
+    a matrix over those names), so it is built unchecked."""
     for n in range(num_vars + 1):
         names = tuple(f"x{i + 1}" for i in range(n))
         matrices = template_matrices(names, depth)
         for prefix in _prefixes(names, shapes):
             for matrix in matrices:
-                yield Qbf(prefix, matrix)
+                yield Qbf._trusted(prefix, matrix)
 
 
 def generate_qbfs(spec: QbfGenSpec) -> Iterator[Qbf]:
-    """Deterministic QBF stream; exhaustive mode enumerates all interleavings."""
+    """Deterministic QBF stream; exhaustive mode enumerates all interleavings.
+
+    A random QBF has 1 to ``spec.num_vars`` variables, so a random pattern
+    with ``num_vars < 1`` is a ``ContractError``. Each QBF is closed by
+    construction, like those of ``exhaustive_qbfs``, and built unchecked."""
     if spec.prefix_pattern is PrefixPattern.EXHAUSTIVE:
         yield from exhaustive_qbfs(spec.num_vars, spec.matrix_depth, "any")
         return
+    if spec.num_vars < 1:
+        raise ContractError(f"random QBFs need num_vars of at least 1, got {spec.num_vars}")
     shape = next(k for k, p in SHAPE_PATTERNS.items() if p is spec.prefix_pattern)
     rng = random.Random(spec.seed)
     valid_seen = 0
     for produced in range(spec.count):
         want_valid = valid_seen * 2 <= produced
         for _ in range(12):
-            n = rng.randint(1, max(1, spec.num_vars))
+            n = rng.randint(1, spec.num_vars)
             names = tuple(f"x{i + 1}" for i in range(n))
-            candidate = Qbf(
+            candidate = Qbf._trusted(
                 random_prefix(rng, names, shape),
                 random_matrix(rng, names, spec.matrix_depth),
             )

@@ -38,7 +38,7 @@ from enum import Enum
 from typing import Callable, Mapping, Sequence, TypeVar
 
 from .errors import ContractError, UnsupportedShapeError, check_cap
-from .formulas import And, Const, Formula, Iff, Implies, Not, Or, Var
+from .formulas import And, FALSE, Formula, Iff, Implies, Not, Or, TRUE, Var
 from .formulas import evaluate_reading, truth_table, variables
 
 # Hard cap on the prefix length for both deciders; the walk's time sets it.
@@ -82,23 +82,32 @@ def random_prefix(rng: random.Random, names: Sequence[str], shape: str) -> Prefi
 
 
 def random_matrix(rng: random.Random, names: Sequence[str], depth: int) -> Formula:
-    """A random formula over ``names``, nested about ``depth`` connectives deep."""
+    """A random formula over ``names``, nested about ``depth`` connectives deep.
+
+    Leaves are shared within a draw, as in a parse: the draw builds one
+    ``Var`` per entry of ``names`` and picks among them, and its constants
+    are ``TRUE`` and ``FALSE``."""
+    return _random_matrix(rng, [Var(name) for name in names], depth)
+
+
+def _random_matrix(rng: random.Random, leaves: list[Var], depth: int) -> Formula:
+    """``random_matrix`` over the prebuilt ``leaves``."""
     if depth == 0 or rng.random() < 0.22:
-        if not names or rng.random() < 0.12:
-            return Const(rng.random() < 0.5)
-        return Var(rng.choice(list(names)))
+        if not leaves or rng.random() < 0.12:
+            return TRUE if rng.random() < 0.5 else FALSE
+        return rng.choice(leaves)
     # Occasionally splice in a tautology or contradiction fragment so deep
     # universal prefixes are not almost always invalid.
-    if names and rng.random() < 0.15:
-        v = Var(rng.choice(list(names)))
+    if leaves and rng.random() < 0.15:
+        v = rng.choice(leaves)
         fragment = Or(v, Not(v)) if rng.random() < 0.5 else And(v, Not(v))
-        other = random_matrix(rng, names, depth - 1)
+        other = _random_matrix(rng, leaves, depth - 1)
         conn = rng.choice(CONNECTIVES)
         return conn(fragment, other) if rng.random() < 0.5 else conn(other, fragment)
     if rng.random() < 0.25:
-        return Not(random_matrix(rng, names, depth - 1))
+        return Not(_random_matrix(rng, leaves, depth - 1))
     conn = rng.choice(CONNECTIVES)
-    return conn(random_matrix(rng, names, depth - 1), random_matrix(rng, names, depth - 1))
+    return conn(_random_matrix(rng, leaves, depth - 1), _random_matrix(rng, leaves, depth - 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,8 +130,11 @@ class Qbf:
     def _trusted(cls, prefix: Prefix, matrix: Formula) -> Qbf:
         """A ``Qbf`` built without ``__post_init__``'s walk over the matrix.
         Only for a caller that has itself made sure that the prefix names
-        are distinct and cover every matrix variable, as
-        ``parsing.parse_qbf`` does from its leaf table."""
+        are distinct and cover every matrix variable: ``parsing.parse_qbf``
+        does so from its leaf table, and the harness generators
+        ``generate_qbfs`` and ``exhaustive_qbfs`` by construction, since
+        their prefix is ``x1..xn`` and their matrix is drawn or built over
+        those names only."""
         q = object.__new__(cls)
         object.__setattr__(q, "prefix", prefix)
         object.__setattr__(q, "matrix", matrix)

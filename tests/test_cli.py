@@ -314,6 +314,8 @@ class TestErrorContract:
              "--depth must be at least 0, got -2"),
             (["growth", "--target", "default", "--raises", "-2"],
              "--raises must be at least 0, got -2"),
+            (["check", "--target", "planning", "--pattern", "any", "--vars", "0", "--per-case"],
+             "--vars must be at least 1, got 0"),
         ],
     )
     def test_vacuous_runs_are_contract_errors(self, capsys, argv, message):

@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 import re
+from collections import defaultdict
 from dataclasses import FrozenInstanceError, make_dataclass
 from itertools import product
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qraise import formulas as formulas_module
 from qraise.errors import ContractError, EvaluationError, ResourceLimitError
 from qraise.formulas import (
     ENTAILMENT_VAR_CAP,
@@ -590,3 +592,78 @@ class TestProject:
         kept = f"^{size} kept variables exceed ENTAILMENT_VAR_CAP={cap}$"
         with pytest.raises(ResourceLimitError, match=kept):
             _kept([f"k{i}" for i in range(size)])
+
+    @staticmethod
+    def reference(u, factors):
+        """``Universe.project`` as it was before it split the factors: every
+        elimination rescans all of them."""
+        factors = list(factors)
+        while True:
+            spans = defaultdict(set)
+            for names, _ in factors:
+                for name in names:
+                    if name not in u.order:
+                        spans[name].update(names)
+            if not spans:
+                return u._conjoin(factors)
+            hidden = min(spans, key=lambda name: (len(spans[name]), name))
+            b = formulas_module.universe(
+                sorted(spans[hidden]), what="variables in one elimination bucket"
+            )
+            bucket = [factor for factor in factors if hidden in factor[0]]
+            factors = [factor for factor in factors if hidden not in factor[0]]
+            gone = [hidden]
+            if len(bucket) == 1:
+                gone = [
+                    name for name in b.order
+                    if name in spans and all(name not in names for names, _ in factors)
+                ]
+            table = _remove(b._conjoin(bucket), [b.order[name] for name in gone], b.width)
+            factors.append((tuple(name for name in b.order if name not in gone), table))
+
+    @staticmethod
+    def random_factors(rng):
+        """Formulas and tables over shared names, some with a private name
+        that only their own single-factor bucket holds."""
+        shared = [f"v{i}" for i in range(rng.randint(1, 6))]
+        made = []
+        for j in range(rng.randint(0, 6)):
+            pool = shared + ([f"p{j}"] if rng.random() < 0.4 else [])
+            if rng.random() < 0.5:
+                made.append(_random_theory_formula(rng, pool, rng.randint(0, 3)))
+            else:
+                names = tuple(sorted(set(rng.sample(pool, rng.randint(0, min(3, len(pool)))))))
+                made.append((names, rng.getrandbits(1 << len(names))))
+        keep = [n for n in shared + ["w"] if rng.random() < 0.35][:3]
+        return [f if isinstance(f, tuple) else (variables(f), f) for f in made], keep
+
+    @staticmethod
+    def outcome(project, u, fs, monkeypatch):
+        """The table or cap message of ``project(u, fs)``, and the bucket
+        universes it built, in order."""
+        buckets = []
+
+        def recording(names, what="variables"):
+            buckets.append(tuple(names))
+            return universe(buckets[-1], what)
+
+        monkeypatch.setattr(formulas_module, "universe", recording)
+        try:
+            return project(u, fs), buckets
+        except ResourceLimitError as exc:
+            return str(exc), buckets
+        finally:
+            monkeypatch.setattr(formulas_module, "universe", universe)
+
+    def test_matches_the_unsplit_loop_with_its_cap_errors(self, monkeypatch):
+        rng = random.Random(2808)
+        outcomes = set()
+        for cap in (ENTAILMENT_VAR_CAP, 4, 3):
+            monkeypatch.setattr(formulas_module, "ENTAILMENT_VAR_CAP", cap)
+            for _ in range(700):
+                fs, keep = self.random_factors(rng)
+                u = _kept(keep)
+                got = self.outcome(lambda u, fs: u.project(fs), u, fs, monkeypatch)
+                assert got == self.outcome(self.reference, u, fs, monkeypatch), (fs, keep)
+                outcomes.add(type(got[0]))
+        assert outcomes == {int, str}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qraise.errors import UnsupportedShapeError
+from qraise.errors import ContractError, UnsupportedShapeError
 from qraise.formulas import Const, Var
 from qraise.harness import (
     CheckReport,
@@ -48,6 +48,33 @@ class TestGeneration:
 
         for q in exhaustive_qbfs(2, 2, "any"):
             assert variables(q.matrix) <= {name for _, name in q.prefix}
+
+    @pytest.mark.parametrize(
+        "qbfs",
+        [
+            lambda: generate_qbfs(QbfGenSpec(seed=28, num_vars=4, matrix_depth=4, count=300)),
+            lambda: generate_qbfs(
+                QbfGenSpec(seed=3, num_vars=2, prefix_pattern=PrefixPattern.EXISTS_FORALL, count=200)
+            ),
+            lambda: exhaustive_qbfs(2, 3, "any"),
+            lambda: exhaustive_qbfs(3, 2, "ea"),
+        ],
+        ids=["random-any", "random-ea", "exhaustive-any", "exhaustive-ea"],
+    )
+    def test_generated_qbfs_pass_the_checked_constructor(self, qbfs):
+        """The generators build unchecked; the checks they skip all pass."""
+        for q in qbfs():
+            assert Qbf(q.prefix, q.matrix) == q
+
+    @pytest.mark.parametrize("num_vars", [0, -2])
+    def test_random_patterns_need_a_variable(self, num_vars):
+        spec = QbfGenSpec(num_vars=num_vars, prefix_pattern=PrefixPattern.FORALL_EXISTS)
+        with pytest.raises(
+            ContractError, match=f"^random QBFs need num_vars of at least 1, got {num_vars}$"
+        ):
+            next(generate_qbfs(spec))
+        exhaustive = QbfGenSpec(num_vars=0, prefix_pattern=PrefixPattern.EXHAUSTIVE)
+        assert [serialize_qbf_compact(q) for q in generate_qbfs(exhaustive)] == [": true", ": false"]
 
     def test_random_stream_is_roughly_balanced(self):
         from qraise.qbf import qbf_valid

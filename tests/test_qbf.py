@@ -8,7 +8,20 @@ from hypothesis import strategies as st
 
 from qraise.errors import ContractError, ResourceLimitError, UnsupportedShapeError
 from qraise import qbf as qbf_module
-from qraise.formulas import And, Iff, Implies, Not, Or, Var, conjunction, evaluate, substitute
+from qraise.formulas import (
+    And,
+    Const,
+    FALSE,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    TRUE,
+    Var,
+    conjunction,
+    evaluate,
+    substitute,
+)
 from qraise.cli import main
 from qraise.harness import QbfGenSpec, exhaustive_qbfs, generate_qbfs
 from qraise.parsing import serialize_qbf
@@ -110,6 +123,69 @@ class TestConstruction:
             qbf_valid(q)
         with pytest.raises(ResourceLimitError):
             qbf_valid_by_table(q)
+
+
+def _random_matrix_reference(rng, names, depth):
+    """``qbf.random_matrix`` as it was when it built a node per leaf."""
+    if depth == 0 or rng.random() < 0.22:
+        if not names or rng.random() < 0.12:
+            return Const(rng.random() < 0.5)
+        return Var(rng.choice(list(names)))
+    if names and rng.random() < 0.15:
+        v = Var(rng.choice(list(names)))
+        fragment = Or(v, Not(v)) if rng.random() < 0.5 else And(v, Not(v))
+        other = _random_matrix_reference(rng, names, depth - 1)
+        conn = rng.choice(qbf_module.CONNECTIVES)
+        return conn(fragment, other) if rng.random() < 0.5 else conn(other, fragment)
+    if rng.random() < 0.25:
+        return Not(_random_matrix_reference(rng, names, depth - 1))
+    conn = rng.choice(qbf_module.CONNECTIVES)
+    return conn(
+        _random_matrix_reference(rng, names, depth - 1),
+        _random_matrix_reference(rng, names, depth - 1),
+    )
+
+
+def _leaves(f):
+    stack, out = [f], []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Not):
+            stack.append(node.operand)
+        elif isinstance(node, (Var, Const)):
+            out.append(node)
+        else:
+            stack += (node.left, node.right)
+    return out
+
+
+class TestRandomMatrix:
+    """The draws, and so every seeded stream of the harness and of each
+    target's ``sample_merge``, are those of the node-per-leaf reference."""
+
+    def test_draws_match_the_reference_tree_and_rng_state(self):
+        seeds = random.Random(28)
+        for _ in range(600):
+            seed = seeds.getrandbits(32)
+            names = [f"x{i + 1}" for i in range(seeds.randint(0, 5))]
+            depth = seeds.randint(0, 6)
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                got = qbf_module.random_matrix(ours, names, depth)
+                assert repr(got) == repr(_random_matrix_reference(theirs, names, depth))
+                assert ours.getstate() == theirs.getstate()
+
+    def test_leaves_of_one_name_are_one_object(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            names = [f"x{i + 1}" for i in range(rng.randint(0, 5))]
+            matrix = qbf_module.random_matrix(rng, names, rng.randint(0, 6))
+            objects = {}
+            for leaf in _leaves(matrix):
+                if isinstance(leaf, Const):
+                    assert leaf is (TRUE if leaf.value else FALSE)
+                else:
+                    assert objects.setdefault(leaf.name, leaf) is leaf
 
 
 _NAMES = tuple(f"v{i}" for i in range(1, 7))
