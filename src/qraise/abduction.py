@@ -19,6 +19,7 @@ any exists*-forall* QBF into an equivalid instance.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -309,22 +310,29 @@ def serialize_instance(instance: AbductionInstance) -> str:
 
 
 def parse_instance(text: str) -> AbductionInstance:
-    hypotheses: list[str] = []
-    manifestations: list[str] = []
+    """Read an instance; a name on both an ``H:`` and an ``M:`` line is a
+    ``ParseError`` at its first place on the later of the two lines."""
+    hypotheses: set[str] = set()
+    manifestations: set[str] = set()
     theory: list[Formula] = []
-    seen_h = seen_m = False
+    seen: set[str] = set()  # the keywords of the H: and M: lines read
     for keyword, body, line, column in instance_lines(text, ("H:", "M:", "T:")):
-        if keyword == "H:":
-            hypotheses += parse_names(body, line, column)
-            seen_h = True
-        elif keyword == "M:":
-            manifestations += parse_names(body, line, column)
-            seen_m = True
+        if keyword == "H:" or keyword == "M:":
+            names = parse_names(body, line, column)
+            given, other = (
+                (hypotheses, manifestations) if keyword == "H:" else (manifestations, hypotheses)
+            )
+            if not other.isdisjoint(names):
+                word = next(w for w in re.finditer(r"\S+", body) if w[0] in other)
+                message = f"{word[0]!r} is both a hypothesis and a manifestation"
+                raise ParseError(message, line, column + word.start())
+            given.update(names)
+            seen.add(keyword)
         elif keyword == "T:":
             theory.append(parse_formula(body, line, column))
         else:
             raise ParseError("expected an 'H:', 'M:', or 'T:' line", line, column)
-    if not (seen_h and seen_m):
+    if len(seen) < 2:
         raise ParseError("instance needs both an 'H:' and an 'M:' line", 1, 1)
     return AbductionInstance(frozenset(hypotheses), frozenset(manifestations), frozenset(theory))
 

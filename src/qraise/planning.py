@@ -28,11 +28,11 @@ every control fluent introduced so far; without that, stale goal flags
 from the first branch let later gadgets fire without re-verification, and
 inner choosers stay latched, so nested quantifiers would decide the wrong
 QBF. Each raise wraps every older precondition in its guard.
-``reduce_qbf`` builds the same instance as folding ``RAISES`` over the
-prefix, in one pass: it writes each gadget once, with the raise that added
-it, and wraps each precondition in the guards of the later raises at the
-end, so it builds every ``Action`` once. Each guard, done flag and goal
-``Var`` is made once and shared by every precondition that reads it.
+Both public raises and ``reduce_qbf`` build through one loop over
+``(quantifier, name)`` steps, a raise one step and a reduction its whole
+prefix. It writes each gadget once and wraps each precondition in the
+guards of the later steps at the end, so each ``Action`` is built once, and
+each guard, done flag and goal ``Var`` is shared by every precondition.
 
 ``Action`` and ``PlanningInstance`` are plain frozen dataclasses, and
 building either checks nothing. ``check_instance`` holds every rule on an
@@ -57,11 +57,11 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import ContractError, ParseError, QraiseError, check_cap
-from .formulas import NAME_RE, And, Const, Formula, Not, Or, Var, conjunction, evaluate
-from .formulas import size, substitute, truth_table, universe, variables
+from .formulas import NAME_RE, And, Const, Formula, Iff, Implies, Not, Or, Var, check_formula
+from .formulas import conjunction, evaluate, size, substitute, truth_table, universe, variables
 from .parsing import instance_lines, parse_formula, parse_literals, parse_names, parse_one_name
 from .parsing import serialize_formula
 from .qbf import Qbf, Quantifier, raise_prefix, random_matrix, random_prefix, split_prefix
@@ -167,9 +167,11 @@ def check_instance(
                 read.add(node.name)
             elif cls is Not:
                 stack.append(node.operand)
-            elif cls is not Const:
+            elif cls is And or cls is Or or cls is Implies or cls is Iff:
                 stack.append(node.left)
                 stack.append(node.right)
+            elif cls is not Const:
+                check_formula(node)
         _check_action(act, read, order)
         splits.append((must_set, must_clear, rest, read))
     return splits
@@ -463,21 +465,43 @@ def _gadget(
     )
 
 
-def _raised(
-    instance: PlanningInstance, quant: Quantifier, name: str, index: int, resets: Sequence[str]
+def _raise_steps(
+    fluents: Sequence[str],
+    initial: frozenset[str],
+    goal: str,
+    actions: Sequence[_ActionParts],
+    controls: Iterable[str],
+    steps: Sequence[tuple[Quantifier, str]],
+    index: int,
 ) -> PlanningInstance:
-    """A checked public raise: every older action under the new guard, then the gadget."""
-    guard = Var(f"_p{index}")
-    fresh, goal, parts = _gadget(quant, name, index, guard, Var(instance.goal), resets)
-    guarded = tuple(
-        Action(act.name, And(guard, act.precondition), act.effects) for act in instance.actions
-    )
-    return PlanningInstance(
-        fluents=instance.fluents + fresh,
-        initial=instance.initial,
-        goal=goal.name,
-        actions=guarded + tuple(Action(*p) for p in parts),
-    )
+    """The one raise loop: raise the instance of these fields over checked
+    ``steps``, innermost first, step ``k`` (from 0) as raise ``index + k``.
+    ``controls`` are its control fluents; each step adds its fresh ones, and
+    a universal flip clears all but the goal before it. Each action is built
+    once, at the end, under the guards of the steps after the one adding it."""
+    fluents = [*fluents]
+    controls = [*controls]
+    top = Var(goal)
+    guards = [Var(f"_p{k}") for k in range(index, index + len(steps))]
+    parts = [(0, *part) for part in actions]
+    for k, ((quant, name), guard) in enumerate(zip(steps, guards), start=1):
+        resets = sorted(c for c in controls if c != top.name) if quant is Quantifier.FORALL else ()
+        fresh, top, gadget = _gadget(quant, name, index + k - 1, guard, top, resets)
+        fluents += fresh
+        controls += fresh
+        parts += [(k, *part) for part in gadget]
+    built = []
+    for raised_at, act_name, precondition, effects in parts:
+        for guard in guards[raised_at:]:
+            precondition = And(guard, precondition)
+        built.append(Action(act_name, precondition, effects))
+    return PlanningInstance(tuple(fluents), initial, top.name, tuple(built))
+
+
+def _parts(instance: PlanningInstance) -> tuple:
+    """``instance`` as the first five arguments of ``_raise_steps``."""
+    actions = [(act.name, act.precondition, act.effects) for act in instance.actions]
+    return instance.fluents, instance.initial, instance.goal, actions, control_fluents(instance)
 
 
 def raise_existential(instance: PlanningInstance, name: str, index: int) -> PlanningInstance:
@@ -485,30 +509,22 @@ def raise_existential(instance: PlanningInstance, name: str, index: int) -> Plan
     if name not in instance.fluents:
         raise ContractError(f"{name!r} is not a fluent of the instance")
     _check_fresh(instance, [f"_p{index}"])
-    return _raised(instance, Quantifier.EXISTS, name, index, ())
+    return _raise_steps(*_parts(instance), [(Quantifier.EXISTS, name)], index)
 
 
 def raise_universal(instance: PlanningInstance, name: str, index: int) -> PlanningInstance:
-    """Demand the current goal under both values of ``name``.
-
-    Requires the current goal to be set by exactly one action. The flip
-    action restores every previously added control fluent to false so the
-    inner machinery re-runs from scratch on the false branch.
-    """
+    """Demand the current goal, which exactly one action may set, under both
+    values of ``name``. The flip action restores every control fluent to
+    false, so the inner machinery re-runs from scratch on the false branch."""
     if name not in instance.fluents:
         raise ContractError(f"{name!r} is not a fluent of the instance")
-    setters = [
-        act
-        for act in instance.actions
-        if any(eff == (instance.goal, True) for eff in act.effects)
-    ]
+    setters = [act for act in instance.actions if (instance.goal, True) in act.effects]
     if len(setters) != 1:
         raise ContractError(
             f"goal {instance.goal!r} must be set by exactly one action, found {len(setters)}"
         )
     _check_fresh(instance, [f"_p{index}", f"_b{index}"])
-    resets = sorted(control_fluents(instance) - {instance.goal})
-    return _raised(instance, Quantifier.FORALL, name, index, resets)
+    return _raise_steps(*_parts(instance), [(Quantifier.FORALL, name)], index)
 
 
 # The raise for each quantifier; every prefix shape is supported.
@@ -516,17 +532,11 @@ RAISES = {Quantifier.EXISTS: raise_existential, Quantifier.FORALL: raise_univers
 
 
 def reduce_qbf(q: Qbf) -> PlanningInstance:
-    """Equivalid plan-existence instance for any closed QBF.
-
-    Equal to ``raise_prefix(base_instance(...), prefix, RAISES)``, built in
-    one pass. Once no prefix name is reserved, the checks of the public
-    raises always hold: every prefix name is a fluent, every guard and done
-    flag is new, exactly one action sets each goal, and the control fluents
-    are the goal ``a`` and the fluents the raises so far added. So each
-    gadget is made once, each action remembers the raise that added it,
-    and at the end its precondition is wrapped in the guards of the later
-    raises, innermost first.
-    """
+    """Equivalid plan-existence instance for any closed QBF: the fold of
+    ``RAISES`` over the prefix from ``base_instance``, as one call of their
+    loop, ``_raise_steps``, on the whole prefix. Once no prefix name is
+    reserved, every check of the public raises holds, so the loop starts
+    from the matrix action's parts and the one control fluent ``a``."""
     prefix, _ = split_prefix(q, SHAPE)
     prefix_names = [name for _, name in prefix]
     if GOAL_VAR in prefix_names:
@@ -534,23 +544,9 @@ def reduce_qbf(q: Qbf) -> PlanningInstance:
     reserved = [n for n in prefix_names if n.startswith("_")]
     if reserved:
         raise ContractError(f"prefix uses reserved names: {', '.join(sorted(reserved))}")
-    fluents = prefix_names + [GOAL_VAR]
-    goal = Var(GOAL_VAR)
-    controls = [GOAL_VAR]
-    parts = [(0, MATRIX_ACTION, q.matrix, ((GOAL_VAR, True),))]
-    guards = [Var(f"_p{index}") for index in range(1, len(prefix) + 1)]
-    for index, (quant, name) in enumerate(reversed(prefix), start=1):
-        resets = sorted(c for c in controls if c != goal.name) if quant is Quantifier.FORALL else ()
-        fresh, goal, gadget = _gadget(quant, name, index, guards[index - 1], goal, resets)
-        fluents += fresh
-        controls += fresh
-        parts += [(index, *part) for part in gadget]
-    actions = []
-    for raised_at, act_name, precondition, effects in parts:
-        for guard in guards[raised_at:]:
-            precondition = And(guard, precondition)
-        actions.append(Action(act_name, precondition, effects))
-    return PlanningInstance(tuple(fluents), frozenset(), goal.name, tuple(actions))
+    matrix_action = (MATRIX_ACTION, q.matrix, ((GOAL_VAR, True),))
+    base = (prefix_names + [GOAL_VAR], frozenset(), GOAL_VAR, [matrix_action], [GOAL_VAR])
+    return _raise_steps(*base, prefix[::-1], 1)
 
 
 # --- lemma check and growth (see harness.check_lemma, measure_growth) ---------

@@ -377,6 +377,21 @@ class TestInstanceFormat:
         with pytest.raises(Exception):
             parse_instance("H: h\nM: a\nbogus line\n")
 
+    @pytest.mark.parametrize(
+        "text,name,line,column",
+        [
+            ("H: h x\nM: y x\n", "'x'", 2, 6),
+            ("H: g\nM: y h\nH: h g\nM: g\n", "'h'", 3, 4),
+            ("M: a b\nH: c b a\n", "'b'", 2, 6),
+        ],
+    )
+    def test_a_name_on_both_lines_is_a_parse_error(self, text, name, line, column):
+        with pytest.raises(ParseError) as caught:
+            parse_instance(text)
+        error = caught.value
+        expected = f"{name} is both a hypothesis and a manifestation"
+        assert (error.message, error.line, error.column) == (expected, line, column)
+
     def test_only_a_newline_ends_a_line(self):
         """As in a QBF file, a form feed and U+2028 in a formula are
         whitespace, and an error after them names the line counted by '\\n'."""

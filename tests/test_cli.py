@@ -3,6 +3,7 @@
 import importlib
 import os
 import pkgutil
+import random
 import re
 import subprocess
 import sys
@@ -15,7 +16,9 @@ from qraise import cli, harness, planning
 from qraise.cli import main
 from qraise.errors import ContractError, EvaluationError, ParseError, QraiseError
 from qraise.errors import ResourceLimitError, UnsupportedShapeError, check_cap
-from qraise.qbf import QBF_VAR_CAP
+from qraise.parsing import serialize_qbf
+from qraise.qbf import QBF_VAR_CAP, Qbf, qbf_valid_by_table, random_matrix, random_prefix
+from qraise.qbf import split_prefix
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +210,9 @@ POSITIONS = [
     ("planning", "fluents: a b!\n", "invalid variable name 'b!' (line 1, column 12)"),
     ("planning", "fluents: a b\ninit: a=0 x!=1\n", "bad init entry 'x!=1' (line 2, column 11)"),
     ("abduction", "H: h h!\nM: a\n", "invalid variable name 'h!' (line 1, column 6)"),
+    # A name on both H: and M: is named on the later line, where it first appears there.
+    ("abduction", "M: a  x\nT: x\nH:  h x x\n",
+     "'x' is both a hypothesis and a manifestation (line 3, column 7)"),
     # init: and goal: names are checked against fluents:, the first unknown one in the file.
     ("planning", "fluents: a b\ninit: a=0 c=1\ngoal: a\naction m: b => a\n",
      "init: names unknown fluent 'c' (line 2, column 11)"),
@@ -291,6 +297,28 @@ class TestErrorContract:
             power_cell = f"2^{power} = {value}" if value == 1 << power else None
             assert rows[name] in (str(value), power_cell), name
 
+    def test_readme_references_resolve(self):
+        """Every backticked ``module.attr`` or ``qraise.module.attr`` in
+        README names an attribute of that package module, and a
+        ``Class.attr`` of a class some module defines names one of the
+        class. Other dotted spans, such as file names, are not names."""
+        owners = {"qraise": qraise}
+        for info in pkgutil.iter_modules(qraise.__path__):
+            owners[info.name] = module = importlib.import_module(f"qraise.{info.name}")
+            owners.update((n, v) for n, v in vars(module).items() if isinstance(v, type))
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        resolved = 0
+        for ref in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", readme):
+            head, *path = ref.split(".")
+            if head not in owners:
+                continue
+            owner = owners[head]
+            for attr in path:
+                assert hasattr(owner, attr), f"README names {ref}, which does not resolve"
+                owner = getattr(owner, attr)
+            resolved += head != "qraise" or len(path) > 1
+        assert resolved >= 19
+
     def test_oracle_disagreement_is_one_internal_line(self, capsys, monkeypatch):
         table = harness.qbf_valid_by_table
         monkeypatch.setattr(harness, "qbf_valid_by_table", lambda q: not table(q))
@@ -372,6 +400,53 @@ class TestDeepInput:
                 assert out == "" and err.startswith("error[internal]:") and err.count("\n") == 1, command
             else:
                 assert (code, out.split()[:1]) == shallow[command] and err == "", command
+
+
+class TestExitCodesMatchTheOracle:
+    """Seeded random QBFs of 1-5 variables, matrix depth at most 4: exit 0
+    or 1 carries the table oracle's answer, and every other exit is one
+    ``error[`` line with nothing on stdout. One QBF in five is drawn with
+    any prefix, so a target with a two-block shape also meets prefixes it
+    must refuse."""
+
+    CASES = 150
+
+    @staticmethod
+    def run(capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        if code in (2, 3):
+            assert out == "" and err.count("\n") == 1 and err.startswith("error["), (argv, err)
+        return code, out, err
+
+    @pytest.mark.parametrize("target", sorted(harness.TARGETS))
+    def test_validate_and_solve_agree_with_the_oracle(self, capsys, tmp_path, target):
+        shape = harness.TARGETS[target].SHAPE
+        rng = random.Random(target)
+        source, instance = tmp_path / "input.qbf", tmp_path / "instance"
+        decided = refused = 0
+        for i in range(self.CASES):
+            names = [f"x{k}" for k in range(1, rng.randint(1, 5) + 1)]
+            prefix = random_prefix(rng, names, shape if i % 5 else "any")
+            q = Qbf(prefix, random_matrix(rng, names, rng.randint(0, 4)))
+            source.write_text(serialize_qbf(q), encoding="utf-8")
+            expected = 0 if qbf_valid_by_table(q) else 1
+            assert self.run(capsys, "validate", str(source))[0] == expected, serialize_qbf(q)
+            try:
+                split_prefix(q, shape)
+            except UnsupportedShapeError:
+                code, _, err = self.run(
+                    capsys, "reduce", "--target", target, str(source), "-o", str(instance)
+                )
+                assert code == 2 and err.startswith("error[contract]:")
+                refused += 1
+                continue
+            assert self.run(
+                capsys, "reduce", "--target", target, str(source), "-o", str(instance)
+            ) == (0, "", "")
+            code = self.run(capsys, "solve", "--target", target, str(instance))[0]
+            assert code == expected, serialize_qbf(q)
+            decided += 1
+        assert decided > self.CASES // 2 and (refused > 0) == (shape != "any")
 
 
 class TestCheckAndGrowth:

@@ -5,6 +5,7 @@ import pickle
 import random
 from collections import deque
 from dataclasses import FrozenInstanceError, make_dataclass
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +185,25 @@ class TestCheckInstance:
         captured = capsys.readouterr()
         line = message if message.startswith("error[") else f"error[contract]: {message}"
         assert (captured.out, captured.err) == ("", f"{line}\n")
+
+    @pytest.mark.parametrize(
+        "precondition,shown",
+        [
+            (And(X, "junk"), "'junk'"),
+            (Not("junk"), "'junk'"),
+            (Or(X, Implies(Y, Not(5))), "5"),
+            (And(Y, Iff("junk", X)), "'junk'"),
+        ],
+    )
+    def test_a_non_node_is_the_formula_walks_type_error(self, precondition, shown):
+        inst = PlanningInstance(
+            ("x", "y", "a"), frozenset(), "a", (Action("m", precondition, (("a", True),)),)
+        )
+        for decide in (planning.check_instance, plan_exists, planning.solve):
+            with pytest.raises(TypeError, match=f"^not a formula node: {shown}$"):
+                decide(inst)
+        with pytest.raises(TypeError, match=f"^not a formula node: {shown}$"):
+            validate_plan(inst, ())
 
     def test_loose_names_are_listed_sorted_for_the_first_action_at_fault(self):
         inst = PlanningInstance(
@@ -443,6 +463,178 @@ class TestOnePassReduction:
         with pytest.raises(ContractError) as caught:
             reduce_qbf(Qbf(prefix, matrix))
         assert str(caught.value) == message
+
+
+def _reference_gadget(quant, name, index, guard, goal, resets):
+    unlatched = Not(guard)
+    latch = (guard.name, True)
+    if quant is Quantifier.EXISTS:
+        return (guard.name,), goal, (
+            (f"choose-{name}-true", unlatched, ((name, True), latch)),
+            (f"choose-{name}-false", unlatched, ((name, False), latch)),
+        )
+    done = Var(f"_b{index}")
+    var = Var(name)
+    flip_effects = ((name, False), (goal.name, False)) + tuple((f, False) for f in resets)
+    return (done.name, guard.name), done, (
+        (f"enter-{name}", unlatched, ((name, True), latch)),
+        (f"flip-{name}", And(goal, var), flip_effects),
+        (f"finish-{name}", And(goal, Not(var)), ((done.name, True),)),
+    )
+
+
+def _reference_raise(instance, quant, name, index):
+    """The public raises as they stood when each built its own instance:
+    the checks, every older action under the new guard, then the gadget."""
+    if name not in instance.fluents:
+        raise ContractError(f"{name!r} is not a fluent of the instance")
+    fresh_names = [f"_p{index}"]
+    resets = ()
+    if quant is Quantifier.FORALL:
+        setters = [
+            act
+            for act in instance.actions
+            if any(eff == (instance.goal, True) for eff in act.effects)
+        ]
+        if len(setters) != 1:
+            raise ContractError(
+                f"goal {instance.goal!r} must be set by exactly one action, found {len(setters)}"
+            )
+        fresh_names.append(f"_b{index}")
+        resets = sorted(planning.control_fluents(instance) - {instance.goal})
+    for fresh in fresh_names:
+        if fresh in instance.fluents:
+            raise ContractError(f"fresh name {fresh!r} already occurs in the instance")
+    guard = Var(f"_p{index}")
+    fresh, goal, parts = _reference_gadget(quant, name, index, guard, Var(instance.goal), resets)
+    guarded = tuple(
+        Action(act.name, And(guard, act.precondition), act.effects) for act in instance.actions
+    )
+    return PlanningInstance(
+        fluents=instance.fluents + fresh,
+        initial=instance.initial,
+        goal=goal.name,
+        actions=guarded + tuple(Action(*p) for p in parts),
+    )
+
+
+def _outcome(raise_, *args):
+    """The instance a raise returns and its text, or its ``ContractError``'s message."""
+    try:
+        raised = raise_(*args)
+    except ContractError as error:
+        return str(error)
+    return raised, serialize_instance(raised)
+
+
+class TestRaisesAgainstTheReference:
+    """The public raises build through ``reduce_qbf``'s loop; on instances
+    that are no reduction they still give what ``_reference_raise`` gives:
+    an equal instance with the same text, or the same message."""
+
+    @staticmethod
+    def check(instance, steps):
+        """Raise ``instance`` by each ``(quantifier, name, index)`` step in
+        turn, both ways, while the raises succeed."""
+        for quant, name, index in steps:
+            expected = _outcome(_reference_raise, instance, quant, name, index)
+            assert _outcome(planning.RAISES[quant], instance, name, index) == expected
+            if isinstance(expected, str):
+                return expected
+            instance = expected[0]
+        return instance
+
+    E, A = Quantifier.EXISTS, Quantifier.FORALL
+
+    @pytest.mark.parametrize("quant", [E, A])
+    def test_a_non_empty_initial_state(self, quant):
+        inst = PlanningInstance(
+            ("x", "y", "a"),
+            frozenset({"y"}),
+            "a",
+            (Action("m", Or(X, Not(Y)), (("a", True),)),),
+        )
+        raised = self.check(inst, [(quant, "x", 1), (self.A, "y", 2)])
+        assert raised.initial == {"y"}
+
+    def test_parsed_plan_files(self):
+        inputs = sorted((Path(__file__).parent / "golden" / "planning" / "inputs").glob("*.plan"))
+        raised = 0
+        for path in inputs:
+            try:
+                inst = parse_instance(path.read_text(encoding="utf-8"))
+            except ParseError:
+                continue
+            for quant in (self.E, self.A):
+                for index in (1, 40):
+                    outcome = self.check(inst, [(quant, inst.fluents[0], index)])
+                    raised += not isinstance(outcome, str)
+        assert raised > 50
+
+    def test_existing_control_fluents(self):
+        # _p7 and _b3 are control fluents the raises did not add: the
+        # universal flip clears them too.
+        inst = PlanningInstance(
+            ("x", "y", "_p7", "_b3", "a"),
+            frozenset({"_b3"}),
+            "a",
+            (Action("m", And(X, Var("_b3")), (("a", True), ("_p7", True))),),
+        )
+        raised = self.check(inst, [(self.A, "x", 1), (self.E, "y", 2), (self.A, "y", 4)])
+        flip = next(act for act in raised.actions if act.name == "flip-y")
+        assert {"_p7", "_b3"} <= {name for name, _ in flip.effects}
+
+    @pytest.mark.parametrize("quants", ["AA", "AAA", "EAA", "AEA", "EE", "AEEA"])
+    def test_raises_in_a_row(self, quants):
+        names = ["x", "y", "z", "w"][: len(quants)]
+        matrix = Var(names[0])
+        for name in names[1:]:
+            matrix = Iff(matrix, Var(name))
+        inst = base_instance(matrix, names + [GOAL_VAR])
+        steps = [
+            (self.E if q == "E" else self.A, name, k)
+            for k, (q, name) in enumerate(zip(quants, names), start=1)
+        ]
+        raised = self.check(inst, steps)
+        assert len(raised.fluents) == len(names) + 1 + quants.count("E") + 2 * quants.count("A")
+
+    def test_a_goal_set_by_another_action(self):
+        inst = PlanningInstance(
+            ("x", "y", "g"),
+            frozenset(),
+            "g",
+            (
+                Action("m", X, (("y", True),)),
+                Action("reach", And(Y, Not(X)), (("g", True), ("x", False))),
+            ),
+        )
+        raised = self.check(inst, [(self.A, "x", 1), (self.E, "y", 2), (self.A, "x", 3)])
+        assert raised.goal == "_b3"
+
+    @pytest.mark.parametrize(
+        "quant,name,index,message",
+        [
+            (E, "z", 1, "'z' is not a fluent of the instance"),
+            (A, "z", 1, "'z' is not a fluent of the instance"),
+            (E, "x", 2, "fresh name '_p2' already occurs in the instance"),
+            (A, "x", 2, "fresh name '_p2' already occurs in the instance"),
+            (A, "x", 3, "fresh name '_b3' already occurs in the instance"),
+        ],
+    )
+    def test_each_failing_check(self, quant, name, index, message):
+        inst = PlanningInstance(
+            ("x", "_p2", "_b3", "a"), frozenset(), "a", (Action("m", X, (("a", True),)),)
+        )
+        assert self.check(inst, [(quant, name, index)]) == message
+
+    @pytest.mark.parametrize("setters", [0, 2])
+    def test_a_goal_not_set_once(self, setters):
+        actions = [Action(f"m{i}", X, (("a", True),)) for i in range(setters)]
+        inst = PlanningInstance(("x", "a"), frozenset(), "a", (Action("n", X, ()), *actions))
+        message = f"goal 'a' must be set by exactly one action, found {setters}"
+        assert self.check(inst, [(self.A, "x", 1)]) == message
+        # the existential raise does not ask who sets the goal
+        assert not isinstance(self.check(inst, [(self.E, "x", 1)]), str)
 
 
 def test_merge_properties_on_random_prefixes():
